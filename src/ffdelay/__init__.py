@@ -2,9 +2,11 @@
 
 Library layout:
 
-* :mod:`ffdelay.models`     -- the four state-model variants and performance
+* :mod:`ffdelay.models`     -- the four state-model variants, the variant table
+                               and ``ModelParams`` (one performance model)
 * :mod:`ffdelay.oracle`     -- fine-grid method-of-steps integrator
-* :mod:`ffdelay.estimation` -- least-squares fitting (Nelder-Mead, multi-start)
+* :mod:`ffdelay.estimation` -- ``fit_variant``, ``compare_variants`` and
+                               ``predict_performance`` (Nelder-Mead, multi-start)
 * :mod:`ffdelay.dataio`     -- CSV/YAML/JSON ingestion and SVG charts
 * :mod:`ffdelay.cli`        -- the ``ffdelay`` command
 """
@@ -28,13 +30,12 @@ from .models import (
     FirstOrderParams,
     KernelParams,
     LoadSeries,
-    PerformanceParams,
+    ModelParams,
     SingleDelayParams,
     StateSeries,
     ThreeDelayParams,
     eval_classical,
     eval_kernel_recursive,
-    eval_performance,
     eval_single_delay_convolution,
     eval_single_delay_recursive,
     eval_three_delay_convolution,
@@ -44,15 +45,12 @@ from .models import (
 from .oracle import GridSolution, StepLoad, convergence_probe, integrate_single_delay, integrate_three_delay
 from .estimation import (
     FitConfig,
-    FitResult,
     ObservationSet,
     ParamBounds,
     VariantFit,
     compare_variants,
-    fit,
     fit_variant,
     nelder_mead,
-    predict,
     predict_performance,
     r_squared,
     sse_objective,
@@ -72,13 +70,12 @@ __all__ = [
     "FirstOrderParams",
     "KernelParams",
     "LoadSeries",
-    "PerformanceParams",
+    "ModelParams",
     "SingleDelayParams",
     "StateSeries",
     "ThreeDelayParams",
     "eval_classical",
     "eval_kernel_recursive",
-    "eval_performance",
     "eval_single_delay_convolution",
     "eval_single_delay_recursive",
     "eval_three_delay_convolution",
@@ -90,15 +87,12 @@ __all__ = [
     "integrate_single_delay",
     "integrate_three_delay",
     "FitConfig",
-    "FitResult",
     "ObservationSet",
     "ParamBounds",
     "VariantFit",
     "compare_variants",
-    "fit",
     "fit_variant",
     "nelder_mead",
-    "predict",
     "predict_performance",
     "r_squared",
     "sse_objective",

@@ -7,10 +7,11 @@ Four subcommands wire the library into the full workflow:
 * ``simulate`` -- evaluate any state-model variant directly from flags
 * ``compare``  -- fit all four variants on the same data and tabulate quality
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
-All artifacts are computed before anything is written, and each file is
-written to a temporary name and renamed into place, so a failing run leaves
-no partial artifacts behind.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure or
+internal error (an unexpected exception; the last line of stderr reads
+``error: internal error: <Type>: <message>``). All artifacts are computed
+before anything is written, and each file is written to a temporary name and
+renamed into place, so a failing run leaves no partial artifacts behind.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 import os
 import sys
 import tempfile
+import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -27,6 +29,7 @@ from typing import Sequence
 from . import __version__
 from .dataio import (
     ChartOptions,
+    RunConfig,
     build_prediction_table,
     dumps_params,
     emit_prediction_csv,
@@ -40,21 +43,20 @@ from .dataio import (
 )
 from .errors import CsvError, FfdelayError
 from .estimation import (
-    VARIANTS,
+    FitConfig,
     ObservationSet,
     compare_variants,
     fit_variant,
     predict_performance,
 )
 from .models import (
-    INF,
-    KernelParams,
+    VARIANTS,
     LoadSeries,
     SingleDelayParams,
-    ThreeDelayParams,
     eval_kernel_recursive,
     eval_single_delay_recursive,
     eval_three_delay_recursive,
+    variant_row,
 )
 
 EXIT_OK = 0
@@ -114,24 +116,15 @@ def _data_error(message: str) -> CommandOutcome:
     return CommandOutcome(EXIT_DATA, f"error: {message}")
 
 
-def _check_observations(obs: ObservationSet, horizon: int) -> str | None:
-    if len(obs) < 2:
-        return "need at least 2 observations (R^2 is undefined otherwise)"
-    if len(set(obs.values)) == 1:
-        return "observations have zero variance; R^2 is undefined"
-    if obs.days[-1] >= horizon:
-        return f"observation day {obs.days[-1]} is outside the horizon {horizon}"
-    return None
+def _load_fit_inputs(
+    load_path: str, perf_path: str, config_path: str, seed: int | None
+) -> tuple[LoadSeries, ObservationSet, RunConfig, FitConfig] | CommandOutcome:
+    """Parse and validate the inputs of ``fit`` and ``compare``.
 
-
-def cmd_fit(
-    load_path: str,
-    perf_path: str,
-    config_path: str,
-    out_dir: str,
-    seed: int | None = None,
-) -> CommandOutcome:
-    """Fit the configured variant and write params, predictions and charts."""
+    Returns the load cut to the configured horizon, the observations, the run
+    configuration and its fit settings with ``seed`` applied, or the data
+    error outcome.
+    """
     try:
         w = parse_load_csv(_read_text(load_path))
         obs = parse_performance_csv(_read_text(perf_path))
@@ -142,11 +135,28 @@ def cmd_fit(
     horizon = config.horizon if config.horizon is not None else len(w)
     if horizon > len(w):
         return _data_error(f"horizon {horizon} exceeds load series length {len(w)}")
-    problem = _check_observations(obs, horizon)
-    if problem:
-        return _data_error(problem)
-    w = LoadSeries(w.values[:horizon])
+    if len(obs) < 2:
+        return _data_error("need at least 2 observations (R^2 is undefined otherwise)")
+    if len(set(obs.values)) == 1:
+        return _data_error("observations have zero variance; R^2 is undefined")
+    if obs.days[-1] >= horizon:
+        return _data_error(f"observation day {obs.days[-1]} is outside the horizon {horizon}")
     fit_config = config.fit if seed is None else replace(config.fit, seed=seed)
+    return LoadSeries(w.values[:horizon]), obs, config, fit_config
+
+
+def cmd_fit(
+    load_path: str,
+    perf_path: str,
+    config_path: str,
+    out_dir: str,
+    seed: int | None = None,
+) -> CommandOutcome:
+    """Fit the configured variant and write params, predictions and charts."""
+    inputs = _load_fit_inputs(load_path, perf_path, config_path, seed)
+    if isinstance(inputs, CommandOutcome):
+        return inputs
+    w, obs, config, fit_config = inputs
 
     try:
         result = fit_variant(w, obs, config.bounds, fit_config, config.variant)
@@ -171,7 +181,7 @@ def cmd_fit(
         return _data_error(f"cannot write artifacts to {out_dir}: {exc}")
 
     lines = [
-        f"fitted variant {result.variant} over {horizon} days, {len(obs)} observations",
+        f"fitted variant {result.variant} over {len(w)} days, {len(obs)} observations",
         f"SSE = {result.sse:.8g}",
         f"R^2 = {result.r2:.6f}",
         f"converged starts: {result.starts_converged}/{fit_config.starts}"
@@ -191,7 +201,7 @@ def cmd_predict(
         return CommandOutcome(EXIT_USAGE, f"error: horizon must be >= 1, got {horizon}")
     try:
         w = parse_load_csv(_read_text(load_path))
-        doc = parse_params(_read_text(params_path))
+        params = parse_params(_read_text(params_path))
     except FfdelayError as exc:
         return _data_error(str(exc))
     if horizon > len(w):
@@ -199,7 +209,8 @@ def cmd_predict(
 
     try:
         predicted = predict_performance(
-            doc.variant, doc.p0, doc.k1, doc.k2, doc.fitness, doc.fatigue, w, horizon
+            params.variant, params.p0, params.k1, params.k2,
+            params.fitness, params.fatigue, w, horizon,
         )
     except FfdelayError as exc:
         return CommandOutcome(EXIT_NUMERIC, f"error: prediction failed: {exc}")
@@ -215,23 +226,10 @@ def cmd_predict(
     except OSError as exc:
         return _data_error(f"cannot write artifacts to {out_dir}: {exc}")
     summary = (
-        f"predicted {horizon} days with variant {doc.variant}\n"
+        f"predicted {horizon} days with variant {params.variant}\n"
         "wrote: " + ", ".join(written)
     )
     return CommandOutcome(EXIT_OK, summary, written)
-
-
-_VARIANT_FLAGS = {
-    "classical": ("tau1",),
-    "single_delay": ("tau1", "tau2"),
-    "three_delay": ("tau1", "tau2", "tau3", "tau4"),
-    "kernel": ("tau1", "tau5"),
-}
-
-
-def _simulate_usage(variant: str) -> str:
-    flags = " ".join(f"--{f} X" for f in _VARIANT_FLAGS[variant])
-    return f"usage: ffdelay simulate --load <csv> --variant {variant} {flags} --out <dir>"
 
 
 def cmd_simulate(
@@ -250,18 +248,18 @@ def cmd_simulate(
     the lag term switched off; this is the same trajectory and makes the
     tau5=0 / infinite-lag reductions produce identical files.
     """
-    if variant not in VARIANTS:
-        return CommandOutcome(
-            EXIT_USAGE,
-            f"error: unknown variant {variant!r}; valid variants: {', '.join(VARIANTS)}",
-        )
+    try:
+        row = variant_row(variant)
+    except FfdelayError as exc:
+        return CommandOutcome(EXIT_USAGE, f"error: {exc}")
     given = {"tau1": tau1, "tau2": tau2, "tau3": tau3, "tau4": tau4, "tau5": tau5}
-    missing = [f for f in _VARIANT_FLAGS[variant] if given[f] is None]
+    missing = [f for f in row.flags if given[f] is None]
     if missing:
+        flags = " ".join(f"--{f} X" for f in row.flags)
         return CommandOutcome(
             EXIT_USAGE,
             f"error: variant {variant} requires --{', --'.join(missing)}\n"
-            + _simulate_usage(variant),
+            f"usage: ffdelay simulate --load <csv> --variant {variant} {flags} --out <dir>",
         )
 
     try:
@@ -270,17 +268,15 @@ def cmd_simulate(
         return _data_error(str(exc))
 
     horizon = len(w)
+    evaluate = {
+        "three_delay": eval_three_delay_recursive,
+        "kernel": eval_kernel_recursive,
+    }.get(variant, eval_single_delay_recursive)
     try:
+        side = row.side(*(given[f] for f in row.flags))
         if variant == "classical":
-            state = eval_single_delay_recursive(w, SingleDelayParams(tau1, INF), horizon)
-        elif variant == "single_delay":
-            state = eval_single_delay_recursive(w, SingleDelayParams(tau1, tau2), horizon)
-        elif variant == "three_delay":
-            state = eval_three_delay_recursive(
-                w, ThreeDelayParams(tau1, tau2, tau3, tau4), horizon
-            )
-        else:
-            state = eval_kernel_recursive(w, KernelParams(tau1, tau5), horizon)
+            side = SingleDelayParams(side.tau_decay)
+        state = evaluate(w, side, horizon)
     except FfdelayError as exc:
         return CommandOutcome(EXIT_USAGE, f"error: invalid parameters: {exc}")
 
@@ -312,21 +308,10 @@ def cmd_compare(
     seed: int | None = None,
 ) -> CommandOutcome:
     """Fit all four variants on the same data and write a comparison table."""
-    try:
-        w = parse_load_csv(_read_text(load_path))
-        obs = parse_performance_csv(_read_text(perf_path))
-        config = load_config(_read_text(config_path))
-    except FfdelayError as exc:
-        return _data_error(str(exc))
-
-    horizon = config.horizon if config.horizon is not None else len(w)
-    if horizon > len(w):
-        return _data_error(f"horizon {horizon} exceeds load series length {len(w)}")
-    problem = _check_observations(obs, horizon)
-    if problem:
-        return _data_error(problem)
-    w = LoadSeries(w.values[:horizon])
-    fit_config = config.fit if seed is None else replace(config.fit, seed=seed)
+    inputs = _load_fit_inputs(load_path, perf_path, config_path, seed)
+    if isinstance(inputs, CommandOutcome):
+        return inputs
+    w, obs, config, fit_config = inputs
 
     try:
         results = compare_variants(w, obs, config.bounds, fit_config)
@@ -351,7 +336,7 @@ def cmd_compare(
         return _data_error(f"cannot write artifacts to {out_dir}: {exc}")
 
     summary_lines = [
-        f"compared {len(results)} variants over {horizon} days, {len(obs)} observations"
+        f"compared {len(results)} variants over {len(w)} days, {len(obs)} observations"
     ]
     for r in results:
         summary_lines.append(
@@ -431,21 +416,23 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if args.command == "fit":
-        outcome = cmd_fit(args.load, args.perf, args.config, args.out, args.seed)
-    elif args.command == "predict":
-        if args.horizon < 1:
-            print("error: --horizon must be >= 1", file=sys.stderr)
-            return EXIT_USAGE
-        outcome = cmd_predict(args.load, args.params, args.horizon, args.out)
-    elif args.command == "simulate":
-        outcome = cmd_simulate(
-            args.load, args.variant, args.out,
-            tau1=args.tau1, tau2=args.tau2, tau3=args.tau3,
-            tau4=args.tau4, tau5=args.tau5,
-        )
-    else:
-        outcome = cmd_compare(args.load, args.perf, args.config, args.out, args.seed)
+    try:
+        if args.command == "fit":
+            outcome = cmd_fit(args.load, args.perf, args.config, args.out, args.seed)
+        elif args.command == "predict":
+            outcome = cmd_predict(args.load, args.params, args.horizon, args.out)
+        elif args.command == "simulate":
+            outcome = cmd_simulate(
+                args.load, args.variant, args.out,
+                tau1=args.tau1, tau2=args.tau2, tau3=args.tau3,
+                tau4=args.tau4, tau5=args.tau5,
+            )
+        else:
+            outcome = cmd_compare(args.load, args.perf, args.config, args.out, args.seed)
+    except Exception as exc:  # bad input raises FfdelayError; anything else is a defect
+        traceback.print_exc()
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
     stream = sys.stdout if outcome.exit_code == EXIT_OK else sys.stderr
     print(outcome.summary, file=stream)

@@ -13,7 +13,9 @@ Run config        YAML mapping with keys ``variant``, ``horizon``,
                   ``bounds.*``, ``fit.*``, ``chart.*``; unknown keys are
                   errors. Every omitted key takes the documented default.
 Params document   JSON mapping with ``variant``, ``p0``, ``k1``, ``k2`` and a
-                  parameter mapping per side (``fitness``/``fatigue``).
+                  parameter mapping per side (``fitness``/``fatigue``) whose
+                  keys are the fields of the variant's side class; it reads
+                  back as a ``ModelParams``.
 
 Numbers in emitted CSV use the shortest decimal form that round-trips, so
 emit/parse is an exact identity.
@@ -26,20 +28,14 @@ import io
 import json
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import NamedTuple
 
 import yaml
 
 from .errors import ConfigError, CsvError, DuplicateDayError, ParameterError
-from .estimation import VARIANTS, FitConfig, ObservationSet, ParamBounds, VariantFit
-from .models import (
-    FirstOrderParams,
-    KernelParams,
-    LoadSeries,
-    SingleDelayParams,
-    ThreeDelayParams,
-)
+from .estimation import FitConfig, ObservationSet, ParamBounds
+from .models import LoadSeries, ModelParams, variant_row
 
 
 def format_number(x: float) -> str:
@@ -247,10 +243,7 @@ class RunConfig:
     chart: ChartOptions = ChartOptions()
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ConfigError(
-                f"unknown variant {self.variant!r}; valid variants: {', '.join(VARIANTS)}"
-            )
+        variant_row(self.variant)
         if self.horizon is not None and self.horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
 
@@ -301,11 +294,6 @@ def load_config(text: str) -> RunConfig:
     data = _require_mapping(data, "configuration")
     _reject_unknown(data, ("variant", "horizon", "bounds", "fit", "chart"), "configuration")
 
-    variant = data.get("variant", "single_delay")
-    if not isinstance(variant, str) or variant not in VARIANTS:
-        raise ConfigError(
-            f"unknown variant {variant!r}; valid variants: {', '.join(VARIANTS)}"
-        )
     horizon = data.get("horizon")
     if horizon is not None:
         horizon = _as_int(horizon, "horizon")
@@ -347,7 +335,7 @@ def load_config(text: str) -> RunConfig:
 
     try:
         return RunConfig(
-            variant=variant,
+            variant=data.get("variant", "single_delay"),
             horizon=horizon,
             bounds=ParamBounds(**bounds_kwargs),
             fit=FitConfig(**fit_kwargs),
@@ -362,37 +350,17 @@ def load_config(text: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _side_to_doc(side) -> dict:
-    if isinstance(side, FirstOrderParams):
-        return {"tau_decay": side.tau_decay}
-    if isinstance(side, SingleDelayParams):
-        return {"tau_decay": side.tau_decay, "tau_lag1": side.tau_lag1}
-    if isinstance(side, ThreeDelayParams):
-        return {
-            "tau_decay": side.tau_decay,
-            "tau_lag1": side.tau_lag1,
-            "tau_lag2": side.tau_lag2,
-            "tau_lag3": side.tau_lag3,
-        }
-    if isinstance(side, KernelParams):
-        return {"tau_decay": side.tau_decay, "tau5": side.tau5, "weights": list(side.weights)}
-    raise ParameterError(f"unsupported side parameter object {type(side).__name__}")
-
-
-def params_document(fit: VariantFit) -> dict:
-    """JSON-ready mapping describing a fitted model."""
-    return {
-        "variant": fit.variant,
-        "p0": fit.p0,
-        "k1": fit.k1,
-        "k2": fit.k2,
-        "fitness": _side_to_doc(fit.fitness),
-        "fatigue": _side_to_doc(fit.fatigue),
+def dumps_params(params: ModelParams) -> str:
+    """The params document of a (fitted) model."""
+    doc = {
+        "variant": params.variant,
+        "p0": params.p0,
+        "k1": params.k1,
+        "k2": params.k2,
+        "fitness": asdict(params.fitness),
+        "fatigue": asdict(params.fatigue),
     }
-
-
-def dumps_params(fit: VariantFit) -> str:
-    return json.dumps(params_document(fit), indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _doc_float(value, key: str) -> float:
@@ -406,53 +374,34 @@ def _doc_float(value, key: str) -> float:
     return float(value)
 
 
-def _side_from_doc(variant: str, doc: dict, where: str):
+def _side_from_doc(side_cls: type, doc, where: str):
+    """Side object from its mapping; an omitted key takes the field's default.
+
+    A field whose default is a tuple (the kernel weights) reads a list of
+    numbers of the same length.
+    """
     doc = _require_mapping(doc, where)
+    side_fields = fields(side_cls)
+    _reject_unknown(doc, [f.name for f in side_fields], where)
+    values = []
+    for f in side_fields:
+        key = f"{where}.{f.name}"
+        value = doc.get(f.name, f.default)
+        if value is MISSING:
+            raise ConfigError(f"{where} is missing required key {f.name!r}")
+        if isinstance(f.default, tuple):
+            if not isinstance(value, (list, tuple)) or len(value) != len(f.default):
+                raise ConfigError(f"{key} must be a {len(f.default)}-element list")
+            values.append(tuple(_doc_float(x, key) for x in value))
+        else:
+            values.append(_doc_float(value, key))
     try:
-        if variant == "classical":
-            _reject_unknown(doc, ("tau_decay",), where)
-            return FirstOrderParams(_doc_float(doc["tau_decay"], f"{where}.tau_decay"))
-        if variant == "single_delay":
-            _reject_unknown(doc, ("tau_decay", "tau_lag1"), where)
-            return SingleDelayParams(
-                _doc_float(doc["tau_decay"], f"{where}.tau_decay"),
-                _doc_float(doc.get("tau_lag1", math.inf), f"{where}.tau_lag1"),
-            )
-        if variant == "three_delay":
-            _reject_unknown(doc, ("tau_decay", "tau_lag1", "tau_lag2", "tau_lag3"), where)
-            return ThreeDelayParams(
-                _doc_float(doc["tau_decay"], f"{where}.tau_decay"),
-                _doc_float(doc.get("tau_lag1", math.inf), f"{where}.tau_lag1"),
-                _doc_float(doc.get("tau_lag2", math.inf), f"{where}.tau_lag2"),
-                _doc_float(doc.get("tau_lag3", math.inf), f"{where}.tau_lag3"),
-            )
-        _reject_unknown(doc, ("tau_decay", "tau5", "weights"), where)
-        weights = doc.get("weights", [0.5, 0.3, 0.2])
-        if not isinstance(weights, (list, tuple)) or len(weights) != 3:
-            raise ConfigError(f"{where}.weights must be a 3-element list")
-        return KernelParams(
-            _doc_float(doc["tau_decay"], f"{where}.tau_decay"),
-            _doc_float(doc["tau5"], f"{where}.tau5"),
-            tuple(_doc_float(x, f"{where}.weights") for x in weights),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{where} is missing required key {exc.args[0]!r}") from exc
+        return side_cls(*values)
     except ParameterError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-class ParamsDocument(NamedTuple):
-    """A parsed fitted-parameter document, ready for prediction."""
-
-    variant: str
-    p0: float
-    k1: float
-    k2: float
-    fitness: FirstOrderParams | SingleDelayParams | ThreeDelayParams | KernelParams
-    fatigue: FirstOrderParams | SingleDelayParams | ThreeDelayParams | KernelParams
-
-
-def parse_params(text: str) -> ParamsDocument:
+def parse_params(text: str) -> ModelParams:
     """Parse a params JSON document (fit output or hand-written)."""
     try:
         data = json.loads(text)
@@ -462,25 +411,17 @@ def parse_params(text: str) -> ParamsDocument:
     _reject_unknown(data, ("variant", "p0", "k1", "k2", "fitness", "fatigue"), "params document")
     try:
         variant = data["variant"]
-        if variant not in VARIANTS:
-            raise ConfigError(
-                f"unknown variant {variant!r}; valid variants: {', '.join(VARIANTS)}"
-            )
+        side_cls = variant_row(variant).side
         p0 = _doc_float(data["p0"], "p0")
         k1 = _doc_float(data["k1"], "k1")
         k2 = _doc_float(data["k2"], "k2")
-        fitness = _side_from_doc(variant, data["fitness"], "fitness")
-        fatigue = _side_from_doc(variant, data["fatigue"], "fatigue")
+        fitness = _side_from_doc(side_cls, data["fitness"], "fitness")
+        fatigue = _side_from_doc(side_cls, data["fatigue"], "fatigue")
+        return ModelParams(variant, p0, k1, k2, fitness, fatigue)
     except KeyError as exc:
         raise ConfigError(f"params document is missing required key {exc.args[0]!r}") from exc
-    if not math.isfinite(p0):
-        raise ConfigError(f"p0 must be finite, got {p0!r}")
-    try:
-        if not (k1 > 0 and k2 > 0 and math.isfinite(k1) and math.isfinite(k2)):
-            raise ConfigError("k1 and k2 must be finite and > 0")
-    except TypeError:  # pragma: no cover
-        raise ConfigError("k1 and k2 must be numbers") from None
-    return ParamsDocument(variant, p0, k1, k2, fitness, fatigue)
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -12,34 +12,35 @@ Multi-start points are a stratified (Latin hypercube) sample of the
 transformed unit box drawn from a seeded generator; starts are evaluated
 sequentially and the winner is the lowest objective value with the lowest
 start index as tie-break, so results are bit-reproducible for a given seed.
+
+``fit_variant`` fits one variant, ``compare_variants`` fits all four with
+nested seeding, and ``predict_performance`` runs any variant's performance
+model forward. All three read the variant table in :mod:`ffdelay.models`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import MetricError, ObservationError, ParameterError, SeriesLengthError
+from .errors import MetricError, ObservationError, ParameterError
 from .models import (
-    INF,
-    FirstOrderParams,
+    VARIANTS,
     KernelParams,
     LoadSeries,
-    PerformanceParams,
-    SingleDelayParams,
-    ThreeDelayParams,
+    ModelParams,
+    Variant,
+    _check_horizon,
     _lag_rate,
-    eval_performance,
     kernel_path,
     kernel_to_three_delay,
     single_delay_path,
     three_delay_path,
+    variant_row,
 )
-
-VARIANTS = ("classical", "single_delay", "three_delay", "kernel")
 
 #: Logistic argument at which the squash saturates to exactly 0.0/1.0 in
 #: doubles; used to pin a lag coordinate at the top of its box.
@@ -59,7 +60,12 @@ class ObservationSet:
     def __post_init__(self) -> None:
         norm = []
         for day, value in self.entries:
-            d = int(day)
+            try:
+                d = int(day)
+            except (ValueError, OverflowError):
+                raise ObservationError(
+                    f"observation day must be an integer, got {day!r}"
+                ) from None
             v = float(value)
             if d < 0:
                 raise ObservationError(f"observation day must be >= 0, got {day!r}")
@@ -137,7 +143,7 @@ class ParamBounds:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Multi-start and termination settings for :func:`fit`."""
+    """Multi-start and termination settings for :func:`fit_variant`."""
 
     starts: int = 20
     max_iterations: int = 2500
@@ -164,34 +170,14 @@ class FitConfig:
 
 
 @dataclass(frozen=True)
-class FitResult:
-    """Best single-delay performance fit over all starts."""
-
-    params: PerformanceParams
-    sse: float
-    r2: float
-    predicted: tuple[float, ...]
-    starts_converged: int
-    best_start_index: int
-    iterations_used: int
-    warnings: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class VariantFit:
+class VariantFit(ModelParams):
     """A fitted performance model of any state-model variant.
 
-    ``fitness``/``fatigue`` hold the side parameter objects of the variant's
-    state model; ``n_free`` counts the coordinates the optimizer actually
-    searched (p0 is excluded when fixed).
+    The fitted parameters are the :class:`ModelParams` fields; ``n_free``
+    counts the coordinates the optimizer actually searched (p0 is excluded
+    when fixed).
     """
 
-    variant: str
-    p0: float
-    k1: float
-    k2: float
-    fitness: FirstOrderParams | SingleDelayParams | ThreeDelayParams | KernelParams
-    fatigue: FirstOrderParams | SingleDelayParams | ThreeDelayParams | KernelParams
     n_free: int
     sse: float
     r2: float
@@ -201,34 +187,23 @@ class VariantFit:
     iterations_used: int
     warnings: tuple[str, ...] = ()
 
-    def to_performance_params(self) -> PerformanceParams:
-        """Express a classical or single-delay fit as PerformanceParams."""
-        if self.variant == "classical":
-            fit_side = SingleDelayParams(self.fitness.tau_decay, INF)
-            fat_side = SingleDelayParams(self.fatigue.tau_decay, INF)
-        elif self.variant == "single_delay":
-            fit_side = self.fitness
-            fat_side = self.fatigue
-        else:
-            raise ParameterError(
-                f"variant {self.variant!r} is not representable as PerformanceParams"
-            )
-        return PerformanceParams(self.p0, self.k1, self.k2, fit_side, fat_side)
-
 
 # ---------------------------------------------------------------------------
 # Fit metrics
 # ---------------------------------------------------------------------------
 
 
-def sse_objective(params: PerformanceParams, w: LoadSeries, obs: ObservationSet) -> float:
+def sse_objective(params: ModelParams, w: LoadSeries, obs: ObservationSet) -> float:
     """Sum of squared model-vs-observation errors at the observed days."""
     last = obs.days[-1]
     if last >= len(w):
         raise ObservationError(
             f"observation day {last} outside the load horizon {len(w)}"
         )
-    p = eval_performance(w, params, last + 1)
+    p = predict_performance(
+        params.variant, params.p0, params.k1, params.k2,
+        params.fitness, params.fatigue, w, last + 1,
+    )
     return sum((p[d] - y) ** 2 for d, y in obs.entries)
 
 
@@ -396,17 +371,7 @@ class _Coord:
         return _logit(u)
 
 
-_SIDE_PARAMS = {
-    "classical": ("tau_decay",),
-    "single_delay": ("tau_decay", "tau_lag1"),
-    "three_delay": ("tau_decay", "tau_lag1", "tau_lag2", "tau_lag3"),
-    "kernel": ("tau_decay", "tau5"),
-}
-
-
-def _coords_for(variant: str, bounds: ParamBounds, fix_p0: float | None) -> list[_Coord]:
-    if variant not in VARIANTS:
-        raise ParameterError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+def _coords_for(row: Variant, bounds: ParamBounds, fix_p0: float | None) -> list[_Coord]:
     coords: list[_Coord] = []
     if fix_p0 is None:
         coords.append(_Coord("p0", *bounds.p0, log_scale=False))
@@ -414,7 +379,7 @@ def _coords_for(variant: str, bounds: ParamBounds, fix_p0: float | None) -> list
     coords.append(_Coord("k2", *bounds.k2, log_scale=True))
     for side, decay_b, lag_b in (("fitness", bounds.tau1, bounds.tau2),
                                  ("fatigue", bounds.tau3, bounds.tau4)):
-        for pname in _SIDE_PARAMS[variant]:
+        for pname in row.fitted:
             if pname == "tau_decay":
                 coords.append(_Coord(f"{side}.tau_decay", *decay_b, log_scale=True))
             elif pname.startswith("tau_lag"):
@@ -424,33 +389,34 @@ def _coords_for(variant: str, bounds: ParamBounds, fix_p0: float | None) -> list
     return coords
 
 
-def _side_object(variant: str, side_vals: dict[str, float]):
-    if variant == "classical":
-        return FirstOrderParams(side_vals["tau_decay"])
-    if variant == "single_delay":
-        return SingleDelayParams(side_vals["tau_decay"], side_vals["tau_lag1"])
+def _field_values(side) -> tuple:
+    return tuple(getattr(side, f.name) for f in fields(side))
+
+
+def _state_path(variant: str, wv: Sequence[float], side: tuple, horizon: int) -> list[float]:
+    """State path of one side; ``side`` holds the side class's field values in order."""
     if variant == "three_delay":
-        return ThreeDelayParams(
-            side_vals["tau_decay"], side_vals["tau_lag1"],
-            side_vals["tau_lag2"], side_vals["tau_lag3"],
-        )
-    return KernelParams(side_vals["tau_decay"], side_vals["tau5"])
-
-
-def _state_path(side, wv: Sequence[float], horizon: int) -> list[float]:
-    if isinstance(side, FirstOrderParams):
-        return single_delay_path(wv, side.tau_decay, 0.0, horizon)
-    if isinstance(side, SingleDelayParams):
-        return single_delay_path(wv, side.tau_decay, _lag_rate(side.tau_lag1), horizon)
-    if isinstance(side, ThreeDelayParams):
+        tau, lag1, lag2, lag3 = side
         return three_delay_path(
-            wv, side.tau_decay,
-            _lag_rate(side.tau_lag1), _lag_rate(side.tau_lag2), _lag_rate(side.tau_lag3),
-            horizon,
+            wv, tau, _lag_rate(lag1), _lag_rate(lag2), _lag_rate(lag3), horizon
         )
-    if isinstance(side, KernelParams):
-        return kernel_path(wv, side.tau_decay, side.tau5, side.weights, horizon)
-    raise ParameterError(f"unsupported state parameter object {type(side).__name__}")
+    if variant == "kernel":
+        return kernel_path(wv, *side, horizon)
+    if variant == "single_delay":
+        tau, lag1 = side
+        return single_delay_path(wv, tau, _lag_rate(lag1), horizon)
+    return single_delay_path(wv, side[0], 0.0, horizon)
+
+
+def _performance(
+    variant: str, wv: Sequence[float], p0: float, k1: float, k2: float,
+    fitness: tuple, fatigue: tuple, horizon: int,
+) -> list[float]:
+    g = _state_path(variant, wv, fitness, horizon)
+    h = _state_path(variant, wv, fatigue, horizon)
+    # group the state terms first so that k1 == k2 with identical sides gives
+    # exactly p0 (the gains cancel before the baseline is touched)
+    return [p0 + (k1 * g[n] - k2 * h[n]) for n in range(horizon)]
 
 
 def predict_performance(
@@ -463,59 +429,21 @@ def predict_performance(
     w: LoadSeries,
     horizon: int,
 ) -> tuple[float, ...]:
-    """Performance trajectory p0 + k1*g - k2*h for any state-model variant."""
-    if variant not in VARIANTS:
-        raise ParameterError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if horizon < 1:
-        raise ParameterError(f"horizon must be >= 1, got {horizon}")
-    if horizon > len(w):
-        raise SeriesLengthError(f"horizon {horizon} exceeds load series length {len(w)}")
-    g = _state_path(fitness, w.values, horizon)
-    h = _state_path(fatigue, w.values, horizon)
-    return tuple(p0 + (k1 * g[n] - k2 * h[n]) for n in range(horizon))
+    """Performance trajectory p0 + k1*g - k2*h for any state-model variant.
 
-
-def predict(params: PerformanceParams, w: LoadSeries, horizon: int) -> tuple[float, ...]:
-    """Performance trajectory for fitted (or hand-written) single-delay parameters."""
-    return eval_performance(w, params, horizon)
+    The arguments must form valid :class:`ModelParams` (ParameterError
+    otherwise).
+    """
+    ModelParams(variant, p0, k1, k2, fitness, fatigue)
+    horizon = _check_horizon(w, horizon)
+    return tuple(_performance(
+        variant, w.values, p0, k1, k2, _field_values(fitness), _field_values(fatigue), horizon
+    ))
 
 
 # ---------------------------------------------------------------------------
 # Multi-start driver
 # ---------------------------------------------------------------------------
-
-
-def _raw_predictor(
-    variant: str, coords: list[_Coord], fix_p0: float | None, wv: Sequence[float]
-) -> Callable[[np.ndarray, int], list[float]]:
-    names = [c.name for c in coords]
-
-    def run(z: np.ndarray, horizon: int) -> list[float]:
-        vals = {name: c.value(float(z[i])) for i, (name, c) in enumerate(zip(names, coords))}
-        p0 = fix_p0 if fix_p0 is not None else vals["p0"]
-        k1 = vals["k1"]
-        k2 = vals["k2"]
-        paths = []
-        for side in ("fitness", "fatigue"):
-            tau = vals[f"{side}.tau_decay"]
-            if variant == "classical":
-                paths.append(single_delay_path(wv, tau, 0.0, horizon))
-            elif variant == "single_delay":
-                paths.append(single_delay_path(wv, tau, 1.0 / vals[f"{side}.tau_lag1"], horizon))
-            elif variant == "three_delay":
-                paths.append(three_delay_path(
-                    wv, tau,
-                    1.0 / vals[f"{side}.tau_lag1"],
-                    1.0 / vals[f"{side}.tau_lag2"],
-                    1.0 / vals[f"{side}.tau_lag3"],
-                    horizon,
-                ))
-            else:
-                paths.append(kernel_path(wv, tau, vals[f"{side}.tau5"], (0.5, 0.3, 0.2), horizon))
-        g, h = paths
-        return [p0 + (k1 * g[n] - k2 * h[n]) for n in range(horizon)]
-
-    return run
 
 
 def _latin_hypercube(rng: np.random.Generator, n_starts: int, dims: int) -> np.ndarray:
@@ -544,20 +472,31 @@ def fit_variant(
         raise ObservationError(
             f"observation day {obs.days[-1]} outside the load horizon {len(w)}"
         )
-    coords = _coords_for(variant, bounds, config.fix_p0)
+    row = variant_row(variant)
+    coords = _coords_for(row, bounds, config.fix_p0)
+    n_side = len(row.fitted)
+    fixed = row.fixed
     wv = w.values
-    predictor = _raw_predictor(variant, coords, config.fix_p0, wv)
     entries = obs.entries
     obj_horizon = obs.days[-1] + 1
 
+    def decode(z: np.ndarray) -> tuple:
+        """(p0, k1, k2, fitness values, fatigue values) at the search point z."""
+        vals = [c.value(float(zi)) for c, zi in zip(coords, z)]
+        if config.fix_p0 is not None:
+            vals.insert(0, config.fix_p0)
+        fitness = (*vals[3 : 3 + n_side], *fixed)
+        fatigue = (*vals[3 + n_side :], *fixed)
+        return vals[0], vals[1], vals[2], fitness, fatigue
+
     def objective(z: np.ndarray) -> float:
-        p = predictor(z, obj_horizon)
+        p = _performance(variant, wv, *decode(z), obj_horizon)
         return sum((p[d] - y) ** 2 for d, y in entries)
 
     rng = np.random.default_rng(config.seed)
     u = _latin_hypercube(rng, config.starts, len(coords))
     starts = [np.asarray(z, dtype=float) for z in extra_starts]
-    starts += [np.array([_logit(ui) for ui in row]) for row in u]
+    starts += [np.array([_logit(ui) for ui in point]) for point in u]
 
     best_z = None
     best_f = math.inf
@@ -588,11 +527,8 @@ def fit_variant(
     if best_z is None:  # pragma: no cover - starts >= 1 always yields a candidate
         raise ParameterError("no usable start point")
 
-    vals = {c.name: c.value(float(best_z[i])) for i, c in enumerate(coords)}
-    p0 = config.fix_p0 if config.fix_p0 is not None else vals["p0"]
-    fitness = _side_object(variant, _side_values(variant, vals, "fitness"))
-    fatigue = _side_object(variant, _side_values(variant, vals, "fatigue"))
-    predicted = tuple(predictor(best_z, len(w)))
+    p0, k1, k2, fitness, fatigue = decode(best_z)
+    predicted = tuple(_performance(variant, wv, p0, k1, k2, fitness, fatigue, len(w)))
 
     warnings_out = []
     if len(obs) < len(coords):
@@ -608,10 +544,10 @@ def fit_variant(
     return VariantFit(
         variant=variant,
         p0=p0,
-        k1=vals["k1"],
-        k2=vals["k2"],
-        fitness=fitness,
-        fatigue=fatigue,
+        k1=k1,
+        k2=k2,
+        fitness=row.side(*fitness),
+        fatigue=row.side(*fatigue),
         n_free=len(coords),
         sse=best_f,
         r2=r2,
@@ -623,42 +559,14 @@ def fit_variant(
     )
 
 
-def _side_values(variant: str, vals: dict[str, float], side: str) -> dict[str, float]:
-    return {p: vals[f"{side}.{p}"] for p in _SIDE_PARAMS[variant]}
+def _embed_start(row: Variant, coords: list[_Coord], fit: VariantFit) -> np.ndarray | None:
+    """Start vector for the variant ``row`` that realizes ``fit``'s solution.
 
-
-def fit(
-    w: LoadSeries,
-    obs: ObservationSet,
-    bounds: ParamBounds,
-    config: FitConfig,
-    variant: str = "single_delay",
-) -> FitResult:
-    """Least-squares fit of the performance model; best result over all starts.
-
-    Supports the two variants representable as PerformanceParams: the default
-    single-delay model and its classical reduction (lag constants pinned at
-    +inf). Deterministic for a given (inputs, seed).
-    """
-    if variant not in ("classical", "single_delay"):
-        raise ParameterError(
-            f"fit supports 'classical' and 'single_delay'; use fit_variant for {variant!r}"
-        )
-    vf = fit_variant(w, obs, bounds, config, variant)
-    return FitResult(
-        params=vf.to_performance_params(),
-        sse=vf.sse,
-        r2=vf.r2,
-        predicted=vf.predicted,
-        starts_converged=vf.starts_converged,
-        best_start_index=vf.best_start_index,
-        iterations_used=vf.iterations_used,
-        warnings=vf.warnings,
-    )
-
-
-def _embed_start(coords: list[_Coord], targets: dict[str, float]) -> np.ndarray:
-    """Start vector realizing ``targets`` in the transformed space.
+    A field the contained side lacks takes its "term off" value: +inf for a
+    lag constant, 0 for the kernel gain. A kernel side embeds into the lag
+    variants through ``kernel_to_three_delay``. Returns None when the
+    solution has no representation inside the richer variant's box (a
+    positive kernel gain maps to negative lag constants).
 
     A +inf target pins a lag coordinate at the saturated top of its log box,
     where the lag constant equals the upper bound hi: the lag rate there is
@@ -668,45 +576,20 @@ def _embed_start(coords: list[_Coord], targets: dict[str, float]) -> np.ndarray:
     is inexact; it reproduces the contained fit only when every target lies
     inside the box.
     """
-    z = np.empty(len(coords))
-    for i, c in enumerate(coords):
-        v = targets[c.name]
-        z[i] = _Z_SATURATED if v == math.inf else c.z_of(v)
-    return z
-
-
-def _embedding_targets(variant: str, fit: VariantFit) -> dict[str, float] | None:
-    """Express ``fit``'s solution as parameter targets for ``variant``.
-
-    Returns None when the solution has no representation inside the richer
-    variant's box (a positive kernel gain maps to negative lag constants).
-    """
     targets = {"p0": fit.p0, "k1": fit.k1, "k2": fit.k2}
     for side_name in ("fitness", "fatigue"):
         side = getattr(fit, side_name)
-        targets[f"{side_name}.tau_decay"] = side.tau_decay
-        if variant == "kernel":
-            if not isinstance(side, (FirstOrderParams,)):
-                return None
-            targets[f"{side_name}.tau5"] = 0.0
-            continue
-        # target variant is single_delay or three_delay: fill lag constants
-        if isinstance(side, FirstOrderParams):
-            lags = (math.inf, math.inf, math.inf)
-        elif isinstance(side, SingleDelayParams):
-            lags = (side.tau_lag1, math.inf, math.inf)
-        elif isinstance(side, KernelParams):
+        if isinstance(side, KernelParams) and row.side is not KernelParams:
             if side.tau5 > 0.0:
                 return None
-            mapped = kernel_to_three_delay(side)
-            lags = (mapped.tau_lag1, mapped.tau_lag2, mapped.tau_lag3)
-        else:
-            lags = (side.tau_lag1, side.tau_lag2, side.tau_lag3)
-        targets[f"{side_name}.tau_lag1"] = lags[0]
-        if variant == "three_delay":
-            targets[f"{side_name}.tau_lag2"] = lags[1]
-            targets[f"{side_name}.tau_lag3"] = lags[2]
-    return targets
+            side = kernel_to_three_delay(side)
+        for pname in row.fitted:
+            off = 0.0 if pname == "tau5" else math.inf
+            targets[f"{side_name}.{pname}"] = getattr(side, pname, off)
+    return np.array([
+        _Z_SATURATED if targets[c.name] == math.inf else c.z_of(targets[c.name])
+        for c in coords
+    ])
 
 
 def compare_variants(
@@ -736,12 +619,13 @@ def compare_variants(
         ("kernel", ("classical",)),
         ("three_delay", ("classical", "single_delay", "kernel")),
     ):
-        coords = _coords_for(variant, bounds, config.fix_p0)
+        row = variant_row(variant)
+        coords = _coords_for(row, bounds, config.fix_p0)
         seeds = []
         for name in contained:
-            targets = _embedding_targets(variant, by_name[name])
-            if targets is not None:
-                seeds.append(_embed_start(coords, targets))
+            seed = _embed_start(row, coords, by_name[name])
+            if seed is not None:
+                seeds.append(seed)
         by_name[variant] = fit_variant(
             w, obs, bounds, config, variant, extra_starts=seeds
         )

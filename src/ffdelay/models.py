@@ -8,6 +8,10 @@ training-load series w with w(0) = 0 and zero initial history:
 * three_delay   -- delayed self-terms at lags 1, 2, 3 days
 * kernel        -- weighted 3-lag memory with a signed gain tau5
 
+``VARIANT_TABLE`` names each variant's side-parameter class (the parameters
+of one state model, fitness or fatigue) and its ``ffdelay simulate`` flags;
+``ModelParams`` is the performance model p = p0 + k1 g - k2 h of any variant.
+
 The delayed variants come in two algebraically equivalent forms: a one-step
 recursion and an explicit exponentially-weighted history sum ("convolution"
 form). Both are exposed; equality is a tested invariant, not an assumption.
@@ -21,15 +25,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ParameterError, SeriesLengthError
 
 INF = math.inf
-
-_DEFAULT_KERNEL_WEIGHTS = (0.5, 0.3, 0.2)
 
 
 def _check_decay(tau: float, name: str) -> None:
@@ -153,7 +155,7 @@ class KernelParams:
 
     tau_decay: float
     tau5: float
-    weights: tuple[float, float, float] = _DEFAULT_KERNEL_WEIGHTS
+    weights: tuple[float, float, float] = (0.5, 0.3, 0.2)
 
     def __post_init__(self) -> None:
         _check_decay(self.tau_decay, "tau_decay")
@@ -171,26 +173,81 @@ class KernelParams:
 
 
 @dataclass(frozen=True)
-class PerformanceParams:
-    """Full performance model: p(n) = p0 + k1 * g(n) - k2 * h(n).
+class Variant:
+    """One row of the variant table.
 
-    ``fitness`` drives g and ``fatigue`` drives h, each through the
-    single-delay recursion (with +inf lag this is exactly the classical model).
+    ``side`` is the variant's side-parameter class; its dataclass fields, in
+    order, are the keys of a side in a params document. ``flags`` names the
+    ``ffdelay simulate`` flag of each leading field. Those fields are the
+    fitted search coordinates; a field after them (the kernel weights) keeps
+    its default in a fit.
     """
 
+    name: str
+    side: type
+    flags: tuple[str, ...]
+
+    @property
+    def fitted(self) -> tuple[str, ...]:
+        return tuple(f.name for f in fields(self.side)[: len(self.flags)])
+
+    @property
+    def fixed(self) -> tuple:
+        """Default values of the fields a fit leaves alone."""
+        return tuple(f.default for f in fields(self.side)[len(self.flags):])
+
+
+VARIANT_TABLE = {
+    row.name: row
+    for row in (
+        Variant("classical", FirstOrderParams, ("tau1",)),
+        Variant("single_delay", SingleDelayParams, ("tau1", "tau2")),
+        Variant("three_delay", ThreeDelayParams, ("tau1", "tau2", "tau3", "tau4")),
+        Variant("kernel", KernelParams, ("tau1", "tau5")),
+    )
+}
+VARIANTS = tuple(VARIANT_TABLE)
+
+
+def variant_row(name: str) -> Variant:
+    """The table row of variant ``name``; ParameterError for an unknown name."""
+    if not (isinstance(name, str) and name in VARIANT_TABLE):
+        raise ParameterError(
+            f"unknown variant {name!r}; valid variants: {', '.join(VARIANTS)}"
+        )
+    return VARIANT_TABLE[name]
+
+
+@dataclass(frozen=True)
+class ModelParams:
+    """Performance model of any variant: p(n) = p0 + k1 * g(n) - k2 * h(n).
+
+    ``fitness`` drives g and ``fatigue`` drives h; both are instances of the
+    variant's side-parameter class.
+    """
+
+    variant: str
     p0: float
     k1: float
     k2: float
-    fitness: SingleDelayParams
-    fatigue: SingleDelayParams
+    fitness: FirstOrderParams | SingleDelayParams | ThreeDelayParams | KernelParams
+    fatigue: FirstOrderParams | SingleDelayParams | ThreeDelayParams | KernelParams
 
     def __post_init__(self) -> None:
+        row = variant_row(self.variant)
         if not math.isfinite(self.p0):
             raise ParameterError(f"p0 must be finite, got {self.p0!r}")
         if not (math.isfinite(self.k1) and self.k1 > 0.0):
             raise ParameterError(f"k1 must be finite and > 0, got {self.k1!r}")
         if not (math.isfinite(self.k2) and self.k2 > 0.0):
             raise ParameterError(f"k2 must be finite and > 0, got {self.k2!r}")
+        for name in ("fitness", "fatigue"):
+            side = getattr(self, name)
+            if not isinstance(side, row.side):
+                raise ParameterError(
+                    f"{self.variant} {name} must be {row.side.__name__}, "
+                    f"got {type(side).__name__}"
+                )
 
 
 def _check_horizon(w: LoadSeries, horizon: int) -> int:
@@ -266,17 +323,6 @@ def kernel_path(w, tau_decay: float, tau5: float, weights, horizon: int) -> list
         g1 = gk
         gk = nxt
     return g
-
-
-def performance_path(
-    w, p0: float, k1: float, k2: float,
-    fitness: SingleDelayParams, fatigue: SingleDelayParams, horizon: int,
-) -> list[float]:
-    g = single_delay_path(w, fitness.tau_decay, _lag_rate(fitness.tau_lag1), horizon)
-    h = single_delay_path(w, fatigue.tau_decay, _lag_rate(fatigue.tau_lag1), horizon)
-    # group the state terms first so that k1 == k2 with identical sides gives
-    # exactly p0 (the gains cancel before the baseline is touched)
-    return [p0 + (k1 * g[n] - k2 * h[n]) for n in range(horizon)]
 
 
 # ---------------------------------------------------------------------------
@@ -410,15 +456,3 @@ def kernel_to_three_delay(params: KernelParams) -> ThreeDelayParams:
         )
     return ThreeDelayParams(params.tau_decay, *lags)
 
-
-def eval_performance(
-    w: LoadSeries, params: PerformanceParams, horizon: int
-) -> tuple[float, ...]:
-    """Predicted performance p(n) = p0 + k1 g(n) - k2 h(n) over the horizon."""
-    horizon = _check_horizon(w, horizon)
-    return tuple(
-        performance_path(
-            w.values, params.p0, params.k1, params.k2,
-            params.fitness, params.fatigue, horizon,
-        )
-    )

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 import ffdelay as ff
-from helpers import block_load, fixture_params, observation_days
+from helpers import block_load, fixture_params, observation_days, performance
 
 
 @pytest.fixture(scope="session")
@@ -12,13 +12,13 @@ def load_120() -> ff.LoadSeries:
 
 
 @pytest.fixture(scope="session")
-def true_params() -> ff.PerformanceParams:
+def true_params() -> ff.ModelParams:
     return fixture_params()
 
 
 @pytest.fixture(scope="session")
 def true_trajectory(load_120, true_params) -> tuple[float, ...]:
-    return ff.eval_performance(load_120, true_params, 120)
+    return performance(load_120, true_params, 120)
 
 
 @pytest.fixture(scope="session")

@@ -40,13 +40,22 @@ def block_load(days: int = 120) -> ff.LoadSeries:
     return ff.LoadSeries(tuple(vals))
 
 
-def fixture_params() -> ff.PerformanceParams:
-    return ff.PerformanceParams(
+def fixture_params() -> ff.ModelParams:
+    return ff.ModelParams(
+        "single_delay",
         500.0,
         0.10,
         0.12,
         ff.SingleDelayParams(45.0, 20.0),
         ff.SingleDelayParams(15.0, 10.0),
+    )
+
+
+def performance(w: ff.LoadSeries, params: ff.ModelParams, horizon: int) -> tuple[float, ...]:
+    """``predict_performance`` for the fields of ``params``."""
+    return ff.predict_performance(
+        params.variant, params.p0, params.k1, params.k2, params.fitness, params.fatigue,
+        w, horizon,
     )
 
 

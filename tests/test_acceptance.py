@@ -24,6 +24,7 @@ from helpers import (
     block_load,
     fixture_params,
     observation_days,
+    performance,
     random_kernel,
     random_load,
     random_single_delay,
@@ -35,7 +36,7 @@ from helpers import (
 
 def _write_dataset(tmp_path: Path, days: int = 120):
     w = block_load(days)
-    p = ff.eval_performance(w, fixture_params(), days)
+    p = performance(w, fixture_params(), days)
     load = tmp_path / "load.csv"
     load.write_text(
         "day,load\n" + "\n".join(f"{d},{format_number(v)}" for d, v in enumerate(w.values)) + "\n"
@@ -140,7 +141,7 @@ def test_synthetic_recovery(load_120, true_trajectory, clean_observations):
     config = ff.FitConfig(starts=20, seed=20250809)
 
     started = time.perf_counter()
-    clean = ff.fit(load_120, clean_observations, bounds, config)
+    clean = ff.fit_variant(load_120, clean_observations, bounds, config)
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"multi-start fit took {elapsed:.2f}s (budget 10s)"
     assert clean.r2 >= 0.9999, f"noiseless R^2 = {clean.r2}"
@@ -153,7 +154,7 @@ def test_synthetic_recovery(load_120, true_trajectory, clean_observations):
     noisy_obs = ff.ObservationSet(
         tuple((d, y + sigma * rng.standard_normal()) for d, y in clean_observations.entries)
     )
-    noisy = ff.fit(load_120, noisy_obs, bounds, config)
+    noisy = ff.fit_variant(load_120, noisy_obs, bounds, config)
     assert noisy.r2 >= 0.98, f"noisy R^2 = {noisy.r2}"
 
     print(
@@ -166,10 +167,11 @@ def test_synthetic_recovery(load_120, true_trajectory, clean_observations):
 def test_nested_model_property(load_120):
     """On noiseless classical-model data, every richer variant's fitted SSE
     is within 1e-9 of (i.e. not worse than) the classical fitted SSE."""
-    truth = ff.PerformanceParams(
-        400.0, 0.15, 0.20, ff.SingleDelayParams(40.0), ff.SingleDelayParams(12.0)
+    truth = ff.ModelParams(
+        "single_delay", 400.0, 0.15, 0.20,
+        ff.SingleDelayParams(40.0), ff.SingleDelayParams(12.0),
     )
-    p = ff.eval_performance(load_120, truth, 120)
+    p = performance(load_120, truth, 120)
     obs = ff.ObservationSet(tuple((d, p[d]) for d in observation_days(120)))
     bounds = ff.ParamBounds(
         p0=(200.0, 600.0),
@@ -236,7 +238,7 @@ def test_qualitative_block_response():
     and positive after loading ceases (assimilation vs fatigue)."""
     n = 45
     w = ff.LoadSeries((0.0,) + (100.0,) * 14 + (0.0,) * (n - 15))
-    p = ff.eval_performance(w, fixture_params(), n)
+    p = performance(w, fixture_params(), n)
     deviations = [v - 500.0 for v in p]
     dip = min(deviations[1:15])
     peak = max(deviations[15:])

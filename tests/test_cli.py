@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 import ffdelay as ff
-from ffdelay.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from ffdelay.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from ffdelay.dataio import format_number, parse_prediction_csv
-from helpers import block_load, fixture_params, observation_days, sup_rel_diff
+from helpers import block_load, fixture_params, observation_days, performance, sup_rel_diff
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -160,6 +160,19 @@ class TestPredict:
         ])
         assert code == EXIT_DATA
 
+    def test_zero_horizon_is_usage_error(self, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({
+            "variant": "classical", "p0": 440.0, "k1": 0.1, "k2": 0.3,
+            "fitness": {"tau_decay": 40.0}, "fatigue": {"tau_decay": 9.0},
+        }))
+        code = main([
+            "predict", "--load", str(DATA / "load.csv"), "--params", str(params),
+            "--horizon", "0", "--out", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "out").exists()
+
     def test_matches_fit_predictions_over_shared_horizon(self, tmp_path, fast_config):
         fit_out = tmp_path / "fit"
         assert main([
@@ -251,7 +264,7 @@ class TestCompare:
         # data generated by a single-delay model: the single-delay row must do
         # at least as well as the classical row
         w = block_load(100)
-        p = ff.eval_performance(w, fixture_params(), 100)
+        p = performance(w, fixture_params(), 100)
         load = tmp_path / "load.csv"
         load.write_text("day,load\n" + "\n".join(
             f"{d},{format_number(v)}" for d, v in enumerate(w.values)) + "\n")
@@ -289,3 +302,20 @@ class TestCompare:
         ])
         assert code == EXIT_DATA
         assert not (tmp_path / "out").exists()
+
+    def test_internal_error_exits_3_without_artifacts(
+        self, tmp_path, fast_config, capsys, monkeypatch
+    ):
+        def broken(*args, **kwargs):
+            raise RuntimeError("injected defect")
+
+        monkeypatch.setattr("ffdelay.cli.compare_variants", broken)
+        code = main([
+            "compare", "--load", str(DATA / "load.csv"),
+            "--perf", str(DATA / "performance.csv"),
+            "--config", str(fast_config), "--out", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_NUMERIC
+        assert not (tmp_path / "out").exists()
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last == "error: internal error: RuntimeError: injected defect"

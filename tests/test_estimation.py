@@ -9,7 +9,7 @@ import pytest
 
 import ffdelay as ff
 from ffdelay.errors import MetricError, ObservationError, ParameterError
-from helpers import fixture_params, recovery_bounds
+from helpers import fixture_params, performance, recovery_bounds
 
 
 def tight_nm_config(max_iterations: int = 800) -> ff.FitConfig:
@@ -37,6 +37,10 @@ class TestObservationSet:
             ff.ObservationSet(((-1, 512.0),))
         with pytest.raises(ObservationError):
             ff.ObservationSet(((1, math.nan),))
+        with pytest.raises(ObservationError):
+            ff.ObservationSet(((math.nan, 512.0),))
+        with pytest.raises(ObservationError):
+            ff.ObservationSet(((math.inf, 512.0),))
 
 
 class TestBoundsAndConfig:
@@ -72,14 +76,15 @@ class TestSseObjective:
 
     def test_matches_two_pass_reference(self, load_120, true_trajectory):
         rng = np.random.default_rng(88)
-        params = ff.PerformanceParams(
-            480.0, 0.2, 0.15, ff.SingleDelayParams(30.0, 12.0), ff.SingleDelayParams(9.0, 6.0)
+        params = ff.ModelParams(
+            "single_delay", 480.0, 0.2, 0.15,
+            ff.SingleDelayParams(30.0, 12.0), ff.SingleDelayParams(9.0, 6.0),
         )
         days = sorted(rng.choice(np.arange(1, 120), size=15, replace=False).tolist())
         obs = ff.ObservationSet(tuple((int(d), float(rng.uniform(400, 600))) for d in days))
         got = ff.sse_objective(params, load_120, obs)
         # independent two-pass reference: full trajectory, then residual pass
-        p = ff.eval_performance(load_120, params, 120)
+        p = performance(load_120, params, 120)
         residuals = [p[d] - y for d, y in obs.entries]
         expected = float(np.dot(residuals, residuals))
         assert got == pytest.approx(expected, rel=1e-12)
@@ -171,7 +176,7 @@ class TestNelderMead:
 class TestFit:
     def test_quick_noiseless_recovery(self, load_120, clean_observations, true_trajectory):
         config = ff.FitConfig(starts=8, seed=20250809)
-        res = ff.fit(load_120, clean_observations, recovery_bounds(), config)
+        res = ff.fit_variant(load_120, clean_observations, recovery_bounds(), config)
         assert res.r2 >= 0.999
         assert len(res.predicted) == 120
         obs_range = max(clean_observations.values) - min(clean_observations.values)
@@ -180,14 +185,14 @@ class TestFit:
 
     def test_deterministic_given_seed(self, load_120, clean_observations):
         config = ff.FitConfig(starts=3, max_iterations=400, seed=99)
-        a = ff.fit(load_120, clean_observations, recovery_bounds(), config)
-        b = ff.fit(load_120, clean_observations, recovery_bounds(), config)
+        a = ff.fit_variant(load_120, clean_observations, recovery_bounds(), config)
+        b = ff.fit_variant(load_120, clean_observations, recovery_bounds(), config)
         assert a == b
 
     def test_zero_load_degenerate_flags(self):
         w = ff.LoadSeries((0.0,) * 30)
         obs = ff.ObservationSet(((5, 500.0), (10, 500.0)))
-        res = ff.fit(w, obs, ff.ParamBounds(), ff.FitConfig(starts=4, seed=5))
+        res = ff.fit_variant(w, obs, ff.ParamBounds(), ff.FitConfig(starts=4, seed=5))
         assert res.sse <= 1e-8
         assert "zero-load" in res.warnings
         assert "zero-variance-observations" in res.warnings
@@ -195,7 +200,7 @@ class TestFit:
 
     def test_underdetermined_flagged_but_fit_attempted(self, load_120, true_trajectory):
         obs = ff.ObservationSet(tuple((d, true_trajectory[d]) for d in (10, 40, 80)))
-        res = ff.fit(load_120, obs, recovery_bounds(), ff.FitConfig(starts=2, max_iterations=200, seed=1))
+        res = ff.fit_variant(load_120, obs, recovery_bounds(), ff.FitConfig(starts=2, max_iterations=200, seed=1))
         assert "underdetermined" in res.warnings
         assert len(res.predicted) == 120
 
@@ -205,8 +210,7 @@ class TestFit:
             tuple((int(d), float(rng.uniform(300, 900))) for d in range(3, 110, 9))
         )
         bounds = recovery_bounds()
-        res = ff.fit(load_120, obs, bounds, ff.FitConfig(starts=3, max_iterations=120, seed=3))
-        p = res.params
+        p = ff.fit_variant(load_120, obs, bounds, ff.FitConfig(starts=3, max_iterations=120, seed=3))
         assert bounds.p0[0] <= p.p0 <= bounds.p0[1]
         assert bounds.k1[0] <= p.k1 <= bounds.k1[1]
         assert bounds.k2[0] <= p.k2 <= bounds.k2[1]
@@ -217,8 +221,8 @@ class TestFit:
 
     def test_fix_p0(self, load_120, clean_observations):
         config = ff.FitConfig(starts=6, seed=17, fix_p0=500.0)
-        res = ff.fit(load_120, clean_observations, recovery_bounds(), config)
-        assert res.params.p0 == 500.0
+        res = ff.fit_variant(load_120, clean_observations, recovery_bounds(), config)
+        assert res.p0 == 500.0
         assert res.r2 >= 0.999
 
     def test_scale_equivariance(self, load_120, clean_observations):
@@ -232,7 +236,7 @@ class TestFit:
         c = 2.0
         bounds = recovery_bounds()
         config = ff.FitConfig(starts=4, seed=21)
-        base = ff.fit(load_120, clean_observations, bounds, config)
+        base = ff.fit_variant(load_120, clean_observations, bounds, config)
 
         scaled_obs = ff.ObservationSet(
             tuple((d, c * y) for d, y in clean_observations.entries)
@@ -248,28 +252,26 @@ class TestFit:
             tolerance=c * c * config.tolerance,
             simplex_tolerance=config.simplex_tolerance, seed=config.seed,
         )
-        scaled = ff.fit(load_120, scaled_obs, scaled_bounds, scaled_config)
+        scaled = ff.fit_variant(load_120, scaled_obs, scaled_bounds, scaled_config)
 
-        assert scaled.params.fitness.tau_decay == pytest.approx(
-            base.params.fitness.tau_decay, rel=1e-6
+        assert scaled.fitness.tau_decay == pytest.approx(
+            base.fitness.tau_decay, rel=1e-6
         )
-        assert scaled.params.fitness.tau_lag1 == pytest.approx(
-            base.params.fitness.tau_lag1, rel=1e-6
+        assert scaled.fitness.tau_lag1 == pytest.approx(
+            base.fitness.tau_lag1, rel=1e-6
         )
-        assert scaled.params.fatigue.tau_decay == pytest.approx(
-            base.params.fatigue.tau_decay, rel=1e-6
+        assert scaled.fatigue.tau_decay == pytest.approx(
+            base.fatigue.tau_decay, rel=1e-6
         )
-        assert scaled.params.fatigue.tau_lag1 == pytest.approx(
-            base.params.fatigue.tau_lag1, rel=1e-6
+        assert scaled.fatigue.tau_lag1 == pytest.approx(
+            base.fatigue.tau_lag1, rel=1e-6
         )
-        assert scaled.params.p0 == pytest.approx(c * base.params.p0, rel=1e-9)
-        assert scaled.params.k1 == pytest.approx(c * base.params.k1, rel=1e-6)
-        assert scaled.params.k2 == pytest.approx(c * base.params.k2, rel=1e-6)
+        assert scaled.p0 == pytest.approx(c * base.p0, rel=1e-9)
+        assert scaled.k1 == pytest.approx(c * base.k1, rel=1e-6)
+        assert scaled.k2 == pytest.approx(c * base.k2, rel=1e-6)
         assert scaled.sse == pytest.approx(c * c * base.sse, rel=1e-3, abs=1e-15)
 
     def test_fit_rejects_unsupported_variants(self, load_120, clean_observations):
-        with pytest.raises(ParameterError):
-            ff.fit(load_120, clean_observations, ff.ParamBounds(), ff.FitConfig(), "three_delay")
         with pytest.raises(ParameterError):
             ff.fit_variant(
                 load_120, clean_observations, ff.ParamBounds(), ff.FitConfig(), "banana"
@@ -278,13 +280,13 @@ class TestFit:
     def test_observation_beyond_load_rejected(self, load_120):
         obs = ff.ObservationSet(((500, 100.0), (510, 120.0)))
         with pytest.raises(ObservationError):
-            ff.fit(load_120, obs, ff.ParamBounds(), ff.FitConfig(starts=1))
+            ff.fit_variant(load_120, obs, ff.ParamBounds(), ff.FitConfig(starts=1))
 
 
 class TestPredict:
     def test_zero_load_is_baseline(self):
         w = ff.LoadSeries((0.0,) * 10)
-        p = ff.predict(fixture_params(), w, 10)
+        p = performance(w, fixture_params(), 10)
         assert p == (500.0,) * 10
 
     def test_symmetric_params_are_baseline(self):
@@ -292,22 +294,23 @@ class TestPredict:
         vals = [0.0] + [float(v) for v in rng.uniform(0, 50, size=19)]
         w = ff.LoadSeries(tuple(vals))
         side = ff.SingleDelayParams(20.0, 10.0)
-        params = ff.PerformanceParams(430.0, 0.3, 0.3, side, side)
-        assert all(v == 430.0 for v in ff.predict(params, w, 20))
+        params = ff.ModelParams("single_delay", 430.0, 0.3, 0.3, side, side)
+        assert all(v == 430.0 for v in performance(w, params, 20))
 
-    def test_predict_matches_eval_performance(self, load_120, true_params):
-        assert ff.predict(true_params, load_120, 120) == ff.eval_performance(
-            load_120, true_params, 120
-        )
+    def test_mismatched_sides_rejected(self, load_120):
+        with pytest.raises(ParameterError):
+            ff.predict_performance(
+                "classical", 500.0, 0.1, 0.12,
+                ff.ThreeDelayParams(20.0, 5.0, 7.0, 9.0), ff.KernelParams(5.0, 0.3),
+                load_120, 31,
+            )
 
-    def test_predict_performance_single_delay_consistency(self, load_120, true_params):
-        via_variant = ff.predict_performance(
-            "single_delay",
-            true_params.p0, true_params.k1, true_params.k2,
-            true_params.fitness, true_params.fatigue,
-            load_120, 120,
-        )
-        assert via_variant == ff.eval_performance(load_120, true_params, 120)
+    def test_invalid_baseline_and_gain_rejected(self, load_120):
+        side = ff.SingleDelayParams(20.0, 10.0)
+        with pytest.raises(ParameterError):
+            ff.predict_performance("single_delay", math.nan, 0.1, 0.12, side, side, load_120, 31)
+        with pytest.raises(ParameterError):
+            ff.predict_performance("single_delay", 500.0, -1.0, 0.12, side, side, load_120, 31)
 
 
 class TestVariantFits:
@@ -341,10 +344,11 @@ class TestVariantFits:
 
     def test_richer_variants_never_lose_to_classical(self, load_120):
         # classical-generated truth; the classical embedding seeds the rest
-        truth = ff.PerformanceParams(
-            400.0, 0.15, 0.20, ff.SingleDelayParams(40.0), ff.SingleDelayParams(12.0)
+        truth = ff.ModelParams(
+            "single_delay", 400.0, 0.15, 0.20,
+            ff.SingleDelayParams(40.0), ff.SingleDelayParams(12.0),
         )
-        p = ff.eval_performance(load_120, truth, 120)
+        p = performance(load_120, truth, 120)
         obs = ff.ObservationSet(tuple((d, p[d]) for d in range(5, 120, 6)))
         bounds = ff.ParamBounds(
             p0=(200.0, 600.0), k1=(0.005, 2.0), k2=(0.005, 2.0),

@@ -10,6 +10,7 @@ import pytest
 import ffdelay as ff
 from ffdelay.errors import ParameterError, SeriesLengthError
 from helpers import (
+    performance,
     random_kernel,
     random_load,
     random_single_delay,
@@ -101,9 +102,9 @@ class TestDomainTypes:
     def test_performance_params_domain(self):
         side = ff.SingleDelayParams(10.0)
         with pytest.raises(ParameterError):
-            ff.PerformanceParams(0.0, -0.1, 0.1, side, side)
+            ff.ModelParams("single_delay", 0.0, -0.1, 0.1, side, side)
         with pytest.raises(ParameterError):
-            ff.PerformanceParams(math.inf, 0.1, 0.1, side, side)
+            ff.ModelParams("single_delay", math.inf, 0.1, 0.1, side, side)
 
 
 # ---------------------------------------------------------------------------
@@ -357,25 +358,27 @@ class TestPerformance:
         rng = np.random.default_rng(17)
         w = random_load(rng, n=40)
         side = ff.SingleDelayParams(12.0, 9.0)
-        params = ff.PerformanceParams(480.0, 0.2, 0.2, side, side)
-        p = ff.eval_performance(w, params, 40)
+        params = ff.ModelParams("single_delay", 480.0, 0.2, 0.2, side, side)
+        p = performance(w, params, 40)
         assert all(v == 480.0 for v in p)
 
     def test_zero_load_gives_baseline(self):
         w = ff.LoadSeries((0.0,) * 20)
-        params = ff.PerformanceParams(
-            500.0, 0.1, 0.12, ff.SingleDelayParams(45.0, 20.0), ff.SingleDelayParams(15.0, 10.0)
+        params = ff.ModelParams(
+            "single_delay", 500.0, 0.1, 0.12,
+            ff.SingleDelayParams(45.0, 20.0), ff.SingleDelayParams(15.0, 10.0),
         )
-        assert ff.eval_performance(w, params, 20) == (500.0,) * 20
+        assert performance(w, params, 20) == (500.0,) * 20
 
     def test_composition_of_state_oracles_and_block_response(self):
         # 14-day block of load 100, then rest
         n = 45
         w = ff.LoadSeries((0.0,) + (100.0,) * 14 + (0.0,) * (n - 15))
-        params = ff.PerformanceParams(
-            500.0, 0.10, 0.12, ff.SingleDelayParams(45.0, 20.0), ff.SingleDelayParams(15.0, 10.0)
+        params = ff.ModelParams(
+            "single_delay", 500.0, 0.10, 0.12,
+            ff.SingleDelayParams(45.0, 20.0), ff.SingleDelayParams(15.0, 10.0),
         )
-        p = ff.eval_performance(w, params, n)
+        p = performance(w, params, n)
         assert p[0] == 500.0
         g = ff.eval_single_delay_recursive(w, params.fitness, n).values
         h = ff.eval_single_delay_recursive(w, params.fatigue, n).values
