@@ -31,8 +31,6 @@ import xml.etree.ElementTree as ET
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import NamedTuple
 
-import yaml
-
 from .errors import ConfigError, CsvError, DuplicateDayError, ParameterError
 from .estimation import FitConfig, ObservationSet, ParamBounds
 from .models import LoadSeries, ModelParams, variant_row
@@ -285,6 +283,8 @@ def _reject_unknown(section: dict, allowed, where: str) -> None:
 
 def load_config(text: str) -> RunConfig:
     """Parse and validate a YAML run configuration; unknown keys are errors."""
+    import yaml
+
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:

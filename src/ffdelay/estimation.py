@@ -16,6 +16,8 @@ start index as tie-break, so results are bit-reproducible for a given seed.
 ``fit_variant`` fits one variant, ``compare_variants`` fits all four with
 nested seeding, and ``predict_performance`` runs any variant's performance
 model forward. All three read the variant table in :mod:`ffdelay.models`.
+numpy is imported only inside the optimizer (``nelder_mead``, the Latin
+hypercube and ``fit_variant``), so ``predict_performance`` runs without it.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .errors import MetricError, ObservationError, ParameterError
 from .models import (
@@ -62,11 +62,16 @@ class ObservationSet:
         for day, value in self.entries:
             try:
                 d = int(day)
-            except (ValueError, OverflowError):
+            except (TypeError, ValueError, OverflowError):
                 raise ObservationError(
                     f"observation day must be an integer, got {day!r}"
                 ) from None
-            v = float(value)
+            try:
+                v = float(value)
+            except (TypeError, ValueError):
+                raise ObservationError(
+                    f"observation at day {d} must be a number, got {value!r}"
+                ) from None
             if d < 0:
                 raise ObservationError(f"observation day must be >= 0, got {day!r}")
             if d != day:
@@ -135,10 +140,6 @@ class ParamBounds:
                 self, name, _check_bound_pair(name, getattr(self, name), positive=True)
             )
         object.__setattr__(self, "tau5", _check_bound_pair("tau5", self.tau5, positive=False))
-
-    def contains(self, name: str, value: float) -> bool:
-        lo, hi = getattr(self, name)
-        return lo <= value <= hi
 
 
 @dataclass(frozen=True)
@@ -252,6 +253,8 @@ def nelder_mead(
     is never discarded, so the returned value cannot exceed objective(start);
     if ``trace`` is given, the best value per iteration is appended to it.
     """
+    import numpy as np
+
     x0 = np.asarray(start, dtype=float)
     n = x0.size
     if n == 0:
@@ -359,8 +362,11 @@ class _Coord:
         u = _sigmoid(z)
         if self.log_scale:
             lo = math.log(self.lo)
-            return math.exp(lo + u * (math.log(self.hi) - lo))
-        return self.lo + u * (self.hi - self.lo)
+            v = math.exp(lo + u * (math.log(self.hi) - lo))
+        else:
+            v = self.lo + u * (self.hi - self.lo)
+        # exp(log(x)) and lo + 1.0 * (hi - lo) can round one ulp past an edge
+        return min(max(v, self.lo), self.hi)
 
     def z_of(self, value: float) -> float:
         if self.log_scale:
@@ -447,6 +453,8 @@ def predict_performance(
 
 
 def _latin_hypercube(rng: np.random.Generator, n_starts: int, dims: int) -> np.ndarray:
+    import numpy as np
+
     u = np.empty((n_starts, dims))
     for i in range(dims):
         perm = rng.permutation(n_starts)
@@ -460,7 +468,7 @@ def fit_variant(
     bounds: ParamBounds,
     config: FitConfig,
     variant: str = "single_delay",
-    extra_starts: Sequence[np.ndarray] = (),
+    extra_starts: Sequence[Sequence[float]] = (),
 ) -> VariantFit:
     """Fit the performance model with the given state-model variant.
 
@@ -468,6 +476,8 @@ def fit_variant(
     space ahead of the sampled ones (used by :func:`compare_variants` to seed
     richer variants with the classical solution).
     """
+    import numpy as np
+
     if obs.days[-1] >= len(w):
         raise ObservationError(
             f"observation day {obs.days[-1]} outside the load horizon {len(w)}"
@@ -559,7 +569,9 @@ def fit_variant(
     )
 
 
-def _embed_start(row: Variant, coords: list[_Coord], fit: VariantFit) -> np.ndarray | None:
+def _embed_start(
+    row: Variant, coords: list[_Coord], fit: VariantFit
+) -> tuple[float, ...] | None:
     """Start vector for the variant ``row`` that realizes ``fit``'s solution.
 
     A field the contained side lacks takes its "term off" value: +inf for a
@@ -586,10 +598,10 @@ def _embed_start(row: Variant, coords: list[_Coord], fit: VariantFit) -> np.ndar
         for pname in row.fitted:
             off = 0.0 if pname == "tau5" else math.inf
             targets[f"{side_name}.{pname}"] = getattr(side, pname, off)
-    return np.array([
+    return tuple(
         _Z_SATURATED if targets[c.name] == math.inf else c.z_of(targets[c.name])
         for c in coords
-    ])
+    )
 
 
 def compare_variants(

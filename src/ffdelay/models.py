@@ -19,6 +19,8 @@ form). Both are exposed; equality is a tested invariant, not an assumption.
 Lag time constants use ``math.inf`` as the exact "no lag term" sentinel
 (1/inf == 0.0), so reductions between variants are exact rather than
 approximate. All functions here are pure and safe to call concurrently.
+numpy is imported only inside the convolution check routes, so simulating a
+variant never loads it.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .errors import ParameterError, SeriesLengthError
 
@@ -271,6 +271,8 @@ def _check_horizon(w: LoadSeries, horizon: int) -> int:
 
 def classical_path(w, tau_decay: float, horizon: int) -> list[float]:
     """Literal load-history sum g(n) = sum_{i<n} w(i) e^{-(n-i)/tau}."""
+    import numpy as np
+
     if horizon == 1:
         return [0.0]
     wv = np.asarray(w[: horizon - 1], dtype=float)
@@ -359,6 +361,8 @@ def eval_single_delay_convolution(
     An independent arithmetic route to the same trajectory; the two must agree
     to 1e-9 relative (tested invariant).
     """
+    import numpy as np
+
     horizon = _check_horizon(w, horizon)
     tau = params.tau_decay
     rate = _lag_rate(params.tau_lag1)
@@ -404,6 +408,8 @@ def eval_three_delay_convolution(
     with r_j the lag rates 1/tau_lag_j. Kept deliberately in this shape as an
     independent check on the recursion.
     """
+    import numpy as np
+
     horizon = _check_horizon(w, horizon)
     tau = params.tau_decay
     r1 = _lag_rate(params.tau_lag1)

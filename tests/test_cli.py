@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from ffdelay.dataio import format_number, parse_prediction_csv
 from helpers import block_load, fixture_params, observation_days, performance, sup_rel_diff
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Loose tolerances so every start converges within few iterations; these
 # tests exercise CLI behavior, not fit quality.
@@ -319,3 +322,40 @@ class TestCompare:
         assert not (tmp_path / "out").exists()
         last = capsys.readouterr().err.strip().splitlines()[-1]
         assert last == "error: internal error: RuntimeError: injected defect"
+
+
+# Runs in a fresh interpreter: this test process has numpy loaded already.
+STARTUP_SCRIPT = """\
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import ffdelay
+from ffdelay import cli
+load, out = sys.argv[2], sys.argv[3]
+codes = [
+    cli.main(["simulate", "--load", load, "--variant", "classical",
+              "--tau1", "12.5", "--out", out + "/classical"]),
+    cli.main(["simulate", "--load", load, "--variant", "three_delay", "--tau1", "8",
+              "--tau2", "20", "--tau3", "30", "--tau4", "inf", "--out", out + "/three"]),
+    cli.main(["predict", "--load", load, "--params", out + "/params.json",
+              "--horizon", "120", "--out", out + "/predict"]),
+]
+print(json.dumps({"codes": codes,
+                  "loaded": [m for m in ("numpy", "yaml") if m in sys.modules]}))
+"""
+
+
+class TestStartup:
+    def test_simulate_and_predict_load_neither_numpy_nor_yaml(self, tmp_path):
+        (tmp_path / "params.json").write_text(json.dumps({
+            "variant": "single_delay", "p0": 500.0, "k1": 0.2, "k2": 0.3,
+            "fitness": {"tau_decay": 30.0, "tau_lag1": 12.0},
+            "fatigue": {"tau_decay": 10.0, "tau_lag1": "inf"},
+        }))
+        proc = subprocess.run(
+            [sys.executable, "-c", STARTUP_SCRIPT, str(SRC), str(DATA / "load.csv"),
+             str(tmp_path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result == {"codes": [EXIT_OK] * 3, "loaded": []}

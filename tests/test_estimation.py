@@ -9,6 +9,7 @@ import pytest
 
 import ffdelay as ff
 from ffdelay.errors import MetricError, ObservationError, ParameterError
+from ffdelay.estimation import _Coord
 from helpers import fixture_params, performance, recovery_bounds
 
 
@@ -41,6 +42,12 @@ class TestObservationSet:
             ff.ObservationSet(((math.nan, 512.0),))
         with pytest.raises(ObservationError):
             ff.ObservationSet(((math.inf, 512.0),))
+        with pytest.raises(ObservationError):
+            ff.ObservationSet(((1, "abc"),))
+        with pytest.raises(ObservationError):
+            ff.ObservationSet(((None, 1.0),))
+        with pytest.raises(ObservationError):
+            ff.ObservationSet(((1, None),))
 
 
 class TestBoundsAndConfig:
@@ -53,6 +60,16 @@ class TestBoundsAndConfig:
             ff.ParamBounds(tau1=(-1.0, 10.0))
         with pytest.raises(ParameterError):
             ff.ParamBounds(k1=(0.0, 10.0))
+
+    def test_decoded_coordinate_stays_inside_its_box(self):
+        # exp(log(5.0)) is 4.999999999999999, exp(log(1.0) + log(10.0)) is
+        # 10.000000000000002, and 0.3 + 1.0 * (0.9 - 0.3) is 0.9000000000000001
+        assert _Coord("tau1", 5.0, 150.0, log_scale=True).value(-50.0) == 5.0
+        assert _Coord("k1", 1.0, 10.0, log_scale=True).value(50.0) == 10.0
+        assert _Coord("p0", 0.3, 0.9, log_scale=False).value(50.0) == 0.9
+        for lo, hi in ((5.0, 150.0), (0.5, 500.0), (2.0, 1e6), (1e-4, 10.0)):
+            coord = _Coord("tau", lo, hi, log_scale=True)
+            assert all(lo <= coord.value(z) <= hi for z in (-1e3, -50.0, -40.0, 40.0, 50.0, 1e3))
 
     def test_config_domain(self):
         with pytest.raises(ParameterError):
