@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import MetricError, ObservationError, ParameterError
 from .models import (
@@ -41,6 +41,9 @@ from .models import (
     three_delay_path,
     variant_row,
 )
+
+if TYPE_CHECKING:  # annotations only; numpy is imported where it runs
+    import numpy as np
 
 #: Logistic argument at which the squash saturates to exactly 0.0/1.0 in
 #: doubles; used to pin a lag coordinate at the top of its box.
@@ -60,6 +63,8 @@ class ObservationSet:
     def __post_init__(self) -> None:
         norm = []
         for day, value in self.entries:
+            if isinstance(day, bool):
+                raise ObservationError(f"observation day must be an integer, got {day!r}")
             try:
                 d = int(day)
             except (TypeError, ValueError, OverflowError):
@@ -422,7 +427,7 @@ def _performance(
     h = _state_path(variant, wv, fatigue, horizon)
     # group the state terms first so that k1 == k2 with identical sides gives
     # exactly p0 (the gains cancel before the baseline is touched)
-    return [p0 + (k1 * g[n] - k2 * h[n]) for n in range(horizon)]
+    return [p0 + (k1 * x - k2 * y) for x, y in zip(g, h)]
 
 
 def predict_performance(

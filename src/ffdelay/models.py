@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields
+from itertools import islice
 
 from .errors import ParameterError, SeriesLengthError
 
@@ -251,6 +252,9 @@ class ModelParams:
 
 
 def _check_horizon(w: LoadSeries, horizon: int) -> int:
+    # any integer type (numpy's too), never a bool, a float or a string
+    if isinstance(horizon, bool) or not hasattr(horizon, "__index__"):
+        raise ParameterError(f"horizon must be an integer, got {horizon!r}")
     horizon = int(horizon)
     if horizon < 1:
         raise ParameterError(f"horizon must be >= 1, got {horizon}")
@@ -284,15 +288,19 @@ def classical_path(w, tau_decay: float, horizon: int) -> list[float]:
     return out
 
 
+# Loop shape: per-day indexing dominated these kernels' cost, so they stream w
+# through islice and append; the arithmetic stays as written for the oracle's
+# m=1 bit-identity. Callers check horizon <= len(w) (islice would not).
+
+
 def single_delay_path(w, tau_decay: float, lag_rate1: float, horizon: int) -> list[float]:
     a = math.exp(-1.0 / tau_decay)
-    g = [0.0] * horizon
+    g = [0.0]
+    append = g.append
     gk = g1 = 0.0  # g(k), g(k-1)
-    for k in range(horizon - 1):
-        nxt = (w[k] + gk - lag_rate1 * g1) * a
-        g[k + 1] = nxt
-        g1 = gk
-        gk = nxt
+    for wk in islice(w, horizon - 1):
+        g1, gk = gk, (wk + gk - lag_rate1 * g1) * a
+        append(gk)
     return g
 
 
@@ -300,11 +308,12 @@ def three_delay_path(
     w, tau_decay: float, lag_rate1: float, lag_rate2: float, lag_rate3: float, horizon: int
 ) -> list[float]:
     a = math.exp(-1.0 / tau_decay)
-    g = [0.0] * horizon
+    g = [0.0]
+    append = g.append
     gk = g1 = g2 = g3 = 0.0  # g(k), g(k-1), g(k-2), g(k-3)
-    for k in range(horizon - 1):
-        nxt = (w[k] + gk - lag_rate1 * g1 - lag_rate2 * g2 - lag_rate3 * g3) * a
-        g[k + 1] = nxt
+    for wk in islice(w, horizon - 1):
+        nxt = (wk + gk - lag_rate1 * g1 - lag_rate2 * g2 - lag_rate3 * g3) * a
+        append(nxt)
         g3 = g2
         g2 = g1
         g1 = gk
@@ -315,11 +324,12 @@ def three_delay_path(
 def kernel_path(w, tau_decay: float, tau5: float, weights, horizon: int) -> list[float]:
     a = math.exp(-1.0 / tau_decay)
     w1, w2, w3 = weights
-    g = [0.0] * horizon
+    g = [0.0]
+    append = g.append
     gk = g1 = g2 = g3 = 0.0
-    for k in range(horizon - 1):
-        nxt = (w[k] + gk + tau5 * (w1 * g1 + w2 * g2 + w3 * g3)) * a
-        g[k + 1] = nxt
+    for wk in islice(w, horizon - 1):
+        nxt = (wk + gk + tau5 * (w1 * g1 + w2 * g2 + w3 * g3)) * a
+        append(nxt)
         g3 = g2
         g2 = g1
         g1 = gk

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
+import inspect
 import math
+import typing
 
 import numpy as np
 import pytest
 
 import ffdelay as ff
+from ffdelay import estimation, models
 from ffdelay.errors import MetricError, ObservationError, ParameterError
 from ffdelay.estimation import _Coord
 from helpers import fixture_params, performance, recovery_bounds
@@ -48,6 +53,8 @@ class TestObservationSet:
             ff.ObservationSet(((None, 1.0),))
         with pytest.raises(ObservationError):
             ff.ObservationSet(((1, None),))
+        with pytest.raises(ObservationError):
+            ff.ObservationSet(((True, 1.0), (2, 3.0)))
 
 
 class TestBoundsAndConfig:
@@ -393,3 +400,30 @@ class TestVariantFits:
         # kernel_to_three_delay is exact, so the seeded three-delay fit
         # cannot end worse than the kernel fit it starts from
         assert by_name["three_delay"].sse <= kernel.sse + 1e-9
+
+
+def _type_checking_names(module) -> dict[str, object]:
+    """What ``module`` imports under ``if TYPE_CHECKING:``, bound as a type checker binds it."""
+    names: dict[str, object] = {}
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            for stmt in node.body:
+                for alias in stmt.names:
+                    names[alias.asname or alias.name] = importlib.import_module(alias.name)
+    return names
+
+
+@pytest.mark.parametrize("module", [models, estimation], ids=lambda m: m.__name__)
+def test_public_annotations_resolve(module):
+    # annotations are strings (postponed evaluation); each must name something
+    # the module binds at run time or imports for type checkers only
+    localns = _type_checking_names(module)
+    public = [
+        obj for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
+    ]
+    assert public
+    for obj in public:
+        typing.get_type_hints(obj, localns=localns)

@@ -146,6 +146,15 @@ class TestClassical:
             ff.eval_classical(w, ff.FirstOrderParams(2.0), 3)
         with pytest.raises(ParameterError):
             ff.eval_classical(w, ff.FirstOrderParams(2.0), 0)
+        # a non-integer horizon is rejected, never truncated
+        w = ff.LoadSeries((0.0, 1.0, 0.0, 2.0))
+        side = ff.SingleDelayParams(2.0, 3.0)
+        for horizon in (2.5, 3.9, True, "3"):
+            with pytest.raises(ParameterError):
+                ff.eval_single_delay_recursive(w, side, horizon)
+            with pytest.raises(ParameterError):
+                ff.predict_performance("single_delay", 500.0, 0.1, 0.12, side, side, w, horizon)
+        assert len(ff.eval_single_delay_recursive(w, side, np.int64(3))) == 3
 
     def test_impulse_decay_ratio(self):
         # after an isolated impulse the tail decays by exactly e^{-1/tau} per day

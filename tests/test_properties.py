@@ -1,0 +1,105 @@
+"""Property tests of the path kernels on generated loads and parameters.
+
+The kernels stream the load with ``islice``, so nothing inside them stops a
+horizon longer than the load; these properties pin their length and their
+arithmetic over generated loads of up to about 4,000 days.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+import warnings
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import ffdelay as ff
+from ffdelay import oracle
+from ffdelay.models import _lag_rate, kernel_path, single_delay_path, three_delay_path
+
+# A few seconds in all: fixed examples, no example database on disk.
+BOUNDED = settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def loads(draw) -> ff.LoadSeries:
+    """A load of 1 to 4,000 days: sparse or dense sessions, any scale."""
+    days = draw(st.integers(1, 4000))
+    seed = draw(st.integers(0, 2**32 - 1))
+    density = draw(st.sampled_from((0.0, 0.1, 0.6, 1.0)))
+    scale = draw(st.sampled_from((1e-3, 1.0, 150.0, 1e6)))
+    rng = random.Random(seed)
+    values = [0.0] + [
+        rng.uniform(0.0, scale) if rng.random() < density else 0.0 for _ in range(days - 1)
+    ]
+    return ff.LoadSeries(tuple(values))
+
+
+taus = st.floats(0.5, 1000.0)
+positive_lags = st.one_of(st.just(math.inf), st.floats(0.5, 100.0), st.floats(100.0, 1e6))
+signed_lags = st.one_of(positive_lags, st.floats(-100.0, -0.5), st.floats(-1e6, -100.0))
+# tau5 = 0 maps to infinite lags, tau5 > 0 to negative ones; a subnormal gain
+# would overflow the mapped lag constant, so gains stay normal-sized
+gains = st.one_of(st.just(0.0), st.floats(-1.0, -1e-300), st.floats(1e-300, 1.0))
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def _oracle_days(integrate, w: ff.LoadSeries, params, horizon: int) -> tuple[float, ...]:
+    if horizon == 1:
+        return (0.0,)
+    return integrate(oracle.StepLoad(w), params, horizon - 1, 1).day_values()
+
+
+@BOUNDED
+@given(w=loads(), tau=taus, lag=positive_lags, data=st.data())
+def test_single_delay_path_is_the_m1_oracle(w, tau, lag, data):
+    horizon = data.draw(st.integers(1, len(w)))
+    got = single_delay_path(w.values, tau, _lag_rate(lag), horizon)
+    want = _oracle_days(oracle.integrate_single_delay, w, ff.SingleDelayParams(tau, lag), horizon)
+    assert len(got) == horizon
+    assert _bits(got) == _bits(want)
+
+
+@BOUNDED
+@given(w=loads(), tau=taus, lags=st.tuples(signed_lags, signed_lags, signed_lags),
+       data=st.data())
+def test_three_delay_path_is_the_m1_oracle(w, tau, lags, data):
+    horizon = data.draw(st.integers(1, len(w)))
+    got = three_delay_path(w.values, tau, *(_lag_rate(lag) for lag in lags), horizon)
+    want = _oracle_days(oracle.integrate_three_delay, w, ff.ThreeDelayParams(tau, *lags), horizon)
+    assert len(got) == horizon
+    assert _bits(got) == _bits(want)
+
+
+@BOUNDED
+@given(w=loads(), tau=taus, tau5=gains, data=st.data())
+def test_kernel_path_matches_its_three_delay_mapping(w, tau, tau5, data):
+    horizon = data.draw(st.integers(1, len(w)))
+    side = ff.KernelParams(tau, tau5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # positive gains map to negative lags
+        mapped = ff.kernel_to_three_delay(side)
+    got = kernel_path(w.values, tau, tau5, side.weights, horizon)
+    want = three_delay_path(
+        w.values, tau, _lag_rate(mapped.tau_lag1), _lag_rate(mapped.tau_lag2),
+        _lag_rate(mapped.tau_lag3), horizon,
+    )
+    assert len(got) == horizon
+    # relative to the largest magnitude so far, while the path is far from
+    # overflow (a growing kernel path can leave the double range)
+    scale = 1.0
+    for n, (x, y) in enumerate(zip(got, want)):
+        if not abs(y) < 1e200:
+            break
+        scale = max(scale, abs(y))
+        assert abs(x - y) <= 1e-9 * scale, (n, x, y)
