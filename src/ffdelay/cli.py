@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import tempfile
-import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -142,7 +141,9 @@ def _load_fit_inputs(
     if obs.days[-1] >= horizon:
         return _data_error(f"observation day {obs.days[-1]} is outside the horizon {horizon}")
     fit_config = config.fit if seed is None else replace(config.fit, seed=seed)
-    return LoadSeries(w.values[:horizon]), obs, config, fit_config
+    if horizon < len(w):
+        w = LoadSeries(w.values[:horizon])
+    return w, obs, config, fit_config
 
 
 def cmd_fit(
@@ -215,8 +216,7 @@ def cmd_predict(
     except FfdelayError as exc:
         return CommandOutcome(EXIT_NUMERIC, f"error: prediction failed: {exc}")
 
-    w_h = LoadSeries(w.values[:horizon])
-    table = build_prediction_table(w_h, predicted)
+    table = build_prediction_table(w, predicted)
     artifacts = {
         "predictions.csv": emit_prediction_csv(table),
         "prediction_chart.svg": render_fit_chart(table, ChartOptions()),
@@ -280,10 +280,12 @@ def cmd_simulate(
     except FfdelayError as exc:
         return CommandOutcome(EXIT_USAGE, f"error: invalid parameters: {exc}")
 
-    lines = ["day,load,state"]
-    for day, value in enumerate(state.values):
-        lines.append(f"{day},{format_number(w.values[day])},{format_number(value)}")
-    trajectory_csv = "\n".join(lines) + "\n"
+    fmt = format_number
+    lines = [
+        f"{day},{fmt(load)},{fmt(value)}"
+        for day, (load, value) in enumerate(zip(w.values, state.values))
+    ]
+    trajectory_csv = "day,load,state\n" + "\n".join(lines) + "\n"
     table = build_prediction_table(w, state.values)
     artifacts = {
         "trajectory.csv": trajectory_csv,
@@ -430,6 +432,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             outcome = cmd_compare(args.load, args.perf, args.config, args.out, args.seed)
     except Exception as exc:  # bad input raises FfdelayError; anything else is a defect
+        import traceback
+
         traceback.print_exc()
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

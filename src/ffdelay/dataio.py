@@ -17,6 +17,11 @@ Params document   JSON mapping with ``variant``, ``p0``, ``k1``, ``k2`` and a
                   keys are the fields of the variant's side class; it reads
                   back as a ``ModelParams``.
 
+In every CSV document a cell may carry surrounding whitespace, blank and
+whitespace-only rows are skipped, and the header may be in any case. Each
+document is read in one pass, so the first error in file order is the one
+reported, with its line.
+
 Numbers in emitted CSV use the shortest decimal form that round-trips, so
 emit/parse is an exact identity.
 """
@@ -29,7 +34,8 @@ import json
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import MISSING, asdict, dataclass, fields
-from typing import NamedTuple
+from itertools import repeat
+from typing import Iterator, NamedTuple
 
 from .errors import ConfigError, CsvError, DuplicateDayError, ParameterError
 from .estimation import FitConfig, ObservationSet, ParamBounds
@@ -37,13 +43,18 @@ from .models import LoadSeries, ModelParams, variant_row
 
 
 def format_number(x: float) -> str:
-    """Shortest decimal representation that parses back to exactly ``x``."""
+    """Shortest decimal representation that parses back to exactly ``x``.
+
+    ``repr`` without a trailing ``".0"``: only an integral value below 1e16
+    has such a repr, so such a value prints as an integer (``-0.0`` as "0").
+    """
     x = float(x)
-    if x != x or math.isinf(x):
+    if not math.isfinite(x):
         raise ParameterError(f"cannot format non-finite value {x!r}")
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))
-    return repr(x)
+    text = repr(x)
+    if text.endswith(".0"):
+        return text[:-2] if x else "0"
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -51,35 +62,53 @@ def format_number(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _csv_rows(text: str) -> list[tuple[int, list[str]]]:
-    """(line-number, cells) pairs, blank lines skipped, csv errors wrapped."""
-    rows = []
+def _csv_rows(text: str, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """(line-number, cells) of each data row, in file order, after the header.
+
+    The first non-blank row must be ``header`` (any case); blank rows are
+    skipped. A row of the header's width whose first cell is not blank is
+    yielded as read, its cells possibly padded with whitespace; every other
+    row is yielded stripped, so a caller checks its width. Malformed CSV
+    raises CsvError at the row where the reader fails.
+    """
     reader = csv.reader(io.StringIO(text))
+    rows = enumerate(reader, start=1)
+    width = len(header)
     try:
-        for line, cells in enumerate(reader, start=1):
-            if not cells or all(c.strip() == "" for c in cells):
+        for line, cells in rows:
+            cells = [c.strip() for c in cells]
+            if any(cells):
+                if [c.lower() for c in cells] != list(header):
+                    raise CsvError(
+                        f"expected header {','.join(header)!r}, got {','.join(cells)!r}",
+                        line=line,
+                    )
+                break
+        else:
+            raise CsvError(f"empty document, expected header {','.join(header)!r}")
+        for line, cells in rows:
+            if len(cells) == width and cells[0] and not cells[0].isspace():
+                yield line, cells
                 continue
-            rows.append((line, [c.strip() for c in cells]))
+            cells = [c.strip() for c in cells]
+            if any(cells):
+                yield line, cells
     except csv.Error as exc:
         raise CsvError(f"malformed CSV: {exc}", line=reader.line_num) from exc
-    return rows
 
 
-def _check_header(rows: list[tuple[int, list[str]]], expected: list[str]) -> None:
-    if not rows:
-        raise CsvError(f"empty document, expected header {','.join(expected)!r}")
-    line, cells = rows[0]
-    if [c.lower() for c in cells] != expected:
-        raise CsvError(
-            f"expected header {','.join(expected)!r}, got {','.join(cells)!r}", line=line
-        )
-
-
+# int() and float() ignore the whitespace around a cell, except the separators
+# U+001C..U+001F, which str.strip() removes; so a cell is stripped only after
+# the conversion fails.
 def _parse_day(cell: str, line: int) -> int:
     try:
         day = int(cell, 10)
     except ValueError:
-        raise CsvError(f"day must be a base-10 integer, got {cell!r}", line=line) from None
+        cell = cell.strip()
+        try:
+            day = int(cell, 10)
+        except ValueError:
+            raise CsvError(f"day must be a base-10 integer, got {cell!r}", line=line) from None
     if day < 0:
         raise CsvError(f"day must be non-negative, got {day}", line=line)
     return day
@@ -89,9 +118,13 @@ def _parse_value(cell: str, name: str, line: int) -> float:
     try:
         value = float(cell)
     except ValueError:
-        raise CsvError(f"{name} must be a number, got {cell!r}", line=line) from None
+        cell = cell.strip()
+        try:
+            value = float(cell)
+        except ValueError:
+            raise CsvError(f"{name} must be a number, got {cell!r}", line=line) from None
     if not math.isfinite(value):
-        raise CsvError(f"{name} must be finite, got {cell!r}", line=line)
+        raise CsvError(f"{name} must be finite, got {cell.strip()!r}", line=line)
     return value
 
 
@@ -101,10 +134,8 @@ def parse_load_csv(text: str) -> LoadSeries:
     Days absent from the file are rest days (load 0). Negative loads and a
     non-zero load on day 0 are rejected.
     """
-    rows = _csv_rows(text)
-    _check_header(rows, ["day", "load"])
     by_day: dict[int, float] = {}
-    for line, cells in rows[1:]:
+    for line, cells in _csv_rows(text, ("day", "load")):
         if len(cells) != 2:
             raise CsvError(f"expected 2 fields (day,load), got {len(cells)}", line=line)
         day = _parse_day(cells[0], line)
@@ -122,16 +153,14 @@ def parse_load_csv(text: str) -> LoadSeries:
     if not by_day:
         raise CsvError("no data rows")
     horizon = max(by_day) + 1
-    return LoadSeries(tuple(by_day.get(d, 0.0) for d in range(horizon)))
+    return LoadSeries(tuple(map(by_day.get, range(horizon), repeat(0.0))))
 
 
 def parse_performance_csv(text: str) -> ObservationSet:
     """Parse a ``day,performance`` document; rows may arrive in any order."""
-    rows = _csv_rows(text)
-    _check_header(rows, ["day", "performance"])
     entries: list[tuple[int, float]] = []
     seen: set[int] = set()
-    for line, cells in rows[1:]:
+    for line, cells in _csv_rows(text, ("day", "performance")):
         if len(cells) != 2:
             raise CsvError(
                 f"expected 2 fields (day,performance), got {len(cells)}", line=line
@@ -178,38 +207,43 @@ class PredictionTable:
 def build_prediction_table(
     w: LoadSeries, predicted, obs: ObservationSet | None = None
 ) -> PredictionTable:
+    """One row per predicted day, with that day's load and observation (if any).
+
+    ``predicted`` may be shorter than ``w``, never longer (ParameterError).
+    """
+    predicted = tuple(map(float, predicted))
+    if len(predicted) > len(w):
+        raise ParameterError(
+            f"{len(predicted)} predicted days exceed the load series length {len(w)}"
+        )
+    days = range(len(predicted))
     observed = dict(obs.entries) if obs is not None else {}
-    rows = tuple(
-        PredictionRow(day, w.values[day], float(p), observed.get(day))
-        for day, p in enumerate(predicted)
+    return PredictionTable(
+        tuple(map(PredictionRow, days, w.values, predicted, map(observed.get, days)))
     )
-    return PredictionTable(rows)
 
 
 def emit_prediction_csv(table: PredictionTable) -> str:
-    lines = ["day,load,predicted,observed"]
-    for row in table.rows:
-        observed = "" if row.observed is None else format_number(row.observed)
-        lines.append(
-            f"{row.day},{format_number(row.load)},{format_number(row.predicted)},{observed}"
-        )
-    return "\n".join(lines) + "\n"
+    fmt = format_number
+    lines = [
+        f"{day},{fmt(load)},{fmt(predicted)},{'' if observed is None else fmt(observed)}"
+        for day, load, predicted, observed in table.rows
+    ]
+    return "day,load,predicted,observed\n" + "\n".join(lines) + "\n"
 
 
 def parse_prediction_csv(text: str) -> PredictionTable:
-    rows = _csv_rows(text)
-    _check_header(rows, ["day", "load", "predicted", "observed"])
     out: list[PredictionRow] = []
-    for line, cells in rows[1:]:
+    for line, cells in _csv_rows(text, ("day", "load", "predicted", "observed")):
         # A trailing empty observed field may be dropped by lenient editors.
         if len(cells) == 3:
-            cells = cells + [""]
+            cells.append("")
         if len(cells) != 4:
             raise CsvError(f"expected 4 fields, got {len(cells)}", line=line)
         day = _parse_day(cells[0], line)
         load = _parse_value(cells[1], "load", line)
         predicted = _parse_value(cells[2], "predicted", line)
-        observed = None if cells[3] == "" else _parse_value(cells[3], "observed", line)
+        observed = _parse_value(cells[3], "observed", line) if cells[3].strip() else None
         out.append(PredictionRow(day, load, predicted, observed))
     if not out:
         raise CsvError("no data rows")
@@ -535,17 +569,23 @@ def render_fit_chart(table: PredictionTable, options: ChartOptions | None = None
     """SVG with the predicted trajectory as a blue polyline and one red circle
     per observation, axes labeled day/performance."""
     options = options or ChartOptions()
-    days = [row.day for row in table.rows]
-    predicted = [row.predicted for row in table.rows]
-    observed = [(row.day, row.observed) for row in table.rows if row.observed is not None]
-    all_y = predicted + [v for _, v in observed]
+    rows = table.rows
+    observed = [(row.day, row.observed) for row in rows if row.observed is not None]
+    all_y = [row.predicted for row in rows] + [v for _, v in observed]
     y_lo, y_hi = min(all_y), max(all_y)
     pad = 0.05 * (y_hi - y_lo) if y_hi > y_lo else 1.0
-    frame = _Frame(options, (days[0], days[-1]), (y_lo - pad, y_hi + pad))
+    frame = _Frame(options, (rows[0].day, rows[-1].day), (y_lo - pad, y_hi + pad))
 
     root = _svg_root(options)
     _add_axes(root, frame, options, "day", y_label)
-    points = " ".join(f"{_fmt(frame.x(d))},{_fmt(frame.y(p))}" for d, p in zip(days, predicted))
+    # _Frame.x and _Frame.y, term for term, so each point is bit-identical to them
+    x0, x_span, plot_w = frame.x0, frame.x1 - frame.x0, frame.plot_w
+    y0, y_span, plot_h = frame.y0, frame.y1 - frame.y0, frame.plot_h
+    points = " ".join([
+        f"{_MARGIN_LEFT + (day - x0) / x_span * plot_w:.2f},"
+        f"{_MARGIN_TOP + (1.0 - (p - y0) / y_span) * plot_h:.2f}"
+        for day, _, p, _ in rows
+    ])
     ET.SubElement(root, "polyline", {
         "class": "prediction",
         "points": points,

@@ -67,15 +67,17 @@ class LoadSeries:
     units: str | None = None
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(map(float, self.values))
         object.__setattr__(self, "values", vals)
         if not vals:
             raise ParameterError("load series must contain at least one day")
-        for i, v in enumerate(vals):
-            if not math.isfinite(v):
-                raise ParameterError(f"load at day {i} is not finite: {v!r}")
-            if v < 0.0:
-                raise ParameterError(f"load at day {i} is negative: {v!r}")
+        # checked at C speed; only a failing series is walked to name its day
+        if not (all(map(math.isfinite, vals)) and min(vals) >= 0.0):
+            for i, v in enumerate(vals):
+                if not math.isfinite(v):
+                    raise ParameterError(f"load at day {i} is not finite: {v!r}")
+                if v < 0.0:
+                    raise ParameterError(f"load at day {i} is negative: {v!r}")
         if vals[0] != 0.0:
             raise ParameterError(
                 f"load at day 0 must be 0 (model assumption), got {vals[0]!r}"
@@ -93,7 +95,7 @@ class StateSeries:
     variant_tag: str
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(map(float, self.values))
         object.__setattr__(self, "values", vals)
         if not vals:
             raise ParameterError("state series must contain at least one day")
@@ -453,16 +455,19 @@ def kernel_to_three_delay(params: KernelParams) -> ThreeDelayParams:
 
     The kernel recursion coincides with the three-delay recursion whenever
     -1/tau_lag_j = weight_j * tau5, i.e. tau_lag_j = -1 / (weight_j * tau5).
-    tau5 = 0 maps to all-infinite lags (the classical reduction). For
-    tau5 > 0 the mapped lag constants are negative; they are returned
-    verbatim (the trajectories still coincide) with a UserWarning flagging
-    the sign-domain departure.
+    A lag whose rate weight_j * tau5 is zero maps to +inf (the classical
+    reduction at tau5 = 0); so does one whose rate underflows to zero or whose
+    constant -1/rate overflows, as with a subnormal gain. For tau5 > 0 the
+    other mapped lag constants are negative; they are returned verbatim (the
+    trajectories still coincide) with a UserWarning flagging the sign-domain
+    departure.
     """
-    if params.tau5 == 0.0:
-        return ThreeDelayParams(params.tau_decay, INF, INF, INF)
-    w1, w2, w3 = params.weights
-    lags = (-1.0 / (w1 * params.tau5), -1.0 / (w2 * params.tau5), -1.0 / (w3 * params.tau5))
-    if params.tau5 > 0.0:
+    lags = []
+    for weight in params.weights:
+        rate = weight * params.tau5
+        lag = -1.0 / rate if rate else INF
+        lags.append(lag if math.isfinite(lag) else INF)
+    if min(lags) < 0.0:
         warnings.warn(
             "positive kernel gain maps to negative lag constants; "
             "trajectories still coincide but the parameters are outside the "

@@ -56,9 +56,16 @@ class GridSolution:
         return self.values[:: self.substeps_per_day]
 
 
+def _as_int(value, name: str) -> int:
+    # any integer type (numpy's too), never a bool, a float or a string
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_grid_args(w: StepLoad, days: int, substeps: int) -> tuple[int, int]:
-    days = int(days)
-    substeps = int(substeps)
+    days = _as_int(days, "days")
+    substeps = _as_int(substeps, "substeps")
     if substeps < 1:
         raise ParameterError(f"substeps must be >= 1, got {substeps}")
     if days < 1:
@@ -118,7 +125,7 @@ def convergence_probe(
     finest itself. On smooth loads the distances shrink at first order: under
     grid doubling, successive ratios sit near 1/2.
     """
-    ms = [int(m) for m in m_list]
+    ms = [_as_int(m, "each m") for m in m_list]
     if len(ms) < 2:
         raise ParameterError("m_list needs at least two entries")
     if any(m2 <= m1 for m1, m2 in zip(ms, ms[1:])):

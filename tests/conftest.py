@@ -1,9 +1,22 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 import ffdelay as ff
 from helpers import block_load, fixture_params, observation_days, performance
+
+# Every property test runs a few fixed examples and keeps no example
+# database on disk, so the suite stays fast and repeatable.
+settings.register_profile(
+    "bounded",
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.load_profile("bounded")
 
 
 @pytest.fixture(scope="session")

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import ffdelay as ff
 from ffdelay.dataio import (
@@ -39,6 +42,16 @@ class TestFormatNumber:
         assert format_number(0.0) == "0"
         assert format_number(500.0) == "500"
         assert format_number(-3.0) == "-3"
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(-0.0)
+    @example(1e16 - 2)
+    @example(-(1e16 - 2))
+    @example(1e16)
+    @example(2.0**53 + 2)
+    def test_integral_rule_for_every_finite_double(self, x):
+        want = str(int(x)) if x == int(x) and abs(x) < 1e16 else repr(x)
+        assert format_number(x) == want
 
     def test_round_trip_property(self):
         rng = np.random.default_rng(40)
@@ -82,6 +95,19 @@ class TestParseLoadCsv:
             parse_load_csv("day,load\n0,0\n1,5,9\n")
         assert err.value.line == 3
 
+    def test_padded_cells_and_blank_rows(self):
+        text = "\n  \r\nDay , LOAD\r\n , \n0,0\n \t2\t,\"  7.5 \"\n\x1c3\x1f,\u30001e1\n"
+        assert parse_load_csv(text).values == (0.0, 0.0, 7.5, 10.0)
+
+    def test_first_error_in_file_order(self):
+        # a bad day on line 3, a carriage return inside an unquoted field on line 4
+        with pytest.raises(CsvError, match="base-10") as err:
+            parse_load_csv("day,load\n0,0\nx,1\n1,2\r3\n")
+        assert err.value.line == 3
+        with pytest.raises(CsvError, match="malformed CSV") as err:
+            parse_load_csv("day,load\n0,0\n1,2\r3\nx,1\n")
+        assert err.value.line == 3
+
     def test_header_required(self):
         with pytest.raises(CsvError):
             parse_load_csv("jour,charge\n0,0\n")
@@ -99,6 +125,86 @@ class TestParseLoadCsv:
                 parse_performance_csv(text)
             except FfdelayError:
                 pass  # structured failure is the contract
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# whitespace that str.strip() removes, U+001C..U+001F included (int() and
+# float() keep those); never a line break, which would split the row
+PADS = st.sampled_from(["", " ", "  ", "\t", " \x0b", "\x0c", "\x1c", "\x1f ", "\xa0", "\u3000"])
+BLANK_ROWS = st.sampled_from(["", " ", "\t", " , ", ",,,", "\x1d"])
+
+
+def _mostly(valid, odd):
+    """``valid`` nine times in ten, else ``odd``: mostly accepted documents."""
+    return st.sampled_from((True,) * 9 + (False,)).flatmap(lambda ok: valid if ok else odd)
+
+
+DAYS = _mostly(st.integers(1, 10**6).map(str), st.sampled_from(["0", "", "x", "-1", "1.5"]))
+NUMBERS = _mostly(
+    st.one_of(st.floats(0.0, 1e6).map(repr), st.integers(0, 999).map(str)),
+    st.sampled_from(["", "x", "nan", "inf", "-2.5", "1e3", ".5", "1_0", "0"]),
+)
+
+
+def _index_cells(i: int):
+    return _mostly(st.just(str(i)), st.sampled_from(("", "x", str(i + 1))))
+
+
+# parser, header and one strategy per column given the data row's index
+PARSERS = {
+    "load": (parse_load_csv, ("day", "load"), (lambda i: DAYS, lambda i: NUMBERS)),
+    "performance": (
+        parse_performance_csv, ("day", "performance"), (lambda i: DAYS, lambda i: NUMBERS)
+    ),
+    "prediction": (
+        parse_prediction_csv,
+        ("day", "load", "predicted", "observed"),
+        (_index_cells, lambda i: NUMBERS, lambda i: NUMBERS, lambda i: st.just("") | NUMBERS),
+    ),
+}
+
+
+@st.composite
+def padded_documents(draw, header, columns) -> tuple[str, str]:
+    """The same rows as a messy document and as its stripped form.
+
+    The messy one pads cells with whitespace, quotes some of them, inserts
+    blank and whitespace-only rows and ends lines with LF or CRLF.
+    """
+    cases = st.sampled_from((str.lower, str.upper, str.title))
+    case = draw(_mostly(cases, st.just(lambda h: h + "s")))  # else a wrong header
+    rows = [[case(h) for h in header]]
+    for i in range(draw(st.integers(0, 10))):
+        row = [draw(column(i)) for column in columns]
+        width = draw(_mostly(st.just(len(row)), st.sampled_from((len(row) - 1, len(row) + 1))))
+        rows.append((row + ["1"])[:width])
+    stripped = "".join(",".join(row) + "\n" for row in rows)
+    lines = []
+    for row in rows:
+        lines += draw(st.lists(BLANK_ROWS, max_size=2))
+        cells = []
+        for cell in row:
+            cell = draw(PADS) + cell + draw(PADS)
+            cells.append(f'"{cell}"' if draw(st.booleans()) else cell)
+        lines.append(",".join(cells))
+    messy = "".join(line + draw(st.sampled_from(("\n", "\r\n"))) for line in lines)
+    return messy, stripped
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except FfdelayError as exc:  # the line moves with the blank rows; the rest may not
+        return type(exc), re.sub(r"^line \d+: ", "", str(exc)), getattr(exc, "line", None) is None
+
+
+@pytest.mark.parametrize("name", PARSERS)
+@given(data=st.data())
+def test_parsers_read_a_padded_document_as_its_stripped_form(name, data):
+    """Same value, or the same failure, and never anything but FfdelayError."""
+    parse, header, columns = PARSERS[name]
+    messy, stripped = data.draw(padded_documents(header, columns))
+    assert _outcome(parse, messy) == _outcome(parse, stripped)
 
 
 class TestParsePerformanceCsv:
@@ -207,6 +313,17 @@ class TestPredictionCsv:
                 )
             table = PredictionTable(tuple(rows))
             assert parse_prediction_csv(emit_prediction_csv(table)) == table
+
+    def test_more_predictions_than_load_days_rejected(self):
+        w = ff.LoadSeries((0.0, 1.0))
+        with pytest.raises(ParameterError, match="exceed"):
+            build_prediction_table(w, [500.0, 501.0, 502.0])
+        assert len(build_prediction_table(w, [500.0]).rows) == 1
+
+    @given(st.lists(st.tuples(FINITE, FINITE, st.none() | FINITE), min_size=1, max_size=30))
+    def test_round_trip_property(self, columns):
+        table = PredictionTable(tuple(PredictionRow(d, *c) for d, c in enumerate(columns)))
+        assert parse_prediction_csv(emit_prediction_csv(table)) == table
 
     def test_days_must_be_contiguous(self):
         with pytest.raises(ParameterError):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -319,6 +320,21 @@ class TestKernel:
     def test_mapping_zero_gain(self):
         mapped = ff.kernel_to_three_delay(ff.KernelParams(1.0, 0.0))
         assert mapped == ff.ThreeDelayParams(1.0, math.inf, math.inf, math.inf)
+
+    def test_mapping_subnormal_gain(self):
+        # a rate weight * tau5 that underflows to 0, or a constant -1/rate that
+        # overflows, maps to the +inf sentinel; only a finite negative lag warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for tau5 in (5e-324, -5e-324, 1e-310, -1e-310):
+                mapped = ff.kernel_to_three_delay(ff.KernelParams(40.0, tau5))
+                assert mapped == ff.ThreeDelayParams(40.0, math.inf, math.inf, math.inf)
+            # weight 0.5 keeps a finite rate, weight 0.2 gives -1/rate = -2.5e308
+            mapped = ff.kernel_to_three_delay(ff.KernelParams(40.0, -2e-308))
+            assert mapped.tau_lag1 == 1e308 and mapped.tau_lag3 == math.inf
+        with pytest.warns(UserWarning):
+            mapped = ff.kernel_to_three_delay(ff.KernelParams(40.0, 2e-308))
+        assert mapped.tau_lag1 == -1e308 and mapped.tau_lag3 == math.inf
 
     def test_mapping_positive_gain_warns_and_returns_verbatim(self):
         with pytest.warns(UserWarning):

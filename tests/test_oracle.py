@@ -35,6 +35,17 @@ class TestValidation:
         with pytest.raises(ParameterError):
             ff.integrate_single_delay(w, ff.SingleDelayParams(2.0), 1, 0)
 
+    def test_non_integer_days_and_substeps_rejected(self):
+        w = ff.StepLoad(ff.LoadSeries((0.0, 1.0, 2.0)))
+        params = ff.SingleDelayParams(2.0)
+        for days, substeps in ((2.5, 1), (2, 1.9), (True, 1), (2, True), ("2", 1), (2, "1")):
+            with pytest.raises(ParameterError, match="must be an integer"):
+                ff.integrate_single_delay(w, params, days, substeps)
+            with pytest.raises(ParameterError, match="must be an integer"):
+                ff.integrate_three_delay(w, ff.ThreeDelayParams(2.0), days, substeps)
+        sol = ff.integrate_single_delay(w, params, np.int64(2), np.int32(3))
+        assert (sol.days, sol.substeps_per_day) == (2, 3)
+
     def test_days_beyond_load(self):
         w = ff.StepLoad(ff.LoadSeries((0.0, 1.0)))
         with pytest.raises(SeriesLengthError):
@@ -144,6 +155,10 @@ class TestConvergenceProbe:
             ff.convergence_probe(w, ff.SingleDelayParams(2.0), 2, [4, 2])
         with pytest.raises(ParameterError):
             ff.convergence_probe(w, ff.SingleDelayParams(2.0), 2, [4])
+        with pytest.raises(ParameterError, match="must be an integer"):
+            ff.convergence_probe(w, ff.SingleDelayParams(2.0), 2, [1, 2.9, 4])
+        with pytest.raises(ParameterError, match="must be an integer"):
+            ff.convergence_probe(w, ff.SingleDelayParams(2.0), 2, [True, 2])
 
     def test_two_day_quadrature_matches_hand_formula(self):
         # T=2 with a single loaded day: every subgrid value is a geometric sum
