@@ -68,7 +68,6 @@ EXIT_NUMERIC = 3
 class CommandOutcome:
     exit_code: int
     summary: str
-    artifacts: tuple[str, ...] = ()
 
 
 class _UsageError(Exception):
@@ -100,19 +99,27 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _write_artifacts(out_dir: str, artifacts: dict[str, str]) -> tuple[str, ...]:
+def _write_artifacts(out_dir: str, artifacts: dict[str, str]) -> list[str]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
     for name, text in artifacts.items():
-        path = out / name
-        _atomic_write(path, text)
-        written.append(str(path))
-    return tuple(written)
+        _atomic_write(out / name, text)
+    return [str(out / name) for name in artifacts]
 
 
 def _data_error(message: str) -> CommandOutcome:
     return CommandOutcome(EXIT_DATA, f"error: {message}")
+
+
+def _write_outcome(
+    out_dir: str, artifacts: dict[str, str], lines: list[str]
+) -> CommandOutcome:
+    """Write ``artifacts`` and report success as ``lines`` plus a ``wrote:`` line."""
+    try:
+        written = _write_artifacts(out_dir, artifacts)
+    except OSError as exc:
+        return _data_error(f"cannot write artifacts to {out_dir}: {exc}")
+    return CommandOutcome(EXIT_OK, "\n".join([*lines, "wrote: " + ", ".join(written)]))
 
 
 def _load_fit_inputs(
@@ -176,11 +183,6 @@ def cmd_fit(
         "fit_chart.svg": render_fit_chart(table, config.chart),
         "load_chart.svg": render_load_chart(w, config.chart),
     }
-    try:
-        written = _write_artifacts(out_dir, artifacts)
-    except OSError as exc:
-        return _data_error(f"cannot write artifacts to {out_dir}: {exc}")
-
     lines = [
         f"fitted variant {result.variant} over {len(w)} days, {len(obs)} observations",
         f"SSE = {result.sse:.8g}",
@@ -188,10 +190,8 @@ def cmd_fit(
         f"converged starts: {result.starts_converged}/{fit_config.starts}"
         f" (best: #{result.best_start_index}, {result.iterations_used} iterations)",
     ]
-    for warning in result.warnings:
-        lines.append(f"warning: {warning}")
-    lines.append("wrote: " + ", ".join(written))
-    return CommandOutcome(EXIT_OK, "\n".join(lines), written)
+    lines += [f"warning: {warning}" for warning in result.warnings]
+    return _write_outcome(out_dir, artifacts, lines)
 
 
 def cmd_predict(
@@ -221,15 +221,9 @@ def cmd_predict(
         "predictions.csv": emit_prediction_csv(table),
         "prediction_chart.svg": render_fit_chart(table, ChartOptions()),
     }
-    try:
-        written = _write_artifacts(out_dir, artifacts)
-    except OSError as exc:
-        return _data_error(f"cannot write artifacts to {out_dir}: {exc}")
-    summary = (
-        f"predicted {horizon} days with variant {params.variant}\n"
-        "wrote: " + ", ".join(written)
+    return _write_outcome(
+        out_dir, artifacts, [f"predicted {horizon} days with variant {params.variant}"]
     )
-    return CommandOutcome(EXIT_OK, summary, written)
 
 
 def cmd_simulate(
@@ -291,15 +285,9 @@ def cmd_simulate(
         "trajectory.csv": trajectory_csv,
         "state_chart.svg": render_fit_chart(table, ChartOptions(), y_label="state"),
     }
-    try:
-        written = _write_artifacts(out_dir, artifacts)
-    except OSError as exc:
-        return _data_error(f"cannot write artifacts to {out_dir}: {exc}")
-    summary = (
-        f"simulated variant {variant} over {horizon} days\n"
-        "wrote: " + ", ".join(written)
+    return _write_outcome(
+        out_dir, artifacts, [f"simulated variant {variant} over {horizon} days"]
     )
-    return CommandOutcome(EXIT_OK, summary, written)
 
 
 def cmd_compare(
@@ -332,20 +320,13 @@ def cmd_compare(
             f"{format_number(r.r2)},{r.starts_converged}"
         )
     artifacts = {"comparison.csv": "\n".join(lines) + "\n"}
-    try:
-        written = _write_artifacts(out_dir, artifacts)
-    except OSError as exc:
-        return _data_error(f"cannot write artifacts to {out_dir}: {exc}")
-
-    summary_lines = [
+    summary = [
         f"compared {len(results)} variants over {len(w)} days, {len(obs)} observations"
+    ] + [
+        f"  {r.variant:<13} n_params={r.n_free:<2} SSE={r.sse:.8g} R^2={r.r2:.6f}"
+        for r in results
     ]
-    for r in results:
-        summary_lines.append(
-            f"  {r.variant:<13} n_params={r.n_free:<2} SSE={r.sse:.8g} R^2={r.r2:.6f}"
-        )
-    summary_lines.append("wrote: " + ", ".join(written))
-    return CommandOutcome(EXIT_OK, "\n".join(summary_lines), written)
+    return _write_outcome(out_dir, artifacts, summary)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ document is read in one pass, so the first error in file order is the one
 reported, with its line.
 
 Numbers in emitted CSV use the shortest decimal form that round-trips, so
-emit/parse is an exact identity.
+emit/parse is an exact identity. Charts are written as plain SVG text with no
+XML library; only the title and axis labels carry free text, escaped there.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import csv
 import io
 import json
 import math
-import xml.etree.ElementTree as ET
 from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import repeat
 from typing import Iterator, NamedTuple
@@ -286,12 +286,13 @@ _CHART_KEYS = ("width", "height", "title")
 
 
 def _as_float(value, key: str) -> float:
-    if isinstance(value, bool) or value is None:
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    """A number of a config or params document: an int, float or numeric string."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):  # OverflowError: an int beyond double range
+            pass
+    raise ConfigError(f"{key} must be a number, got {value!r}")
 
 
 def _as_int(value, key: str) -> int:
@@ -397,17 +398,6 @@ def dumps_params(params: ModelParams) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _doc_float(value, key: str) -> float:
-    if isinstance(value, str):
-        try:
-            value = float(value)
-        except ValueError:
-            raise ConfigError(f"{key} must be a number, got {value!r}") from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
 def _side_from_doc(side_cls: type, doc, where: str):
     """Side object from its mapping; an omitted key takes the field's default.
 
@@ -426,9 +416,9 @@ def _side_from_doc(side_cls: type, doc, where: str):
         if isinstance(f.default, tuple):
             if not isinstance(value, (list, tuple)) or len(value) != len(f.default):
                 raise ConfigError(f"{key} must be a {len(f.default)}-element list")
-            values.append(tuple(_doc_float(x, key) for x in value))
+            values.append(tuple(_as_float(x, key) for x in value))
         else:
-            values.append(_doc_float(value, key))
+            values.append(_as_float(value, key))
     try:
         return side_cls(*values)
     except ParameterError as exc:
@@ -446,9 +436,9 @@ def parse_params(text: str) -> ModelParams:
     try:
         variant = data["variant"]
         side_cls = variant_row(variant).side
-        p0 = _doc_float(data["p0"], "p0")
-        k1 = _doc_float(data["k1"], "k1")
-        k2 = _doc_float(data["k2"], "k2")
+        p0 = _as_float(data["p0"], "p0")
+        k1 = _as_float(data["k1"], "k1")
+        k2 = _as_float(data["k2"], "k2")
         fitness = _side_from_doc(side_cls, data["fitness"], "fitness")
         fatigue = _side_from_doc(side_cls, data["fatigue"], "fatigue")
         return ModelParams(variant, p0, k1, k2, fitness, fatigue)
@@ -498,69 +488,55 @@ class _Frame:
         return _MARGIN_TOP + (1.0 - (v - self.y0) / (self.y1 - self.y0)) * self.plot_h
 
 
-def _svg_root(options: ChartOptions) -> ET.Element:
-    return ET.Element(
-        "svg",
-        {
-            "xmlns": "http://www.w3.org/2000/svg",
-            "width": _fmt(options.width),
-            "height": _fmt(options.height),
-            "viewBox": f"0 0 {_fmt(options.width)} {_fmt(options.height)}",
-        },
-    )
+def _text(attrs: str, text: str) -> str:
+    """A ``<text>`` element; its content escapes ``&``, ``<`` and ``>``."""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return f"<text {attrs}>{text}</text>" if text else f"<text {attrs} />"
 
 
-def _add_axes(root: ET.Element, frame: _Frame, options: ChartOptions,
-              x_label: str, y_label: str) -> None:
-    axes = ET.SubElement(root, "g", {"class": "axes", "stroke": "#000000"})
+def _svg(options: ChartOptions, frame: _Frame, x_label: str, y_label: str,
+         body: str) -> str:
+    """The SVG document: declaration, root, axes, labels, end ticks, ``body``."""
+    width, height = _fmt(options.width), _fmt(options.height)
     x_axis_y = _fmt(frame.height - _MARGIN_BOTTOM)
-    ET.SubElement(axes, "line", {
-        "x1": _fmt(_MARGIN_LEFT), "y1": x_axis_y,
-        "x2": _fmt(frame.width - _MARGIN_RIGHT), "y2": x_axis_y,
-    })
-    ET.SubElement(axes, "line", {
-        "x1": _fmt(_MARGIN_LEFT), "y1": _fmt(_MARGIN_TOP),
-        "x2": _fmt(_MARGIN_LEFT), "y2": x_axis_y,
-    })
-    labels = ET.SubElement(root, "g", {"class": "labels", "font-size": "14"})
+    left, top = _fmt(_MARGIN_LEFT), _fmt(_MARGIN_TOP)
+    mid_y = _fmt(_MARGIN_TOP + frame.plot_h / 2.0)
+    labels = ""
     if options.title:
-        title = ET.SubElement(labels, "text", {
-            "x": _fmt(frame.width / 2.0), "y": _fmt(_MARGIN_TOP / 2.0),
-            "text-anchor": "middle", "class": "title",
-        })
-        title.text = options.title
-    xl = ET.SubElement(labels, "text", {
-        "x": _fmt(_MARGIN_LEFT + frame.plot_w / 2.0),
-        "y": _fmt(frame.height - 12.0),
-        "text-anchor": "middle", "class": "x-label",
-    })
-    xl.text = x_label
-    yl = ET.SubElement(labels, "text", {
-        "x": "18", "y": _fmt(_MARGIN_TOP + frame.plot_h / 2.0),
-        "text-anchor": "middle", "class": "y-label",
-        "transform": f"rotate(-90 18 {_fmt(_MARGIN_TOP + frame.plot_h / 2.0)})",
-    })
-    yl.text = y_label
-    ticks = ET.SubElement(root, "g", {"class": "ticks", "font-size": "12"})
-    for value, anchor in ((frame.x0, "start"), (frame.x1, "end")):
-        t = ET.SubElement(ticks, "text", {
-            "x": _fmt(frame.x(value)), "y": _fmt(frame.height - _MARGIN_BOTTOM + 18.0),
-            "text-anchor": anchor,
-        })
-        t.text = format_number(round(value, 6))
-    for value in (frame.y0, frame.y1):
-        t = ET.SubElement(ticks, "text", {
-            "x": _fmt(_MARGIN_LEFT - 6.0), "y": _fmt(frame.y(value) + 4.0),
-            "text-anchor": "end",
-        })
-        t.text = format_number(round(value, 6))
-
-
-def _serialize(root: ET.Element) -> str:
+        labels = _text(
+            f'x="{_fmt(frame.width / 2.0)}" y="{_fmt(_MARGIN_TOP / 2.0)}" '
+            'text-anchor="middle" class="title"',
+            options.title,
+        )
+    labels += _text(
+        f'x="{_fmt(_MARGIN_LEFT + frame.plot_w / 2.0)}" y="{_fmt(frame.height - 12.0)}" '
+        'text-anchor="middle" class="x-label"',
+        x_label,
+    ) + _text(
+        f'x="18" y="{mid_y}" text-anchor="middle" class="y-label" '
+        f'transform="rotate(-90 18 {mid_y})"',
+        y_label,
+    )
+    tick_y = _fmt(frame.height - _MARGIN_BOTTOM + 18.0)
+    ticks = [
+        f'<text x="{_fmt(frame.x(value))}" y="{tick_y}" text-anchor="{anchor}">'
+        f"{format_number(round(value, 6))}</text>"
+        for value, anchor in ((frame.x0, "start"), (frame.x1, "end"))
+    ] + [
+        f'<text x="{_fmt(_MARGIN_LEFT - 6.0)}" y="{_fmt(frame.y(value) + 4.0)}" '
+        f'text-anchor="end">{format_number(round(value, 6))}</text>'
+        for value in (frame.y0, frame.y1)
+    ]
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
-        + ET.tostring(root, encoding="unicode")
-        + "\n"
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">'
+        '<g class="axes" stroke="#000000">'
+        f'<line x1="{left}" y1="{x_axis_y}" x2="{_fmt(frame.width - _MARGIN_RIGHT)}" '
+        f'y2="{x_axis_y}" />'
+        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{x_axis_y}" /></g>'
+        f'<g class="labels" font-size="14">{labels}</g>'
+        f'<g class="ticks" font-size="12">{"".join(ticks)}</g>{body}</svg>\n'
     )
 
 
@@ -576,8 +552,6 @@ def render_fit_chart(table: PredictionTable, options: ChartOptions | None = None
     pad = 0.05 * (y_hi - y_lo) if y_hi > y_lo else 1.0
     frame = _Frame(options, (rows[0].day, rows[-1].day), (y_lo - pad, y_hi + pad))
 
-    root = _svg_root(options)
-    _add_axes(root, frame, options, "day", y_label)
     # _Frame.x and _Frame.y, term for term, so each point is bit-identical to them
     x0, x_span, plot_w = frame.x0, frame.x1 - frame.x0, frame.plot_w
     y0, y_span, plot_h = frame.y0, frame.y1 - frame.y0, frame.plot_h
@@ -586,23 +560,18 @@ def render_fit_chart(table: PredictionTable, options: ChartOptions | None = None
         f"{_MARGIN_TOP + (1.0 - (p - y0) / y_span) * plot_h:.2f}"
         for day, _, p, _ in rows
     ])
-    ET.SubElement(root, "polyline", {
-        "class": "prediction",
-        "points": points,
-        "fill": "none",
-        "stroke": _PREDICTION_COLOR,
-        "stroke-width": "2",
-    })
+    body = (
+        f'<polyline class="prediction" points="{points}" fill="none" '
+        f'stroke="{_PREDICTION_COLOR}" stroke-width="2" />'
+    )
     if observed:
-        marks = ET.SubElement(root, "g", {"class": "observations", "fill": _OBSERVATION_COLOR})
-        for day, value in observed:
-            ET.SubElement(marks, "circle", {
-                "class": "observation",
-                "cx": _fmt(frame.x(day)),
-                "cy": _fmt(frame.y(value)),
-                "r": "4",
-            })
-    return _serialize(root)
+        marks = "".join([
+            f'<circle class="observation" cx="{_fmt(frame.x(day))}" '
+            f'cy="{_fmt(frame.y(value))}" r="4" />'
+            for day, value in observed
+        ])
+        body += f'<g class="observations" fill="{_OBSERVATION_COLOR}">{marks}</g>'
+    return _svg(options, frame, "day", y_label, body)
 
 
 def render_load_chart(w: LoadSeries, options: ChartOptions | None = None) -> str:
@@ -612,19 +581,15 @@ def render_load_chart(w: LoadSeries, options: ChartOptions | None = None) -> str
     values = w.values
     max_load = max(values)
     frame = _Frame(options, (0.0, float(len(values))), (0.0, max_load if max_load > 0 else 1.0))
-    root = _svg_root(options)
-    _add_axes(root, frame, options, "day", "load")
-    bars = ET.SubElement(root, "g", {"class": "bars", "fill": _BAR_COLOR})
     slot = frame.plot_w / len(values)
     bar_w = max(slot * 0.8, 0.5)
     base_y = frame.height - _MARGIN_BOTTOM
+    bars = []
     for day, value in enumerate(values):
         height = (value / max_load) * frame.plot_h if max_load > 0 else 0.0
-        ET.SubElement(bars, "rect", {
-            "class": "bar",
-            "x": _fmt(_MARGIN_LEFT + day * slot + (slot - bar_w) / 2.0),
-            "y": _fmt(base_y - height),
-            "width": _fmt(bar_w),
-            "height": _fmt(height),
-        })
-    return _serialize(root)
+        bars.append(
+            f'<rect class="bar" x="{_fmt(_MARGIN_LEFT + day * slot + (slot - bar_w) / 2.0)}" '
+            f'y="{_fmt(base_y - height)}" width="{_fmt(bar_w)}" height="{_fmt(height)}" />'
+        )
+    body = f'<g class="bars" fill="{_BAR_COLOR}">{"".join(bars)}</g>'
+    return _svg(options, frame, "day", "load", body)

@@ -253,11 +253,15 @@ class ModelParams:
                 )
 
 
-def _check_horizon(w: LoadSeries, horizon: int) -> int:
+def _as_int(value, name: str) -> int:
     # any integer type (numpy's too), never a bool, a float or a string
-    if isinstance(horizon, bool) or not hasattr(horizon, "__index__"):
-        raise ParameterError(f"horizon must be an integer, got {horizon!r}")
-    horizon = int(horizon)
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_horizon(w: LoadSeries, horizon: int) -> int:
+    horizon = _as_int(horizon, "horizon")
     if horizon < 1:
         raise ParameterError(f"horizon must be >= 1, got {horizon}")
     if horizon > len(w):

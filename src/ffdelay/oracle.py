@@ -22,7 +22,7 @@ from math import exp
 from typing import Sequence
 
 from .errors import ParameterError, SeriesLengthError
-from .models import LoadSeries, SingleDelayParams, ThreeDelayParams, _lag_rate
+from .models import LoadSeries, SingleDelayParams, ThreeDelayParams, _as_int, _lag_rate
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,6 @@ class GridSolution:
     def day_values(self) -> tuple[float, ...]:
         """The trajectory restricted to whole days t = 0..days."""
         return self.values[:: self.substeps_per_day]
-
-
-def _as_int(value, name: str) -> int:
-    # any integer type (numpy's too), never a bool, a float or a string
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _check_grid_args(w: StepLoad, days: int, substeps: int) -> tuple[int, int]:

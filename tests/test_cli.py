@@ -102,6 +102,17 @@ class TestFit:
         assert code == EXIT_DATA
         assert not out.exists() or not any(out.iterdir())
 
+    def test_integer_beyond_double_range_is_data_error(self, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text(FAST_CONFIG.replace("  tolerance: 1.0e-4", f"  tolerance: {10**400}"))
+        code = main([
+            "fit", "--load", str(DATA / "load.csv"), "--perf", str(DATA / "performance.csv"),
+            "--config", str(config), "--out", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_DATA
+        assert "fit.tolerance must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_flag_overrides_config(self, tmp_path, fast_config):
         out_a, out_b, out_c = (tmp_path / n for n in ("a", "b", "c"))
         base = [
@@ -174,6 +185,20 @@ class TestPredict:
             "--horizon", "0", "--out", str(tmp_path / "out"),
         ])
         assert code == EXIT_USAGE
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_beyond_double_range_is_data_error(self, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({
+            "variant": "classical", "p0": 10**400, "k1": 0.1, "k2": 0.3,
+            "fitness": {"tau_decay": 40.0}, "fatigue": {"tau_decay": 9.0},
+        }))
+        code = main([
+            "predict", "--load", str(DATA / "load.csv"), "--params", str(params),
+            "--horizon", "30", "--out", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_DATA
+        assert "p0 must be a number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_matches_fit_predictions_over_shared_horizon(self, tmp_path, fast_config):
@@ -339,13 +364,14 @@ codes = [
     cli.main(["predict", "--load", load, "--params", out + "/params.json",
               "--horizon", "120", "--out", out + "/predict"]),
 ]
-print(json.dumps({"codes": codes,
-                  "loaded": [m for m in ("numpy", "yaml") if m in sys.modules]}))
+print(json.dumps({"codes": codes, "loaded": [
+    m for m in ("numpy", "yaml", "xml.etree") if m in sys.modules]}))
 """
 
 
 class TestStartup:
     def test_simulate_and_predict_load_neither_numpy_nor_yaml(self, tmp_path):
+        # nor xml.etree: the charts are written as text
         (tmp_path / "params.json").write_text(json.dumps({
             "variant": "single_delay", "p0": 500.0, "k1": 0.2, "k2": 0.3,
             "fitness": {"tau_decay": 30.0, "tau_lag1": 12.0},

@@ -367,7 +367,40 @@ class TestParamsDocument:
             parse_params("not json at all")
 
 
+# The two golden charts below share everything up to the y label; the title
+# needs each of the three text escapes.
+GOLDEN_OPTIONS = ChartOptions(title="a & b <c>")
+GOLDEN_HEAD = (
+    '<?xml version="1.0" encoding="UTF-8"?>\n'
+    '<svg xmlns="http://www.w3.org/2000/svg" width="900.00" height="600.00" '
+    'viewBox="0 0 900.00 600.00"><g class="axes" stroke="#000000">'
+    '<line x1="70.00" y1="545.00" x2="875.00" y2="545.00" />'
+    '<line x1="70.00" y1="45.00" x2="70.00" y2="545.00" /></g>'
+    '<g class="labels" font-size="14">'
+    '<text x="450.00" y="22.50" text-anchor="middle" class="title">a &amp; b &lt;c&gt;</text>'
+    '<text x="472.50" y="588.00" text-anchor="middle" class="x-label">day</text>'
+    '<text x="18" y="295.00" text-anchor="middle" class="y-label" '
+    'transform="rotate(-90 18 295.00)">'
+)
+
+
 class TestFitChart:
+    def test_golden_bytes(self):
+        w = ff.LoadSeries((0.0, 10.0, 0.0))
+        obs = ff.ObservationSet(((1, 501.0),))
+        table = build_prediction_table(w, [500.0, 501.0, 500.5], obs)
+        assert render_fit_chart(table, GOLDEN_OPTIONS) == GOLDEN_HEAD + (
+            'performance</text></g><g class="ticks" font-size="12">'
+            '<text x="70.00" y="563.00" text-anchor="start">0</text>'
+            '<text x="875.00" y="563.00" text-anchor="end">2</text>'
+            '<text x="64.00" y="549.00" text-anchor="end">499.95</text>'
+            '<text x="64.00" y="49.00" text-anchor="end">501.05</text></g>'
+            '<polyline class="prediction" points="70.00,522.27 472.50,67.73 875.00,295.00" '
+            'fill="none" stroke="#1f77b4" stroke-width="2" />'
+            '<g class="observations" fill="#d62728">'
+            '<circle class="observation" cx="472.50" cy="67.73" r="4" /></g></svg>\n'
+        )
+
     def test_marker_and_polyline_counts(self):
         w = ff.LoadSeries((0.0, 10.0, 0.0))
         obs = ff.ObservationSet(((1, 501.0),))
@@ -395,6 +428,9 @@ class TestFitChart:
         doc = render_fit_chart(build_prediction_table(w, [500.0, 501.0]))
         texts = [t.text for t in svg_find(doc, "text")]
         assert "day" in texts and "performance" in texts
+        # an empty label is an empty element, as ElementTree writes it
+        doc = render_fit_chart(build_prediction_table(w, [500.0, 501.0]), y_label="")
+        assert 'class="y-label" transform="rotate(-90 18 295.00)" />' in doc
 
     def test_well_formed_for_random_tables(self):
         rng = np.random.default_rng(43)
@@ -413,6 +449,20 @@ class TestFitChart:
 
 
 class TestLoadChart:
+    def test_golden_bytes(self):
+        w = ff.LoadSeries((0.0, 10.0, 0.0))
+        assert render_load_chart(w, GOLDEN_OPTIONS) == GOLDEN_HEAD + (
+            'load</text></g><g class="ticks" font-size="12">'
+            '<text x="70.00" y="563.00" text-anchor="start">0</text>'
+            '<text x="875.00" y="563.00" text-anchor="end">3</text>'
+            '<text x="64.00" y="549.00" text-anchor="end">0</text>'
+            '<text x="64.00" y="49.00" text-anchor="end">10</text></g>'
+            '<g class="bars" fill="#4d4d4d">'
+            '<rect class="bar" x="96.83" y="545.00" width="214.67" height="0.00" />'
+            '<rect class="bar" x="365.17" y="45.00" width="214.67" height="500.00" />'
+            '<rect class="bar" x="633.50" y="545.00" width="214.67" height="0.00" /></g></svg>\n'
+        )
+
     def test_bar_per_day_and_zero_height_first_bar(self):
         doc = render_load_chart(ff.LoadSeries((0.0, 100.0)))
         bars = svg_find(doc, "rect")
