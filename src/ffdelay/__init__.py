@@ -4,7 +4,8 @@ Library layout:
 
 * :mod:`ffdelay.models`     -- the four state-model variants, the variant table
                                and ``ModelParams`` (one performance model)
-* :mod:`ffdelay.oracle`     -- fine-grid method-of-steps integrator
+* :mod:`ffdelay.oracle`     -- fine-grid method-of-steps integrator (loaded
+                               on first use of one of its names)
 * :mod:`ffdelay.estimation` -- ``fit_variant``, ``compare_variants`` and
                                ``predict_performance`` (Nelder-Mead, multi-start)
 * :mod:`ffdelay.dataio`     -- CSV/YAML/JSON ingestion and SVG charts
@@ -42,7 +43,6 @@ from .models import (
     eval_three_delay_recursive,
     kernel_to_three_delay,
 )
-from .oracle import GridSolution, StepLoad, convergence_probe, integrate_single_delay, integrate_three_delay
 from .estimation import (
     FitConfig,
     ObservationSet,
@@ -97,3 +97,23 @@ __all__ = [
     "r_squared",
     "sse_objective",
 ]
+
+_ORACLE_NAMES = (
+    "GridSolution",
+    "StepLoad",
+    "convergence_probe",
+    "integrate_single_delay",
+    "integrate_three_delay",
+)
+
+
+def __getattr__(name: str):
+    # The oracle is a check route: it loads on first use, not with the package.
+    # import_module, not "from . import oracle": that form would look the
+    # name up on this package first and so call back into __getattr__.
+    if name == "oracle" or name in _ORACLE_NAMES:
+        from importlib import import_module
+
+        oracle = import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -52,6 +51,8 @@ from .models import (
     VARIANTS,
     LoadSeries,
     SingleDelayParams,
+    _field_dict,
+    _record,
     eval_kernel_recursive,
     eval_single_delay_recursive,
     eval_three_delay_recursive,
@@ -64,7 +65,7 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 
-@dataclass(frozen=True)
+@_record
 class CommandOutcome:
     exit_code: int
     summary: str
@@ -147,7 +148,9 @@ def _load_fit_inputs(
         return _data_error("observations have zero variance; R^2 is undefined")
     if obs.days[-1] >= horizon:
         return _data_error(f"observation day {obs.days[-1]} is outside the horizon {horizon}")
-    fit_config = config.fit if seed is None else replace(config.fit, seed=seed)
+    fit_config = config.fit
+    if seed is not None:
+        fit_config = FitConfig(**{**_field_dict(fit_config), "seed": seed})
     if horizon < len(w):
         w = LoadSeries(w.values[:horizon])
     return w, obs, config, fit_config

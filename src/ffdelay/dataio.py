@@ -33,13 +33,12 @@ import csv
 import io
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import repeat
 from typing import Iterator, NamedTuple
 
 from .errors import ConfigError, CsvError, DuplicateDayError, ParameterError
 from .estimation import FitConfig, ObservationSet, ParamBounds
-from .models import LoadSeries, ModelParams, variant_row
+from .models import _REQUIRED, LoadSeries, ModelParams, _field_dict, _record, variant_row
 
 
 def format_number(x: float) -> str:
@@ -188,7 +187,7 @@ class PredictionRow(NamedTuple):
     observed: float | None
 
 
-@dataclass(frozen=True)
+@_record
 class PredictionTable:
     """One row per day from day 0: load, model prediction, optional observation."""
 
@@ -255,7 +254,7 @@ def parse_prediction_csv(text: str) -> PredictionTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class ChartOptions:
     width: float = 900.0
     height: float = 600.0
@@ -266,7 +265,7 @@ class ChartOptions:
             raise ConfigError("chart dimensions must be positive")
 
 
-@dataclass(frozen=True)
+@_record
 class RunConfig:
     variant: str = "single_delay"
     horizon: int | None = None  # None: use the full load series
@@ -322,7 +321,7 @@ def load_config(text: str) -> RunConfig:
 
     try:
         data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: e.g. an integer of 4,301+ digits
         raise ConfigError(f"invalid YAML: {exc}") from exc
     if data is None:
         data = {}
@@ -392,8 +391,8 @@ def dumps_params(params: ModelParams) -> str:
         "p0": params.p0,
         "k1": params.k1,
         "k2": params.k2,
-        "fitness": asdict(params.fitness),
-        "fatigue": asdict(params.fatigue),
+        "fitness": _field_dict(params.fitness),
+        "fatigue": _field_dict(params.fatigue),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -405,17 +404,16 @@ def _side_from_doc(side_cls: type, doc, where: str):
     numbers of the same length.
     """
     doc = _require_mapping(doc, where)
-    side_fields = fields(side_cls)
-    _reject_unknown(doc, [f.name for f in side_fields], where)
+    _reject_unknown(doc, side_cls._fields, where)
     values = []
-    for f in side_fields:
-        key = f"{where}.{f.name}"
-        value = doc.get(f.name, f.default)
-        if value is MISSING:
-            raise ConfigError(f"{where} is missing required key {f.name!r}")
-        if isinstance(f.default, tuple):
-            if not isinstance(value, (list, tuple)) or len(value) != len(f.default):
-                raise ConfigError(f"{key} must be a {len(f.default)}-element list")
+    for name, default in side_cls._fields.items():
+        key = f"{where}.{name}"
+        value = doc.get(name, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"{where} is missing required key {name!r}")
+        if isinstance(default, tuple):
+            if not isinstance(value, (list, tuple)) or len(value) != len(default):
+                raise ConfigError(f"{key} must be a {len(default)}-element list")
             values.append(tuple(_as_float(x, key) for x in value))
         else:
             values.append(_as_float(value, key))
@@ -429,7 +427,7 @@ def parse_params(text: str) -> ModelParams:
     """Parse a params JSON document (fit output or hand-written)."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of 4,301+ digits
         raise ConfigError(f"invalid JSON: {exc}") from exc
     data = _require_mapping(data, "params document")
     _reject_unknown(data, ("variant", "p0", "k1", "k2", "fitness", "fatigue"), "params document")

@@ -23,7 +23,6 @@ hypercube and ``fit_variant``), so ``predict_performance`` runs without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import MetricError, ObservationError, ParameterError
@@ -34,7 +33,9 @@ from .models import (
     ModelParams,
     Variant,
     _check_horizon,
+    _field_values,
     _lag_rate,
+    _record,
     kernel_path,
     kernel_to_three_delay,
     single_delay_path,
@@ -54,7 +55,7 @@ _WARN_ZERO_LOAD = "zero-load"
 _WARN_ZERO_VARIANCE = "zero-variance-observations"
 
 
-@dataclass(frozen=True)
+@_record
 class ObservationSet:
     """Sparse (day, performance) measurements, normalized to increasing day."""
 
@@ -115,7 +116,7 @@ def _check_bound_pair(name: str, pair: tuple[float, float], positive: bool) -> t
     return (lo, hi)
 
 
-@dataclass(frozen=True)
+@_record
 class ParamBounds:
     """Box bounds for every fittable parameter.
 
@@ -147,7 +148,7 @@ class ParamBounds:
         object.__setattr__(self, "tau5", _check_bound_pair("tau5", self.tau5, positive=False))
 
 
-@dataclass(frozen=True)
+@_record
 class FitConfig:
     """Multi-start and termination settings for :func:`fit_variant`."""
 
@@ -175,7 +176,7 @@ class FitConfig:
             raise ParameterError(f"fix_p0 must be finite, got {self.fix_p0!r}")
 
 
-@dataclass(frozen=True)
+@_record
 class VariantFit(ModelParams):
     """A fitted performance model of any state-model variant.
 
@@ -354,7 +355,7 @@ def _logit(u: float) -> float:
     return math.log(u / (1.0 - u))
 
 
-@dataclass(frozen=True)
+@_record
 class _Coord:
     """One search coordinate: a bounded box reached via a logistic squash."""
 
@@ -398,10 +399,6 @@ def _coords_for(row: Variant, bounds: ParamBounds, fix_p0: float | None) -> list
             else:  # tau5: signed, linear scale
                 coords.append(_Coord(f"{side}.tau5", *bounds.tau5, log_scale=False))
     return coords
-
-
-def _field_values(side) -> tuple:
-    return tuple(getattr(side, f.name) for f in fields(side))
 
 
 def _state_path(variant: str, wv: Sequence[float], side: tuple, horizon: int) -> list[float]:
@@ -506,7 +503,10 @@ def fit_variant(
 
     def objective(z: np.ndarray) -> float:
         p = _performance(variant, wv, *decode(z), obj_horizon)
-        return sum((p[d] - y) ** 2 for d, y in entries)
+        try:
+            return sum((p[d] - y) ** 2 for d, y in entries)
+        except OverflowError:  # a finite residual whose square exceeds a double
+            return math.inf
 
     rng = np.random.default_rng(config.seed)
     u = _latin_hypercube(rng, config.starts, len(coords))

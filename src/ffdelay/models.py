@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
 from itertools import islice
 
 from .errors import ParameterError, SeriesLengthError
@@ -54,7 +53,105 @@ def _lag_rate(tau: float) -> float:
     return 0.0 if tau == INF else 1.0 / tau
 
 
-@dataclass(frozen=True)
+# ---------------------------------------------------------------------------
+# Frozen records: the value types of every ffdelay module. Plain closures and
+# functions, so defining a class costs no generated source.
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()  # the default of a field that has none
+
+
+def _record(cls: type) -> type:
+    """Make ``cls`` an immutable value type over its annotated fields.
+
+    The fields are the annotated names of the class body, a base record's
+    first; a field's class-level value is its default. ``cls._fields`` maps
+    each field name, in order, to its default (``_REQUIRED`` if it has none).
+    The class gets an ``__init__`` taking the fields positionally or by
+    keyword, which stores them and then runs ``__post_init__`` if the class
+    has one; equality and hashing by class and field values; the repr
+    ``Name(field=value, ...)``; and attribute assignment and deletion that
+    raise AttributeError. A ``__post_init__`` that normalizes a field stores
+    it with ``object.__setattr__``.
+    """
+    table = dict(getattr(cls, "_fields", {}))
+    for name in cls.__annotations__:
+        table[name] = cls.__dict__.get(name, _REQUIRED)
+    names = tuple(table)
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        self.__dict__.update(zip(names, _bind(cls, args, kwargs)))
+        if post_init is not None:
+            post_init(self)
+
+    __init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls._fields = table
+    cls.__init__ = __init__
+    cls.__eq__ = _record_eq
+    cls.__hash__ = _record_hash
+    cls.__repr__ = _record_repr
+    cls.__setattr__ = _record_setattr
+    cls.__delattr__ = _record_delattr
+    return cls
+
+
+def _bind(cls: type, args: tuple, kwargs: dict) -> list:
+    """The field values, in order, of a call ``cls(*args, **kwargs)``."""
+    table = cls._fields
+    name = cls.__name__
+    if len(args) > len(table):
+        raise TypeError(f"{name}() takes {len(table)} arguments but {len(args)} were given")
+    given = dict(zip(table, args))
+    for key, value in kwargs.items():
+        if key not in table:
+            raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+        if key in given:
+            raise TypeError(f"{name}() got multiple values for argument {key!r}")
+        given[key] = value
+    values = []
+    for key, default in table.items():
+        value = given.get(key, default)
+        if value is _REQUIRED:
+            raise TypeError(f"{name}() missing required argument {key!r}")
+        values.append(value)
+    return values
+
+
+def _field_values(record) -> tuple:
+    """The field values of a record, in field order."""
+    return tuple([getattr(record, name) for name in record._fields])
+
+
+def _field_dict(record) -> dict:
+    """The fields of a record as a mapping from name to value, in field order."""
+    return {name: getattr(record, name) for name in record._fields}
+
+
+def _record_eq(self, other):
+    if other.__class__ is self.__class__:
+        return _field_values(self) == _field_values(other)
+    return NotImplemented
+
+
+def _record_hash(self) -> int:
+    return hash(_field_values(self))
+
+
+def _record_repr(self) -> str:
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+    return f"{type(self).__qualname__}({fields})"
+
+
+def _record_setattr(self, name: str, value) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _record_delattr(self, name: str) -> None:
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+@_record
 class LoadSeries:
     """Daily training-load impulses w(0..N-1), day 0 first.
 
@@ -87,7 +184,7 @@ class LoadSeries:
         return len(self.values)
 
 
-@dataclass(frozen=True)
+@_record
 class StateSeries:
     """A fitness/fatigue state trajectory g(0..N-1) plus the variant that made it."""
 
@@ -109,7 +206,7 @@ class StateSeries:
         return len(self.values)
 
 
-@dataclass(frozen=True)
+@_record
 class FirstOrderParams:
     """Classical model parameter: decay time constant in days."""
 
@@ -119,7 +216,7 @@ class FirstOrderParams:
         _check_decay(self.tau_decay, "tau_decay")
 
 
-@dataclass(frozen=True)
+@_record
 class SingleDelayParams:
     """Decay constant plus a 1-day lag constant (+inf disables the lag term)."""
 
@@ -131,7 +228,7 @@ class SingleDelayParams:
         _check_lag(self.tau_lag1, "tau_lag1")
 
 
-@dataclass(frozen=True)
+@_record
 class ThreeDelayParams:
     """Decay constant plus lag constants for delays of 1, 2 and 3 days.
 
@@ -152,7 +249,7 @@ class ThreeDelayParams:
         _check_lag(self.tau_lag3, "tau_lag3", allow_negative=True)
 
 
-@dataclass(frozen=True)
+@_record
 class KernelParams:
     """Weighted-memory variant: signed gain ``tau5`` (1/day^2) and 3 lag weights."""
 
@@ -175,12 +272,12 @@ class KernelParams:
             raise ParameterError(f"kernel weights must sum to 1, got {sum(w)!r}")
 
 
-@dataclass(frozen=True)
+@_record
 class Variant:
     """One row of the variant table.
 
-    ``side`` is the variant's side-parameter class; its dataclass fields, in
-    order, are the keys of a side in a params document. ``flags`` names the
+    ``side`` is the variant's side-parameter class; its fields, in order,
+    are the keys of a side in a params document. ``flags`` names the
     ``ffdelay simulate`` flag of each leading field. Those fields are the
     fitted search coordinates; a field after them (the kernel weights) keeps
     its default in a fit.
@@ -192,12 +289,12 @@ class Variant:
 
     @property
     def fitted(self) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(self.side)[: len(self.flags)])
+        return tuple(self.side._fields)[: len(self.flags)]
 
     @property
     def fixed(self) -> tuple:
         """Default values of the fields a fit leaves alone."""
-        return tuple(f.default for f in fields(self.side)[len(self.flags):])
+        return tuple(self.side._fields.values())[len(self.flags):]
 
 
 VARIANT_TABLE = {
@@ -221,7 +318,7 @@ def variant_row(name: str) -> Variant:
     return VARIANT_TABLE[name]
 
 
-@dataclass(frozen=True)
+@_record
 class ModelParams:
     """Performance model of any variant: p(n) = p0 + k1 * g(n) - k2 * h(n).
 
@@ -273,8 +370,8 @@ def _check_horizon(w: LoadSeries, horizon: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Raw trajectory kernels. These operate on plain sequences and power both the
-# public operations below and the estimation hot loop (which skips the
-# dataclass wrapping). Arithmetic ordering inside the recursions is mirrored
+# public operations below and the estimation hot loop (which passes field
+# values, not LoadSeries or side objects). Arithmetic ordering inside the recursions is mirrored
 # by the fine-grid integrator so that its m=1 reduction is bit-identical.
 # ---------------------------------------------------------------------------
 

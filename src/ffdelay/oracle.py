@@ -17,15 +17,14 @@ for m > 1 it converges to the continuous solution at first order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import exp
 from typing import Sequence
 
 from .errors import ParameterError, SeriesLengthError
-from .models import LoadSeries, SingleDelayParams, ThreeDelayParams, _as_int, _lag_rate
+from .models import LoadSeries, SingleDelayParams, ThreeDelayParams, _as_int, _lag_rate, _record
 
 
-@dataclass(frozen=True)
+@_record
 class StepLoad:
     """A daily load series read as the piecewise-constant function w(t) = w(floor t)."""
 
@@ -35,7 +34,7 @@ class StepLoad:
         return len(self.daily)
 
 
-@dataclass(frozen=True)
+@_record
 class GridSolution:
     """State values on the subgrid t = j/m, j = 0..days*m."""
 

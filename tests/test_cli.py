@@ -113,6 +113,22 @@ class TestFit:
         assert "fit.tolerance must be a number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("old, new", [
+        ("  tolerance: 1.0e-4", "  tolerance: " + "9" * 5001),
+        ("variant: single_delay", "variant: single_delay\nhorizon: " + "9" * 5001),
+    ], ids=["fit.tolerance", "horizon"])
+    def test_integer_of_too_many_digits_is_data_error(self, tmp_path, capsys, old, new):
+        # beyond Python's 4,300-digit limit on int() of a decimal string
+        config = tmp_path / "config.yaml"
+        config.write_text(FAST_CONFIG.replace(old, new))
+        code = main([
+            "fit", "--load", str(DATA / "load.csv"), "--perf", str(DATA / "performance.csv"),
+            "--config", str(config), "--out", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: invalid YAML: ")
+        assert not (tmp_path / "out").exists()
+
     def test_seed_flag_overrides_config(self, tmp_path, fast_config):
         out_a, out_b, out_c = (tmp_path / n for n in ("a", "b", "c"))
         base = [
@@ -199,6 +215,20 @@ class TestPredict:
         ])
         assert code == EXIT_DATA
         assert "p0 must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_of_too_many_digits_is_data_error(self, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text(
+            '{"variant": "classical", "p0": ' + "9" * 5001 + ', "k1": 0.1, "k2": 0.3, '
+            '"fitness": {"tau_decay": 40.0}, "fatigue": {"tau_decay": 9.0}}'
+        )
+        code = main([
+            "predict", "--load", str(DATA / "load.csv"), "--params", str(params),
+            "--horizon", "30", "--out", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: invalid JSON: ")
         assert not (tmp_path / "out").exists()
 
     def test_matches_fit_predictions_over_shared_horizon(self, tmp_path, fast_config):
@@ -321,6 +351,32 @@ class TestCompare:
         for variant in ("single_delay", "three_delay", "kernel"):
             assert float(rows[variant][2]) <= float(rows["classical"][2]) + 1e-9
 
+    def test_overflowing_three_delay_search_is_not_internal_error(self, tmp_path, capsys):
+        # Over 2,000 days a lag constant near the 0.5-day box edge makes the
+        # three_delay recursion grow past 1e154, where squaring a residual
+        # raises OverflowError; at this seed the sampled start lies there.
+        w = block_load(2000)
+        p = performance(w, fixture_params(), 2000)
+        load = tmp_path / "load.csv"
+        load.write_text("day,load\n" + "\n".join(
+            f"{d},{format_number(v)}" for d, v in enumerate(w.values)) + "\n")
+        perf = tmp_path / "perf.csv"
+        perf.write_text("day,performance\n" + "\n".join(
+            f"{d},{format_number(p[d])}" for d in range(5, 2000, 30)) + "\n")
+        config = tmp_path / "config.yaml"
+        config.write_text(
+            FAST_CONFIG.replace("starts: 3", "starts: 1")
+            .replace("max_iterations: 800", "max_iterations: 200")
+            .replace("seed: 7", "seed: 1")
+            .replace("[2.0, 1.0e6]", "[0.5, 1.0e6]")
+        )
+        code = main(["compare", "--load", str(load), "--perf", str(perf),
+                     "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_NUMERIC
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last == "error: fit failed: objective is not finite at the start point: inf"
+        assert not (tmp_path / "out").exists()
+
     def test_zero_variance_observations_rejected(self, tmp_path, fast_config, capsys):
         perf = tmp_path / "perf.csv"
         perf.write_text("day,performance\n5,500\n10,500\n15,500\n")
@@ -365,13 +421,15 @@ codes = [
               "--horizon", "120", "--out", out + "/predict"]),
 ]
 print(json.dumps({"codes": codes, "loaded": [
-    m for m in ("numpy", "yaml", "xml.etree") if m in sys.modules]}))
+    m for m in ("numpy", "yaml", "xml.etree", "dataclasses", "inspect", "ffdelay.oracle")
+    if m in sys.modules]}))
 """
 
 
 class TestStartup:
     def test_simulate_and_predict_load_neither_numpy_nor_yaml(self, tmp_path):
-        # nor xml.etree: the charts are written as text
+        # nor xml.etree: the charts are written as text; nor dataclasses or
+        # inspect: the value types are plain classes; nor the oracle check route
         (tmp_path / "params.json").write_text(json.dumps({
             "variant": "single_delay", "p0": 500.0, "k1": 0.2, "k2": 0.3,
             "fitness": {"tau_decay": 30.0, "tau_lag1": 12.0},
@@ -385,3 +443,21 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result == {"codes": [EXIT_OK] * 3, "loaded": []}
+
+    def test_oracle_module_attribute_loads_on_first_use(self):
+        # ffdelay.oracle is the first oracle access, so it goes through the
+        # package's __getattr__ before the import system binds the submodule
+        script = (
+            "import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import ffdelay\n"
+            "assert 'ffdelay.oracle' not in sys.modules\n"
+            "step = ffdelay.oracle.StepLoad\n"
+            "assert step is ffdelay.StepLoad is sys.modules['ffdelay.oracle'].StepLoad\n"
+            "print('ok')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(SRC)], capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["ok"]

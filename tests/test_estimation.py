@@ -15,7 +15,7 @@ import ffdelay as ff
 from ffdelay import estimation, models
 from ffdelay.errors import MetricError, ObservationError, ParameterError
 from ffdelay.estimation import _Coord
-from helpers import fixture_params, performance, recovery_bounds
+from helpers import block_load, fixture_params, performance, recovery_bounds
 
 
 def tight_nm_config(max_iterations: int = 800) -> ff.FitConfig:
@@ -212,6 +212,22 @@ class TestFit:
         a = ff.fit_variant(load_120, clean_observations, recovery_bounds(), config)
         b = ff.fit_variant(load_120, clean_observations, recovery_bounds(), config)
         assert a == b
+
+    def test_overflowing_start_fails_as_parameter_error(self):
+        # Over 2,000 days a lag constant near the 0.5-day box edge makes the
+        # three_delay recursion grow past 1e154, where squaring a residual
+        # raises OverflowError; at this seed the sampled start lies there.
+        w = block_load(2000)
+        p = performance(w, fixture_params(), 2000)
+        obs = ff.ObservationSet(tuple((d, p[d]) for d in range(5, 2000, 30)))
+        bounds = ff.ParamBounds(
+            p0=(300.0, 700.0), k1=(0.005, 2.0), k2=(0.005, 2.0),
+            tau1=(5.0, 150.0), tau2=(0.5, 1e6), tau3=(2.0, 150.0), tau4=(0.5, 1e6),
+        )
+        config = ff.FitConfig(starts=1, max_iterations=200, seed=1)
+        # the overflow now reads as an infinite objective, not an OverflowError
+        with pytest.raises(ParameterError, match="not finite at the start point: inf"):
+            ff.fit_variant(w, obs, bounds, config, "three_delay")
 
     def test_zero_load_degenerate_flags(self):
         w = ff.LoadSeries((0.0,) * 30)

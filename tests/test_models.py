@@ -10,6 +10,7 @@ import pytest
 
 import ffdelay as ff
 from ffdelay.errors import ParameterError, SeriesLengthError
+from ffdelay.models import _record
 from helpers import (
     performance,
     random_kernel,
@@ -106,6 +107,138 @@ class TestDomainTypes:
             ff.ModelParams("single_delay", 0.0, -0.1, 0.1, side, side)
         with pytest.raises(ParameterError):
             ff.ModelParams("single_delay", math.inf, 0.1, 0.1, side, side)
+
+
+# ---------------------------------------------------------------------------
+# Value types: construction, repr, equality, hashing, immutability
+# ---------------------------------------------------------------------------
+
+
+def _variant_fit(**changes) -> ff.VariantFit:
+    values = dict(
+        variant="classical", p0=500.0, k1=0.1, k2=0.12,
+        fitness=ff.FirstOrderParams(40.0), fatigue=ff.FirstOrderParams(9.0),
+        n_free=5, sse=1.5, r2=0.875, predicted=(500.0, 500.5), starts_converged=2,
+        best_start_index=1, iterations_used=300,
+    )
+    return ff.VariantFit(**{**values, **changes})
+
+
+# One instance of each side class, the params type, the fit settings and a
+# fit result, with the repr each printed as a dataclass.
+GOLDEN_REPRS = [
+    (lambda: ff.FirstOrderParams(40.0), "FirstOrderParams(tau_decay=40.0)"),
+    (lambda: ff.SingleDelayParams(45.0, 20.0), "SingleDelayParams(tau_decay=45.0, tau_lag1=20.0)"),
+    (
+        lambda: ff.ThreeDelayParams(30.0, 12.0, math.inf, -8.5),
+        "ThreeDelayParams(tau_decay=30.0, tau_lag1=12.0, tau_lag2=inf, tau_lag3=-8.5)",
+    ),
+    (
+        lambda: ff.KernelParams(25.0, -0.125),
+        "KernelParams(tau_decay=25.0, tau5=-0.125, weights=(0.5, 0.3, 0.2))",
+    ),
+    (
+        lambda: ff.ModelParams(
+            "single_delay", 500.0, 0.1, 0.12,
+            ff.SingleDelayParams(45.0), ff.SingleDelayParams(15.0, 10.0),
+        ),
+        "ModelParams(variant='single_delay', p0=500.0, k1=0.1, k2=0.12, "
+        "fitness=SingleDelayParams(tau_decay=45.0, tau_lag1=inf), "
+        "fatigue=SingleDelayParams(tau_decay=15.0, tau_lag1=10.0))",
+    ),
+    (
+        lambda: ff.FitConfig(starts=3, seed=7),
+        "FitConfig(starts=3, max_iterations=2500, tolerance=1e-09, "
+        "simplex_tolerance=1e-07, seed=7, fix_p0=None)",
+    ),
+    (
+        _variant_fit,
+        "VariantFit(variant='classical', p0=500.0, k1=0.1, k2=0.12, "
+        "fitness=FirstOrderParams(tau_decay=40.0), fatigue=FirstOrderParams(tau_decay=9.0), "
+        "n_free=5, sse=1.5, r2=0.875, predicted=(500.0, 500.5), starts_converged=2, "
+        "best_start_index=1, iterations_used=300, warnings=())",
+    ),
+]
+GOLDEN_IDS = [text.split("(")[0] for _, text in GOLDEN_REPRS]
+MAKERS = [make for make, _ in GOLDEN_REPRS]
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("make, text", GOLDEN_REPRS, ids=GOLDEN_IDS)
+    def test_golden_repr(self, make, text):
+        assert repr(make()) == text
+
+    @pytest.mark.parametrize("make", MAKERS, ids=GOLDEN_IDS)
+    def test_equal_and_hash_by_value(self, make):
+        a, b = make(), make()
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_different_values_unequal(self):
+        assert ff.SingleDelayParams(45.0, 20.0) != ff.SingleDelayParams(45.0, 21.0)
+        assert _variant_fit() != _variant_fit(warnings=("zero-load",))
+
+    def test_equal_values_of_different_classes_unequal(self):
+        @_record
+        class Left:
+            x: float
+
+        @_record
+        class Right:
+            x: float
+
+        # same field names and values; only the class differs
+        assert Left(1.0) != Right(1.0) and Left(1.0) == Left(1.0)
+        assert ff.SingleDelayParams(45.0) != ff.ThreeDelayParams(45.0, math.inf)
+        assert ff.FirstOrderParams(40.0) != ff.SingleDelayParams(40.0)
+        fit = _variant_fit()
+        params = ff.ModelParams(
+            fit.variant, fit.p0, fit.k1, fit.k2, fit.fitness, fit.fatigue
+        )
+        assert fit != params and params != fit
+        assert ff.FirstOrderParams(40.0) != (40.0,)
+
+    @pytest.mark.parametrize("make", MAKERS, ids=GOLDEN_IDS)
+    def test_fields_cannot_be_assigned_or_deleted(self, make):
+        obj = make()
+        for name in type(obj)._fields:
+            before = getattr(obj, name)
+            with pytest.raises(AttributeError):
+                setattr(obj, name, before)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+            assert getattr(obj, name) is before
+        with pytest.raises(AttributeError):
+            obj.not_a_field = 1
+
+    def test_positional_and_keyword_construction(self):
+        expected = ff.ThreeDelayParams(30.0, 12.0, math.inf, -8.5)
+        assert ff.ThreeDelayParams(30.0, 12.0, tau_lag3=-8.5) == expected
+        assert ff.ThreeDelayParams(tau_lag3=-8.5, tau_decay=30.0, tau_lag1=12.0) == expected
+        assert ff.KernelParams(25.0, -0.125).weights == (0.5, 0.3, 0.2)
+        assert ff.FitConfig() == ff.FitConfig(20, 2500, 1e-9, 1e-7, 0, None)
+        # a subclass takes its base's fields first
+        fit = _variant_fit()
+        assert fit == ff.VariantFit(*(getattr(fit, name) for name in ff.VariantFit._fields))
+        assert tuple(ff.VariantFit._fields)[:6] == tuple(ff.ModelParams._fields)
+
+    def test_post_init_runs_for_keyword_construction(self):
+        with pytest.raises(ParameterError):
+            ff.SingleDelayParams(tau_decay=-1.0)
+        assert ff.KernelParams(25.0, 0.0, weights=[0.5, 0.25, 0.25]).weights == (0.5, 0.25, 0.25)
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((), {}),
+        ((), {"tau_lag1": 3.0}),
+        ((45.0, 20.0, 1.0), {}),
+        ((45.0,), {"tau_lag2": 3.0}),
+        ((45.0,), {"tau_decay": 45.0}),
+    ], ids=["none", "missing", "too-many", "unknown-keyword", "given-twice"])
+    def test_missing_or_unknown_argument_is_type_error(self, args, kwargs):
+        with pytest.raises(TypeError):
+            ff.SingleDelayParams(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------

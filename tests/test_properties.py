@@ -2,7 +2,8 @@
 
 The kernels stream the load with ``islice``, so nothing inside them stops a
 horizon longer than the load; these properties pin their length and their
-arithmetic over generated loads of up to about 4,000 days.
+arithmetic over generated loads of up to about 4,000 days. A last property
+round-trips generated parameters of every variant through a params document.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ import random
 import sys
 import warnings
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import ffdelay as ff
 from ffdelay import oracle
+from ffdelay.dataio import dumps_params, parse_params
 from ffdelay.models import _lag_rate, kernel_path, single_delay_path, three_delay_path
 
 
@@ -94,3 +97,26 @@ def test_kernel_path_matches_its_three_delay_mapping(w, tau, tau5, data):
             break
         scale = max(scale, abs(y))
         assert abs(x - y) <= 1e-9 * scale, (n, x, y)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# kernel weights keep their field default, as in a fit
+SIDES = {
+    "classical": st.builds(ff.FirstOrderParams, positive),
+    "single_delay": st.builds(ff.SingleDelayParams, positive, positive_lags),
+    "three_delay": st.builds(ff.ThreeDelayParams, positive, signed_lags, signed_lags, signed_lags),
+    "kernel": st.builds(ff.KernelParams, positive, gains),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(SIDES))
+@given(data=st.data())
+def test_params_document_round_trip(variant, data):
+    side = SIDES[variant]
+    params = ff.ModelParams(
+        variant, data.draw(finite), data.draw(positive), data.draw(positive),
+        data.draw(side), data.draw(side),
+    )
+    # every side field is written under its name and read back, in order
+    assert parse_params(dumps_params(params)) == params
