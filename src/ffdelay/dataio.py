@@ -12,10 +12,14 @@ Prediction CSV    header ``day,load,predicted,observed``; one row per day from
 Run config        YAML mapping with keys ``variant``, ``horizon``,
                   ``bounds.*``, ``fit.*``, ``chart.*``; unknown keys are
                   errors. Every omitted key takes the documented default.
+                  Each section is read field by field into its record
+                  (``ParamBounds``, ``FitConfig``, ``ChartOptions``).
 Params document   JSON mapping with ``variant``, ``p0``, ``k1``, ``k2`` and a
                   parameter mapping per side (``fitness``/``fatigue``) whose
-                  keys are the fields of the variant's side class; it reads
-                  back as a ``ModelParams``.
+                  keys are the fields of the variant's side class, read the
+                  same way; it reads back as a ``ModelParams``.
+
+A document with several faults reports the first in field order.
 
 In every CSV document a cell may carry surrounding whitespace, blank and
 whitespace-only rows are skipped, and the header may be in any case. Each
@@ -31,14 +35,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from itertools import repeat
 from typing import Iterator, NamedTuple
 
 from .errors import ConfigError, CsvError, DuplicateDayError, ParameterError
 from .estimation import FitConfig, ObservationSet, ParamBounds
-from .models import _REQUIRED, LoadSeries, ModelParams, _field_dict, _record, variant_row
+from .models import _REQUIRED, LoadSeries, ModelParams, _as_int, _field_dict, _record, variant_row
 
 
 def format_number(x: float) -> str:
@@ -279,11 +282,6 @@ class RunConfig:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
 
 
-_BOUND_KEYS = ("p0", "k1", "k2", "tau1", "tau2", "tau3", "tau4", "tau5")
-_FIT_KEYS = ("starts", "max_iterations", "tolerance", "simplex_tolerance", "seed", "fix_p0")
-_CHART_KEYS = ("width", "height", "title")
-
-
 def _as_float(value, key: str) -> float:
     """A number of a config or params document: an int, float or numeric string."""
     if isinstance(value, (int, float, str)) and not isinstance(value, bool):
@@ -292,12 +290,6 @@ def _as_float(value, key: str) -> float:
         except (ValueError, OverflowError):  # OverflowError: an int beyond double range
             pass
     raise ConfigError(f"{key} must be a number, got {value!r}")
-
-
-def _as_int(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
 
 
 def _require_mapping(value, key: str) -> dict:
@@ -315,6 +307,41 @@ def _reject_unknown(section: dict, allowed, where: str) -> None:
         )
 
 
+def _record_from_doc(cls: type, doc, where: str):
+    """The record ``cls`` read from the mapping ``doc``, field by field in order.
+
+    An omitted key takes the field's default. The default decides how a value
+    reads: a tuple default as a list of that many numbers, a str default as a
+    string, an int default as an integer, a None default as null or a number,
+    and a float default, or none, as a number. Every fault is a ConfigError
+    naming ``where``.
+    """
+    doc = _require_mapping(doc, where)
+    _reject_unknown(doc, cls._fields, where)
+    values = []
+    for name, default in cls._fields.items():
+        key = f"{where}.{name}"
+        value = doc.get(name, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"{where} is missing required key {name!r}")
+        if isinstance(default, tuple):
+            if not isinstance(value, (list, tuple)) or len(value) != len(default):
+                raise ConfigError(f"{key} must be a list of {len(default)} numbers, got {value!r}")
+            value = tuple([_as_float(x, f"{key}[{i}]") for i, x in enumerate(value)])
+        elif isinstance(default, str):
+            if not isinstance(value, str):
+                raise ConfigError(f"{key} must be a string, got {value!r}")
+        elif isinstance(default, int):
+            value = _as_int(value, key, ConfigError)
+        elif default is not None or value is not None:
+            value = _as_float(value, key)
+        values.append(value)
+    try:
+        return cls(*values)
+    except (ParameterError, ConfigError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def load_config(text: str) -> RunConfig:
     """Parse and validate a YAML run configuration; unknown keys are errors."""
     import yaml
@@ -326,55 +353,18 @@ def load_config(text: str) -> RunConfig:
     if data is None:
         data = {}
     data = _require_mapping(data, "configuration")
-    _reject_unknown(data, ("variant", "horizon", "bounds", "fit", "chart"), "configuration")
-
-    horizon = data.get("horizon")
-    if horizon is not None:
-        horizon = _as_int(horizon, "horizon")
-
-    bounds_kwargs = {}
-    if "bounds" in data:
-        section = _require_mapping(data["bounds"], "bounds")
-        _reject_unknown(section, _BOUND_KEYS, "bounds")
-        for key, pair in section.items():
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ConfigError(f"bounds.{key} must be a [lower, upper] pair, got {pair!r}")
-            bounds_kwargs[key] = (
-                _as_float(pair[0], f"bounds.{key}[0]"),
-                _as_float(pair[1], f"bounds.{key}[1]"),
-            )
-    fit_kwargs = {}
-    if "fit" in data:
-        section = _require_mapping(data["fit"], "fit")
-        _reject_unknown(section, _FIT_KEYS, "fit")
-        for key in ("starts", "max_iterations", "seed"):
-            if key in section:
-                fit_kwargs[key] = _as_int(section[key], f"fit.{key}")
-        for key in ("tolerance", "simplex_tolerance"):
-            if key in section:
-                fit_kwargs[key] = _as_float(section[key], f"fit.{key}")
-        if "fix_p0" in section and section["fix_p0"] is not None:
-            fit_kwargs["fix_p0"] = _as_float(section["fix_p0"], "fit.fix_p0")
-    chart_kwargs = {}
-    if "chart" in data:
-        section = _require_mapping(data["chart"], "chart")
-        _reject_unknown(section, _CHART_KEYS, "chart")
-        for key in ("width", "height"):
-            if key in section:
-                chart_kwargs[key] = _as_float(section[key], f"chart.{key}")
-        if "title" in section:
-            if not isinstance(section["title"], str):
-                raise ConfigError(f"chart.title must be a string, got {section['title']!r}")
-            chart_kwargs["title"] = section["title"]
-
+    _reject_unknown(data, RunConfig._fields, "configuration")
     try:
-        return RunConfig(
-            variant=data.get("variant", "single_delay"),
-            horizon=horizon,
-            bounds=ParamBounds(**bounds_kwargs),
-            fit=FitConfig(**fit_kwargs),
-            chart=ChartOptions(**chart_kwargs),
-        )
+        variant = variant_row(data.get("variant", "single_delay")).name
+        horizon = data.get("horizon")
+        if horizon is not None:
+            horizon = _as_int(horizon, "horizon", ConfigError)
+        sections = {  # bounds, fit and chart: the fields whose default is a record
+            name: _record_from_doc(type(default), data[name], name)
+            for name, default in RunConfig._fields.items()
+            if name in data and hasattr(default, "_fields")
+        }
+        return RunConfig(variant, horizon, **sections)
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -386,59 +376,31 @@ def load_config(text: str) -> RunConfig:
 
 def dumps_params(params: ModelParams) -> str:
     """The params document of a (fitted) model."""
-    doc = {
-        "variant": params.variant,
-        "p0": params.p0,
-        "k1": params.k1,
-        "k2": params.k2,
-        "fitness": _field_dict(params.fitness),
-        "fatigue": _field_dict(params.fatigue),
-    }
+    import json
+
+    doc = {name: getattr(params, name) for name in ModelParams._fields}
+    doc["fitness"], doc["fatigue"] = _field_dict(params.fitness), _field_dict(params.fatigue)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _side_from_doc(side_cls: type, doc, where: str):
-    """Side object from its mapping; an omitted key takes the field's default.
-
-    A field whose default is a tuple (the kernel weights) reads a list of
-    numbers of the same length.
-    """
-    doc = _require_mapping(doc, where)
-    _reject_unknown(doc, side_cls._fields, where)
-    values = []
-    for name, default in side_cls._fields.items():
-        key = f"{where}.{name}"
-        value = doc.get(name, default)
-        if value is _REQUIRED:
-            raise ConfigError(f"{where} is missing required key {name!r}")
-        if isinstance(default, tuple):
-            if not isinstance(value, (list, tuple)) or len(value) != len(default):
-                raise ConfigError(f"{key} must be a {len(default)}-element list")
-            values.append(tuple(_as_float(x, key) for x in value))
-        else:
-            values.append(_as_float(value, key))
-    try:
-        return side_cls(*values)
-    except ParameterError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def parse_params(text: str) -> ModelParams:
     """Parse a params JSON document (fit output or hand-written)."""
+    import json
+
     try:
         data = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer of 4,301+ digits
         raise ConfigError(f"invalid JSON: {exc}") from exc
     data = _require_mapping(data, "params document")
-    _reject_unknown(data, ("variant", "p0", "k1", "k2", "fitness", "fatigue"), "params document")
+    _reject_unknown(data, ModelParams._fields, "params document")
     try:
         variant = data["variant"]
         side_cls = variant_row(variant).side
         p0 = _as_float(data["p0"], "p0")
         k1 = _as_float(data["k1"], "k1")
         k2 = _as_float(data["k2"], "k2")
-        fitness = _side_from_doc(side_cls, data["fitness"], "fitness")
-        fatigue = _side_from_doc(side_cls, data["fatigue"], "fatigue")
+        fitness = _record_from_doc(side_cls, data["fitness"], "fitness")
+        fatigue = _record_from_doc(side_cls, data["fatigue"], "fatigue")
         return ModelParams(variant, p0, k1, k2, fitness, fatigue)
     except KeyError as exc:
         raise ConfigError(f"params document is missing required key {exc.args[0]!r}") from exc

@@ -476,7 +476,9 @@ def fit_variant(
 
     ``extra_starts`` prepends deterministic start points in the transformed
     space ahead of the sampled ones (used by :func:`compare_variants` to seed
-    richer variants with the classical solution).
+    richer variants with the classical solution). A start whose objective is
+    not finite is skipped and counts as not converged; ParameterError when no
+    start is usable.
     """
     import numpy as np
 
@@ -519,7 +521,10 @@ def fit_variant(
     best_iters = 0
     n_converged = 0
     for index, z0 in enumerate(starts):
-        zb, fb, iters, conv = nelder_mead(objective, z0, config)
+        try:
+            zb, fb, iters, conv = nelder_mead(objective, z0, config)
+        except ParameterError:  # the objective is not finite at this start: skip it
+            continue
         budget = config.max_iterations - iters
         if budget > 0:
             polish_config = FitConfig(
@@ -539,8 +544,8 @@ def fit_variant(
         if fb < best_f:
             best_z, best_f, best_index, best_iters = zb, fb, index, iters
 
-    if best_z is None:  # pragma: no cover - starts >= 1 always yields a candidate
-        raise ParameterError("no usable start point")
+    if best_z is None:
+        raise ParameterError("no usable start point: the objective is not finite at any start")
 
     p0, k1, k2, fitness, fatigue = decode(best_z)
     predicted = tuple(_performance(variant, wv, p0, k1, k2, fitness, fatigue, len(w)))

@@ -350,10 +350,10 @@ class ModelParams:
                 )
 
 
-def _as_int(value, name: str) -> int:
+def _as_int(value, name: str, error: type = ParameterError) -> int:
     # any integer type (numpy's too), never a bool, a float or a string
     if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 

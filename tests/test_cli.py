@@ -354,7 +354,9 @@ class TestCompare:
     def test_overflowing_three_delay_search_is_not_internal_error(self, tmp_path, capsys):
         # Over 2,000 days a lag constant near the 0.5-day box edge makes the
         # three_delay recursion grow past 1e154, where squaring a residual
-        # raises OverflowError; at this seed the sampled start lies there.
+        # raises OverflowError; at this seed the sampled start lies there. That
+        # start is skipped and three_delay goes on from its seeded starts, so
+        # the compare ends on the iteration cap, not on the bad start.
         w = block_load(2000)
         p = performance(w, fixture_params(), 2000)
         load = tmp_path / "load.csv"
@@ -374,7 +376,10 @@ class TestCompare:
                      "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == EXIT_NUMERIC
         last = capsys.readouterr().err.strip().splitlines()[-1]
-        assert last == "error: fit failed: objective is not finite at the start point: inf"
+        assert last == (
+            "error: no start converged for variant(s): "
+            "classical, single_delay, three_delay, kernel"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_zero_variance_observations_rejected(self, tmp_path, fast_config, capsys):
@@ -443,6 +448,24 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result == {"codes": [EXIT_OK] * 3, "loaded": []}
+
+    def test_simulate_does_not_load_json(self, tmp_path):
+        # only the params document is JSON, and simulate reads none
+        script = (
+            "import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from ffdelay import cli\n"
+            "code = cli.main(['simulate', '--load', sys.argv[2], '--variant', 'classical',\n"
+            "                 '--tau1', '12.5', '--out', sys.argv[3]])\n"
+            "print(code, 'json' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(SRC), str(DATA / "load.csv"),
+             str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False"
 
     def test_oracle_module_attribute_loads_on_first_use(self):
         # ffdelay.oracle is the first oracle access, so it goes through the

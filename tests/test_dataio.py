@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+import json
 import math
 import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -16,6 +19,7 @@ from ffdelay.dataio import (
     ChartOptions,
     PredictionRow,
     PredictionTable,
+    RunConfig,
     build_prediction_table,
     dumps_params,
     emit_prediction_csv,
@@ -365,6 +369,201 @@ class TestParamsDocument:
     def test_invalid_json(self):
         with pytest.raises(ConfigError):
             parse_params("not json at all")
+
+
+# ---------------------------------------------------------------------------
+# The document reader: generated config and params documents
+# ---------------------------------------------------------------------------
+
+
+def numbers(lo: float, hi: float):
+    """(document value, the float it reads as) in [lo, hi]: a float, an int or
+    a numeric string."""
+    return st.one_of(
+        st.floats(lo, hi).map(lambda x: (x, x)),
+        st.integers(math.ceil(lo), math.floor(hi)).map(lambda n: (n, float(n))),
+        st.floats(lo, hi).map(lambda x: (repr(x), x)),
+    )
+
+
+POSITIVE_BOUNDS = ("k1", "k2", "tau1", "tau2", "tau3", "tau4")
+SIGNED_BOUNDS = ("p0", "tau5")
+SIDES = {  # each variant's side class and its fields
+    "classical": (ff.FirstOrderParams, ("tau_decay",)),
+    "single_delay": (ff.SingleDelayParams, ("tau_decay", "tau_lag1")),
+    "three_delay": (ff.ThreeDelayParams, ("tau_decay", "tau_lag1", "tau_lag2", "tau_lag3")),
+    "kernel": (ff.KernelParams, ("tau_decay", "tau5", "weights")),
+}
+INFS = st.sampled_from(((math.inf, math.inf), ("inf", math.inf), ("Infinity", math.inf)))
+
+
+@st.composite
+def bound_pairs(draw, positive: bool):
+    lo, hi = (1e-3, 1e6) if positive else (-1e6, 1e6)
+    pairs = sorted([draw(numbers(lo, hi)), draw(numbers(lo, hi))], key=lambda pair: pair[1])
+    if pairs[0][1] == pairs[1][1]:
+        pairs[1] = (pairs[0][1] + 1.0, pairs[0][1] + 1.0)
+    return [value for value, _ in pairs], tuple(x for _, x in pairs)
+
+
+def _section(draw, strategies: dict) -> tuple[dict, dict]:
+    """A random subset of the section's keys: (document values, read values)."""
+    keys = draw(st.lists(st.sampled_from(sorted(strategies)), unique=True))
+    drawn = {key: draw(strategies[key]) for key in keys}
+    return {k: v for k, (v, _) in drawn.items()}, {k: x for k, (_, x) in drawn.items()}
+
+
+@st.composite
+def config_docs(draw) -> tuple[dict, RunConfig]:
+    """A valid config document and the RunConfig it reads as."""
+    doc, expected = {}, {}
+    if draw(st.booleans()):
+        doc["variant"] = expected["variant"] = draw(st.sampled_from(sorted(SIDES)))
+    if draw(st.booleans()):
+        doc["horizon"] = expected["horizon"] = draw(st.none() | st.integers(1, 10**6))
+    strategies = {
+        "bounds": {name: bound_pairs(name in POSITIVE_BOUNDS)
+                   for name in POSITIVE_BOUNDS + SIGNED_BOUNDS},
+        "fit": {
+            "starts": st.integers(1, 50).map(lambda n: (n, n)),
+            "max_iterations": st.integers(1, 10**4).map(lambda n: (n, n)),
+            "seed": st.integers(0, 2**40).map(lambda n: (n, n)),
+            "tolerance": numbers(1e-12, 10.0),
+            "simplex_tolerance": numbers(1e-12, 10.0),
+            "fix_p0": st.just((None, None)) | numbers(-1e3, 1e3),
+        },
+        "chart": {
+            "width": numbers(1.0, 5000.0),
+            "height": numbers(1.0, 5000.0),
+            "title": st.text(st.characters(min_codepoint=32, max_codepoint=126)).map(
+                lambda t: (t, t)
+            ),
+        },
+    }
+    records = {"bounds": ff.ParamBounds, "fit": ff.FitConfig, "chart": ChartOptions}
+    for name, cls in records.items():
+        if draw(st.booleans()):
+            doc[name], read = _section(draw, strategies[name])
+            expected[name] = cls(**read)
+    return doc, RunConfig(**expected)
+
+
+def _side(draw, variant: str) -> tuple[dict, object]:
+    """A valid params side of ``variant``: (document, side object)."""
+    lags = (
+        INFS | numbers(0.5, 1e6) | numbers(-1e6, -0.5)
+        if variant == "three_delay" else INFS | numbers(0.5, 1e6)
+    )
+    weights = st.tuples(st.floats(0.05, 0.45), st.floats(0.05, 0.45)).map(
+        lambda ab: (ab[0], ab[1], 1.0 - ab[0] - ab[1])
+    )
+    strategies = {
+        "tau_decay": numbers(0.5, 1e3),
+        "tau_lag1": lags, "tau_lag2": lags, "tau_lag3": lags,
+        "tau5": numbers(-1.0, 1.0),
+        "weights": weights.map(lambda w: ([repr(w[0]), w[1], w[2]], w)),
+    }
+    required = {"tau_decay", "tau5"}
+    doc, read = {}, {}
+    side_cls, fields = SIDES[variant]
+    for name in fields:
+        if name in required or draw(st.booleans()):
+            doc[name], read[name] = draw(strategies[name])
+    return doc, side_cls(**read)
+
+
+@st.composite
+def params_docs(draw) -> tuple[dict, ff.ModelParams]:
+    """A valid params document of any variant and the ModelParams it reads as."""
+    variant = draw(st.sampled_from(sorted(SIDES)))
+    (p0, p0_read), (k1, k1_read), (k2, k2_read) = (
+        draw(numbers(-1e3, 1e3)), draw(numbers(1e-3, 10.0)), draw(numbers(1e-3, 10.0))
+    )
+    (fitness, fitness_read), (fatigue, fatigue_read) = _side(draw, variant), _side(draw, variant)
+    doc = {"variant": variant, "p0": p0, "k1": k1, "k2": k2,
+           "fitness": fitness, "fatigue": fatigue}
+    return doc, ff.ModelParams(variant, p0_read, k1_read, k2_read, fitness_read, fatigue_read)
+
+
+WRONG_NUMBER = st.sampled_from((True, False, "abc", "", [1.0], {"a": 1.0}))
+WRONG_REQUIRED_NUMBER = st.none() | WRONG_NUMBER
+WRONG_INTEGER = st.sampled_from((None, True, False, 1.5, 3.0, "3", [1]))
+WRONG_PAIR = st.sampled_from((None, 1.0, "abc", [], [1.0], [1.0, 2.0, 3.0], [None, 2.0],
+                              [1.0, True], {"lo": 1.0}))
+WRONG_TRIPLE = st.sampled_from((None, 0.5, [0.5, 0.5], [0.5, 0.3, 0.1, 0.1],
+                                [0.5, 0.3, None], ["a", 0.3, 0.2]))
+WRONG_SECTION = st.sampled_from((None, [], [1, 2], 5, "abc"))
+CONFIG_FAULTS = st.one_of(
+    st.tuples(st.just(("variant",)), st.sampled_from((None, 5, ["kernel"], "banana"))),
+    st.tuples(st.just(("horizon",)), WRONG_INTEGER.filter(lambda v: v is not None)),
+    st.tuples(st.sampled_from((("bounds",), ("fit",), ("chart",))), WRONG_SECTION),
+    st.tuples(st.sampled_from(POSITIVE_BOUNDS + SIGNED_BOUNDS).map(lambda k: ("bounds", k)),
+              WRONG_PAIR),
+    st.tuples(st.sampled_from((("fit", "starts"), ("fit", "max_iterations"), ("fit", "seed"))),
+              WRONG_INTEGER),
+    st.tuples(st.sampled_from((("fit", "tolerance"), ("fit", "simplex_tolerance"),
+                               ("chart", "width"), ("chart", "height"))),
+              WRONG_REQUIRED_NUMBER),
+    st.tuples(st.just(("fit", "fix_p0")), WRONG_NUMBER),
+    st.tuples(st.just(("chart", "title")), st.sampled_from((None, 5, 1.5, True, ["a"]))),
+)
+
+
+def params_faults(variant: str):
+    sides = st.sampled_from(("fitness", "fatigue"))
+    fields = st.sampled_from(SIDES[variant][1])
+    return st.one_of(
+        st.tuples(st.sampled_from(("p0", "k1", "k2")).map(lambda k: (k,)),
+                  WRONG_REQUIRED_NUMBER),
+        st.tuples(sides.map(lambda side: (side,)), WRONG_SECTION),
+        st.tuples(sides, fields).flatmap(lambda path: st.tuples(
+            st.just(path), WRONG_TRIPLE if path[1] == "weights" else WRONG_REQUIRED_NUMBER
+        )),
+    )
+
+
+def _with_fault(doc: dict, path: tuple, value) -> dict:
+    doc = copy.deepcopy(doc)
+    section = doc
+    for key in path[:-1]:
+        section = section.setdefault(key, {})
+    section[path[-1]] = value
+    return doc
+
+
+class TestDocumentReader:
+    @given(config_docs())
+    def test_generated_config_reads_as_built(self, case):
+        doc, expected = case
+        assert load_config(yaml.safe_dump(doc)) == expected
+
+    @given(params_docs())
+    def test_generated_params_read_as_built(self, case):
+        doc, expected = case
+        assert parse_params(json.dumps(doc)) == expected
+
+    @given(config_docs(), CONFIG_FAULTS)
+    @example(({}, RunConfig()), (("chart", "height"), None))
+    def test_one_wrong_config_field_is_a_config_error(self, case, fault):
+        doc = _with_fault(case[0], *fault)
+        with pytest.raises(ConfigError):
+            load_config(yaml.safe_dump(doc))
+
+    @given(params_docs(), st.data())
+    def test_one_wrong_params_field_is_a_config_error(self, case, data):
+        doc, expected = case
+        fault = data.draw(params_faults(expected.variant))
+        with pytest.raises(ConfigError):
+            parse_params(json.dumps(_with_fault(doc, *fault)))
+
+    def test_wrong_length_list_and_bad_element_are_named(self):
+        with pytest.raises(ConfigError, match=re.escape("bounds.k1 must be a list of 2 numbers")):
+            load_config("bounds:\n  k1: [1]\n")
+        side = {"tau_decay": 10.0, "tau5": 0.0}
+        doc = {"variant": "kernel", "p0": 500.0, "k1": 0.1, "k2": 0.1, "fitness": side,
+               "fatigue": {**side, "weights": [0.5, 0.3, None]}}
+        with pytest.raises(ConfigError, match=re.escape("fatigue.weights[2] must be a number")):
+            parse_params(json.dumps(doc))
 
 
 # The two golden charts below share everything up to the y label; the title

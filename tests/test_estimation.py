@@ -28,6 +28,18 @@ def tight_nm_config(max_iterations: int = 800) -> ff.FitConfig:
     )
 
 
+def overflowing_scenario() -> tuple[ff.LoadSeries, ff.ObservationSet, ff.ParamBounds]:
+    """A 2,000-day plan, every 30th day observed, and a lag box down to 0.5 days."""
+    w = block_load(2000)
+    p = performance(w, fixture_params(), 2000)
+    obs = ff.ObservationSet(tuple((d, p[d]) for d in range(5, 2000, 30)))
+    bounds = ff.ParamBounds(
+        p0=(300.0, 700.0), k1=(0.005, 2.0), k2=(0.005, 2.0),
+        tau1=(5.0, 150.0), tau2=(0.5, 1e6), tau3=(2.0, 150.0), tau4=(0.5, 1e6),
+    )
+    return w, obs, bounds
+
+
 class TestObservationSet:
     def test_sorts_entries(self):
         obs = ff.ObservationSet(((14, 498.0), (7, 512.0)))
@@ -216,18 +228,21 @@ class TestFit:
     def test_overflowing_start_fails_as_parameter_error(self):
         # Over 2,000 days a lag constant near the 0.5-day box edge makes the
         # three_delay recursion grow past 1e154, where squaring a residual
-        # raises OverflowError; at this seed the sampled start lies there.
-        w = block_load(2000)
-        p = performance(w, fixture_params(), 2000)
-        obs = ff.ObservationSet(tuple((d, p[d]) for d in range(5, 2000, 30)))
-        bounds = ff.ParamBounds(
-            p0=(300.0, 700.0), k1=(0.005, 2.0), k2=(0.005, 2.0),
-            tau1=(5.0, 150.0), tau2=(0.5, 1e6), tau3=(2.0, 150.0), tau4=(0.5, 1e6),
-        )
+        # raises OverflowError; at this seed the only sampled start lies there.
+        w, obs, bounds = overflowing_scenario()
         config = ff.FitConfig(starts=1, max_iterations=200, seed=1)
-        # the overflow now reads as an infinite objective, not an OverflowError
-        with pytest.raises(ParameterError, match="not finite at the start point: inf"):
+        # the overflow reads as an infinite objective, so no start is usable
+        with pytest.raises(ParameterError, match="no usable start point"):
             ff.fit_variant(w, obs, bounds, config, "three_delay")
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_overflowing_starts_are_skipped(self, seed):
+        # most of these seeds sample at least one start in the overflowing
+        # region; the fit goes on from the others
+        w, obs, bounds = overflowing_scenario()
+        config = ff.FitConfig(starts=8, max_iterations=30, seed=seed)
+        res = ff.fit_variant(w, obs, bounds, config, "three_delay")
+        assert math.isfinite(res.sse)
 
     def test_zero_load_degenerate_flags(self):
         w = ff.LoadSeries((0.0,) * 30)
