@@ -264,8 +264,9 @@ class ChartOptions:
     title: str = ""
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ConfigError("chart dimensions must be positive")
+        for size in (self.width, self.height):
+            if not (math.isfinite(size) and size > 0):
+                raise ConfigError(f"chart dimensions must be finite and positive, got {size!r}")
 
 
 @_record

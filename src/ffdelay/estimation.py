@@ -36,12 +36,15 @@ from .models import (
     _field_values,
     _lag_rate,
     _record,
-    kernel_path,
+    kernel_performance,
     kernel_to_three_delay,
-    single_delay_path,
-    three_delay_path,
+    single_delay_performance,
+    three_delay_performance,
     variant_row,
 )
+
+# Not called here: perfbench/spans.py looks these names up on this module.
+from .models import kernel_path, single_delay_path, three_delay_path  # noqa: F401
 
 if TYPE_CHECKING:  # annotations only; numpy is imported where it runs
     import numpy as np
@@ -401,30 +404,29 @@ def _coords_for(row: Variant, bounds: ParamBounds, fix_p0: float | None) -> list
     return coords
 
 
-def _state_path(variant: str, wv: Sequence[float], side: tuple, horizon: int) -> list[float]:
-    """State path of one side; ``side`` holds the side class's field values in order."""
-    if variant == "three_delay":
-        tau, lag1, lag2, lag3 = side
-        return three_delay_path(
-            wv, tau, _lag_rate(lag1), _lag_rate(lag2), _lag_rate(lag3), horizon
-        )
-    if variant == "kernel":
-        return kernel_path(wv, *side, horizon)
-    if variant == "single_delay":
-        tau, lag1 = side
-        return single_delay_path(wv, tau, _lag_rate(lag1), horizon)
-    return single_delay_path(wv, side[0], 0.0, horizon)
+def _rates(side: tuple) -> tuple:
+    """A lag side's kernel arguments: its decay constant, then each lag's rate."""
+    return (side[0], *map(_lag_rate, side[1:]))
 
 
 def _performance(
     variant: str, wv: Sequence[float], p0: float, k1: float, k2: float,
     fitness: tuple, fatigue: tuple, horizon: int,
 ) -> list[float]:
-    g = _state_path(variant, wv, fitness, horizon)
-    h = _state_path(variant, wv, fatigue, horizon)
-    # group the state terms first so that k1 == k2 with identical sides gives
-    # exactly p0 (the gains cancel before the baseline is touched)
-    return [p0 + (k1 * x - k2 * y) for x, y in zip(g, h)]
+    """p0 + k1*g - k2*h in one pass; each side holds its class's field values in order."""
+    if variant == "three_delay":
+        return three_delay_performance(
+            wv, p0, k1, k2, _rates(fitness), _rates(fatigue), horizon
+        )
+    if variant == "kernel":
+        return kernel_performance(wv, p0, k1, k2, fitness, fatigue, horizon)
+    if variant == "single_delay":
+        return single_delay_performance(
+            wv, p0, k1, k2, _rates(fitness), _rates(fatigue), horizon
+        )
+    return single_delay_performance(
+        wv, p0, k1, k2, (*fitness, 0.0), (*fatigue, 0.0), horizon
+    )
 
 
 def predict_performance(

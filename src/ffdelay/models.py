@@ -12,6 +12,13 @@ training-load series w with w(0) = 0 and zero initial history:
 of one state model, fitness or fatigue) and its ``ffdelay simulate`` flags;
 ``ModelParams`` is the performance model p = p0 + k1 g - k2 h of any variant.
 
+The raw kernels come in two kinds. A path kernel (``*_path``) returns one
+side's state trajectory; the public ``eval_*`` operations run them. A
+performance kernel (``*_performance``) advances a variant's fitness and
+fatigue states together and returns p over one walk of the load; forecasts
+and fit objectives run those. Both kinds do the same floating-point
+operations in the same order, so their results agree bit for bit.
+
 The delayed variants come in two algebraically equivalent forms: a one-step
 recursion and an explicit exponentially-weighted history sum ("convolution"
 form). Both are exposed; equality is a tested invariant, not an assumption.
@@ -369,9 +376,11 @@ def _check_horizon(w: LoadSeries, horizon: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Raw trajectory kernels. These operate on plain sequences and power both the
-# public operations below and the estimation hot loop (which passes field
-# values, not LoadSeries or side objects). Arithmetic ordering inside the recursions is mirrored
+# Raw trajectory kernels. These operate on plain sequences and field values,
+# not LoadSeries or side objects. The per-side path kernels power the public
+# operations below; the performance kernels after them advance both sides of
+# a variant and combine them in one pass, for ``estimation``'s forecasts and
+# objective evaluations. Arithmetic ordering inside the recursions is mirrored
 # by the fine-grid integrator so that its m=1 reduction is bit-identical.
 # ---------------------------------------------------------------------------
 
@@ -438,6 +447,82 @@ def kernel_path(w, tau_decay: float, tau5: float, weights, horizon: int) -> list
         g1 = gk
         gk = nxt
     return g
+
+
+# Performance kernels: p = p0 + k1 g - k2 h over one walk of w. ``fitness``
+# and ``fatigue`` are the arguments the variant's path kernel takes between w
+# and horizon, and each state advances by that kernel's expression, so g and h
+# equal its two paths bit for bit. The combine groups the state terms first
+# so that k1 == k2 with identical sides gives exactly p0 (the gains cancel
+# before the baseline is touched). Classical runs single_delay_performance
+# with both lag rates 0.0.
+
+
+def single_delay_performance(
+    w, p0: float, k1: float, k2: float, fitness: tuple, fatigue: tuple, horizon: int
+) -> list[float]:
+    tau_g, rate_g = fitness
+    tau_h, rate_h = fatigue
+    a = math.exp(-1.0 / tau_g)
+    b = math.exp(-1.0 / tau_h)
+    p = [p0 + (k1 * 0.0 - k2 * 0.0)]
+    append = p.append
+    g = g1 = h = h1 = 0.0  # g(k), g(k-1), h(k), h(k-1)
+    for wk in islice(w, horizon - 1):
+        g1, g = g, (wk + g - rate_g * g1) * a
+        h1, h = h, (wk + h - rate_h * h1) * b
+        append(p0 + (k1 * g - k2 * h))
+    return p
+
+
+def three_delay_performance(
+    w, p0: float, k1: float, k2: float, fitness: tuple, fatigue: tuple, horizon: int
+) -> list[float]:
+    tau_g, r1g, r2g, r3g = fitness
+    tau_h, r1h, r2h, r3h = fatigue
+    a = math.exp(-1.0 / tau_g)
+    b = math.exp(-1.0 / tau_h)
+    p = [p0 + (k1 * 0.0 - k2 * 0.0)]
+    append = p.append
+    g = g1 = g2 = g3 = h = h1 = h2 = h3 = 0.0
+    for wk in islice(w, horizon - 1):
+        nxt = (wk + g - r1g * g1 - r2g * g2 - r3g * g3) * a
+        g3 = g2
+        g2 = g1
+        g1 = g
+        g = nxt
+        nxt = (wk + h - r1h * h1 - r2h * h2 - r3h * h3) * b
+        h3 = h2
+        h2 = h1
+        h1 = h
+        h = nxt
+        append(p0 + (k1 * g - k2 * h))
+    return p
+
+
+def kernel_performance(
+    w, p0: float, k1: float, k2: float, fitness: tuple, fatigue: tuple, horizon: int
+) -> list[float]:
+    tau_g, gain_g, (w1g, w2g, w3g) = fitness
+    tau_h, gain_h, (w1h, w2h, w3h) = fatigue
+    a = math.exp(-1.0 / tau_g)
+    b = math.exp(-1.0 / tau_h)
+    p = [p0 + (k1 * 0.0 - k2 * 0.0)]
+    append = p.append
+    g = g1 = g2 = g3 = h = h1 = h2 = h3 = 0.0
+    for wk in islice(w, horizon - 1):
+        nxt = (wk + g + gain_g * (w1g * g1 + w2g * g2 + w3g * g3)) * a
+        g3 = g2
+        g2 = g1
+        g1 = g
+        g = nxt
+        nxt = (wk + h + gain_h * (w1h * h1 + w2h * h2 + w3h * h3)) * b
+        h3 = h2
+        h2 = h1
+        h1 = h
+        h = nxt
+        append(p0 + (k1 * g - k2 * h))
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,16 @@ def block_load(days: int = 120) -> ff.LoadSeries:
     return ff.LoadSeries(tuple(vals))
 
 
+# one (fitness, fatigue) pair of sides per variant, every delay term on
+EXAMPLE_SIDES = {
+    "classical": (ff.FirstOrderParams(40.0), ff.FirstOrderParams(9.0)),
+    "single_delay": (ff.SingleDelayParams(40.0, 20.0), ff.SingleDelayParams(9.0, 6.0)),
+    "three_delay": (ff.ThreeDelayParams(40.0, 20.0, 30.0, 50.0),
+                    ff.ThreeDelayParams(9.0, 6.0, 8.0, 12.0)),
+    "kernel": (ff.KernelParams(40.0, -0.1), ff.KernelParams(9.0, -0.2)),
+}
+
+
 def fixture_params() -> ff.ModelParams:
     return ff.ModelParams(
         "single_delay",

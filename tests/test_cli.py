@@ -129,6 +129,17 @@ class TestFit:
         assert capsys.readouterr().err.startswith("error: invalid YAML: ")
         assert not (tmp_path / "out").exists()
 
+    def test_non_finite_chart_size_is_data_error(self, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text(FAST_CONFIG + "chart:\n  width: .nan\n  height: .inf\n")
+        code = main([
+            "fit", "--load", str(DATA / "load.csv"), "--perf", str(DATA / "performance.csv"),
+            "--config", str(config), "--out", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_DATA
+        assert "chart dimensions must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_flag_overrides_config(self, tmp_path, fast_config):
         out_a, out_b, out_c = (tmp_path / n for n in ("a", "b", "c"))
         base = [

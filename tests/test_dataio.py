@@ -544,6 +544,8 @@ class TestDocumentReader:
 
     @given(config_docs(), CONFIG_FAULTS)
     @example(({}, RunConfig()), (("chart", "height"), None))
+    @example(({}, RunConfig()), (("chart", "width"), math.nan))
+    @example(({}, RunConfig()), (("chart", "height"), math.inf))
     def test_one_wrong_config_field_is_a_config_error(self, case, fault):
         doc = _with_fault(case[0], *fault)
         with pytest.raises(ConfigError):

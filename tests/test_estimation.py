@@ -15,7 +15,7 @@ import ffdelay as ff
 from ffdelay import estimation, models
 from ffdelay.errors import MetricError, ObservationError, ParameterError
 from ffdelay.estimation import _Coord
-from helpers import block_load, fixture_params, performance, recovery_bounds
+from helpers import EXAMPLE_SIDES, block_load, fixture_params, performance, recovery_bounds
 
 
 def tight_nm_config(max_iterations: int = 800) -> ff.FitConfig:
@@ -366,6 +366,59 @@ class TestPredict:
             ff.predict_performance("single_delay", math.nan, 0.1, 0.12, side, side, load_120, 31)
         with pytest.raises(ParameterError):
             ff.predict_performance("single_delay", 500.0, -1.0, 0.12, side, side, load_120, 31)
+
+
+# The performance kernel each variant runs; classical runs single_delay's.
+KERNEL_OF = {
+    "classical": "single_delay_performance",
+    "single_delay": "single_delay_performance",
+    "three_delay": "three_delay_performance",
+    "kernel": "kernel_performance",
+}
+
+
+@pytest.fixture()
+def kernel_horizons(monkeypatch) -> dict[str, list[int]]:
+    """The horizon of every performance-kernel call made through estimation's globals.
+
+    A call that reaches a kernel through a reference captured at import (a
+    default argument, a module-level alias) bypasses the wrapper and is not
+    recorded.
+    """
+    seen: dict[str, list[int]] = {name: [] for name in set(KERNEL_OF.values())}
+    for name, horizons in seen.items():
+        def counting(*args, _real=getattr(estimation, name), _horizons=horizons):
+            _horizons.append(args[-1])
+            return _real(*args)
+
+        monkeypatch.setattr(estimation, name, counting)
+    return seen
+
+
+class TestPerformanceKernelBoundary:
+    """Forecasts and fit objectives run the fused kernels by their module names."""
+
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_predict_performance_is_one_kernel_call(self, variant, kernel_horizons, load_120):
+        fitness, fatigue = EXAMPLE_SIDES[variant]
+        ff.predict_performance(variant, 500.0, 0.1, 0.12, fitness, fatigue, load_120, 60)
+        expected = {name: [] for name in kernel_horizons}
+        expected[KERNEL_OF[variant]] = [60]
+        assert kernel_horizons == expected
+
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_fit_objective_and_prediction_run_the_kernel(self, variant, kernel_horizons):
+        w = block_load(60)
+        obs = ff.ObservationSet(((5, 498.5), (11, 510.7), (17, 505.0)))
+        config = ff.FitConfig(starts=1, max_iterations=5, seed=0)
+        ff.fit_variant(w, obs, recovery_bounds(), config, variant)
+        horizons = kernel_horizons.pop(KERNEL_OF[variant])
+        # every objective evaluation up to the last observation, then the
+        # fitted prediction over the whole load
+        assert len(horizons) > 2
+        assert set(horizons[:-1]) == {18}
+        assert horizons[-1] == 60
+        assert not any(kernel_horizons.values())
 
 
 class TestVariantFits:

@@ -2,8 +2,11 @@
 
 The kernels stream the load with ``islice``, so nothing inside them stops a
 horizon longer than the load; these properties pin their length and their
-arithmetic over generated loads of up to about 4,000 days. A last property
-round-trips generated parameters of every variant through a params document.
+arithmetic over generated loads of up to about 4,000 days. Each variant's
+performance kernel must equal the combine p0 + (k1*g - k2*h) of its two path
+kernels bit for bit, and give exactly p0 for equal gains and sides. A last
+property round-trips generated parameters of every variant through a params
+document.
 """
 
 from __future__ import annotations
@@ -20,7 +23,15 @@ from hypothesis import strategies as st
 import ffdelay as ff
 from ffdelay import oracle
 from ffdelay.dataio import dumps_params, parse_params
-from ffdelay.models import _lag_rate, kernel_path, single_delay_path, three_delay_path
+from ffdelay.models import (
+    _lag_rate,
+    kernel_path,
+    kernel_performance,
+    single_delay_path,
+    single_delay_performance,
+    three_delay_path,
+    three_delay_performance,
+)
 
 
 @st.composite
@@ -120,3 +131,52 @@ def test_params_document_round_trip(variant, data):
     )
     # every side field is written under its name and read back, in order
     assert parse_params(dumps_params(params)) == params
+
+
+# Each variant's performance kernel, the path kernel of one of its sides, and
+# one side's arguments to both (lag constants as rates; classical is
+# single_delay at rate 0.0, kernel weights keep their default as in a fit).
+rates = signed_lags.map(_lag_rate)
+# a baseline and gains of fitted size, where each rounding of the combine shows,
+# and any finite ones
+baselines = st.one_of(st.floats(-1e3, 1e3), finite)
+performance_gains = st.one_of(st.floats(1e-4, 10.0), positive)
+PERFORMANCE_KERNELS = {
+    "classical": (single_delay_performance, single_delay_path, st.tuples(taus, st.just(0.0))),
+    "single_delay": (
+        single_delay_performance, single_delay_path, st.tuples(taus, positive_lags.map(_lag_rate))
+    ),
+    "three_delay": (three_delay_performance, three_delay_path, st.tuples(taus, rates, rates, rates)),
+    "kernel": (kernel_performance, kernel_path, st.tuples(taus, gains, st.just((0.5, 0.3, 0.2)))),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(PERFORMANCE_KERNELS))
+@given(w=loads(), data=st.data())
+def test_performance_kernel_is_the_combine_of_its_paths(variant, w, data):
+    fused, path, side = PERFORMANCE_KERNELS[variant]
+    fitness, fatigue = data.draw(side), data.draw(side)
+    p0, k1, k2 = data.draw(baselines), data.draw(performance_gains), data.draw(performance_gains)
+    # every horizon of the first 64 days, where the lag terms start up, one
+    # drawn horizon and the whole load (every horizon of a 4,000-day load
+    # would walk about 8 million days per kernel)
+    drawn = data.draw(st.integers(1, len(w)))
+    for horizon in sorted({*range(1, min(len(w), 64) + 1), drawn, len(w)}):
+        g = path(w.values, *fitness, horizon)
+        h = path(w.values, *fatigue, horizon)
+        want = [p0 + (k1 * x - k2 * y) for x, y in zip(g, h)]
+        assert _bits(fused(w.values, p0, k1, k2, fitness, fatigue, horizon)) == _bits(want), horizon
+
+
+@pytest.mark.parametrize("variant", sorted(PERFORMANCE_KERNELS))
+@given(w=loads(), data=st.data())
+def test_equal_gains_and_sides_give_the_baseline(variant, w, data):
+    fused, path, side = PERFORMANCE_KERNELS[variant]
+    fitness = data.draw(side)
+    p0, k = data.draw(baselines), data.draw(performance_gains)
+    p = fused(w.values, p0, k, k, fitness, fitness, len(w))
+    g = path(w.values, *fitness, len(w))
+    # every day whose gain term is finite: past overflow k*g - k*g is NaN
+    assert [v for v, x in zip(p, g) if math.isfinite(k * x)] == [
+        p0 for x in g if math.isfinite(k * x)
+    ]

@@ -3,8 +3,14 @@
 The tracer wraps module attributes by name, so it only sees a call that goes
 through the module global it patched. This test installs it, runs commands
 through ``cli.main``, a prediction of every variant and a short fit, and
-checks that every boundary it wraps records spans and that uninstalling
-restores the originals.
+checks the spans each boundary records and that uninstalling restores the
+originals.
+
+Only ``simulate`` runs a per-side path kernel, through ``cli``'s
+``eval_*_recursive``. A forecast and a fit objective run the fused
+performance kernels, which no span wraps, so they record no ``models.path``
+span and their kernel time is the self time of ``predict_performance`` and
+of the objective.
 """
 
 from __future__ import annotations
@@ -18,19 +24,10 @@ import pytest
 import ffdelay as ff
 import ffdelay.cli as cli
 import ffdelay.estimation as estimation
-from helpers import block_load, recovery_bounds
+from helpers import EXAMPLE_SIDES, block_load, recovery_bounds
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
-
-SIDES = {
-    "classical": (ff.FirstOrderParams(40.0), ff.FirstOrderParams(9.0)),
-    "single_delay": (ff.SingleDelayParams(40.0, 20.0), ff.SingleDelayParams(9.0, 6.0)),
-    "three_delay": (ff.ThreeDelayParams(40.0, 20.0, 30.0, 50.0),
-                    ff.ThreeDelayParams(9.0, 6.0, 8.0, 12.0)),
-    "kernel": (ff.KernelParams(40.0, -0.1), ff.KernelParams(9.0, -0.2)),
-}
-
 
 @pytest.fixture()
 def spans():
@@ -74,15 +71,17 @@ def test_install_wraps_every_boundary_and_uninstall_restores(spans, tmp_path, ca
         }))
         assert cli.main(["predict", "--load", load, "--params", str(params),
                          "--horizon", "60", "--out", str(tmp_path / "pred")]) == cli.EXIT_OK
-        assert calls["models.path"] == 3 + 2
+        assert calls["models.path"] == 3
 
         w = block_load(60)
-        for variant, (fitness, fatigue) in SIDES.items():
-            before = calls["models.path"]
+        path_ns = tracer.self_ns["models.path"]
+        for variant, (fitness, fatigue) in EXAMPLE_SIDES.items():
+            forecast_ns = tracer.self_ns["estimation.predict_performance"]
             estimation.predict_performance(variant, 500.0, 0.1, 0.12, fitness, fatigue, w, 60)
-            assert calls["models.path"] == before + 2, variant
+            assert calls["models.path"] == 3, variant
+            assert tracer.self_ns["estimation.predict_performance"] > forecast_ns, variant
+        assert tracer.self_ns["models.path"] == path_ns
 
-        before = calls["models.path"]
         obs = ff.ObservationSet(((5, 498.5), (11, 510.7), (17, 505.0)))
         config = ff.FitConfig(starts=1, max_iterations=5, seed=0)
         estimation.fit_variant(w, obs, recovery_bounds(), config, "kernel")
@@ -91,11 +90,12 @@ def test_install_wraps_every_boundary_and_uninstall_restores(spans, tmp_path, ca
     capsys.readouterr()
 
     assert calls["cli.main"] == 4
-    assert calls["estimation.predict_performance"] == 1 + len(SIDES)
+    assert calls["estimation.predict_performance"] == 1 + len(EXAMPLE_SIDES)
     assert calls["estimation.fit_variant"] == 1
     assert calls["estimation.nelder_mead"] >= 1
     assert calls["estimation.objective"] >= 1
-    assert calls["models.path"] >= before + 2 * calls["estimation.objective"]
+    assert calls["models.path"] == 3
+    assert tracer.self_ns["estimation.objective"] > 0
     assert calls["dataio.parse"] == 5
     assert calls["dataio.emit"] >= 1 and calls["dataio.render"] >= 1
     assert all(getattr(m, a) is o for (m, a), o in zip(names, originals))
