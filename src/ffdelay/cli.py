@@ -218,6 +218,11 @@ def cmd_predict(
         )
     except FfdelayError as exc:
         return CommandOutcome(EXIT_NUMERIC, f"error: prediction failed: {exc}")
+    if not all(map(math.isfinite, predicted)):  # valid but unstable parameters
+        day = list(map(math.isfinite, predicted)).index(False)
+        return CommandOutcome(
+            EXIT_NUMERIC, f"error: prediction failed: forecast is not finite from day {day}"
+        )
 
     table = build_prediction_table(w, predicted)
     artifacts = {

@@ -34,9 +34,9 @@ from .models import (
     Variant,
     _check_horizon,
     _field_values,
+    _kernel_rates,
     _lag_rate,
     _record,
-    kernel_performance,
     kernel_to_three_delay,
     single_delay_performance,
     three_delay_performance,
@@ -409,23 +409,27 @@ def _rates(side: tuple) -> tuple:
     return (side[0], *map(_lag_rate, side[1:]))
 
 
+def _kernel_side(side: tuple) -> tuple:
+    """A kernel side's three-delay arguments: its decay constant, then -(w_j * tau5)."""
+    return (side[0], *_kernel_rates(side[1], side[2]))
+
+
 def _performance(
     variant: str, wv: Sequence[float], p0: float, k1: float, k2: float,
     fitness: tuple, fatigue: tuple, horizon: int,
 ) -> list[float]:
     """p0 + k1*g - k2*h in one pass; each side holds its class's field values in order."""
-    if variant == "three_delay":
-        return three_delay_performance(
-            wv, p0, k1, k2, _rates(fitness), _rates(fatigue), horizon
-        )
-    if variant == "kernel":
-        return kernel_performance(wv, p0, k1, k2, fitness, fatigue, horizon)
     if variant == "single_delay":
         return single_delay_performance(
             wv, p0, k1, k2, _rates(fitness), _rates(fatigue), horizon
         )
-    return single_delay_performance(
-        wv, p0, k1, k2, (*fitness, 0.0), (*fatigue, 0.0), horizon
+    if variant == "classical":
+        return single_delay_performance(
+            wv, p0, k1, k2, (*fitness, 0.0), (*fatigue, 0.0), horizon
+        )
+    rates = _rates if variant == "three_delay" else _kernel_side
+    return three_delay_performance(
+        wv, p0, k1, k2, rates(fitness), rates(fatigue), horizon
     )
 
 
@@ -630,7 +634,9 @@ def compare_variants(
     switched off. The simplex never returns a value worse than its start, so a
     containing variant cannot report a worse SSE than a contained fit whose
     embedded seed is exact: kernel from classical (tau5 = 0), and three_delay
-    from kernel when the mapped lags lie inside the lag box. A seed from a
+    from kernel when the mapped lags lie inside the lag box. The kernel runs
+    as the three-delay recursion at lag rates r_j = -(w_j * tau5), so that
+    seed is exact up to the rounding of 1/(1/r_j) in each rate. A seed from a
     +inf lag (every classical embedding, and single_delay into three_delay)
     sits at the lag rate 1/hi of the box top, so that guarantee holds only up
     to the delay term left at that rate; with a lag upper bound of 1e6 a

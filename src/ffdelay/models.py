@@ -1,18 +1,23 @@
 """Discrete-time fitness/fatigue state models and the performance combination.
 
 Four state-model variants over a daily grid, all driven by a non-negative
-training-load series w with w(0) = 0 and zero initial history:
+training-load series w with w(0) = 0 and zero initial history. They share two
+recursion shapes, with a = e^{-1/tau_decay}: the one-lag
+g(k+1) = [w(k) + g(k) - r g(k-1)] a and the three-lag
+g(k+1) = [w(k) + g(k) - r1 g(k-1) - r2 g(k-2) - r3 g(k-3)] a. Each variant
+runs one of them at its own lag rates:
 
-* classical     -- first-order exponential accumulation of load
-* single_delay  -- adds a 1-day-delayed self-term with constant 1/tau_lag1
-* three_delay   -- delayed self-terms at lags 1, 2, 3 days
-* kernel        -- weighted 3-lag memory with a signed gain tau5
+* classical     -- exponential accumulation of load: one-lag at r = 0.0
+* single_delay  -- a 1-day-delayed self-term: one-lag at r = 1/tau_lag1
+* three_delay   -- self-terms at lags 1, 2, 3 days: three-lag at r_j = 1/tau_lag_j
+* kernel        -- weighted 3-lag memory with a signed gain tau5: three-lag
+  at r_j = -(w_j * tau5)
 
 ``VARIANT_TABLE`` names each variant's side-parameter class (the parameters
 of one state model, fitness or fatigue) and its ``ffdelay simulate`` flags;
 ``ModelParams`` is the performance model p = p0 + k1 g - k2 h of any variant.
 
-The raw kernels come in two kinds. A path kernel (``*_path``) returns one
+Each shape has two kinds of kernel. A path kernel (``*_path``) returns one
 side's state trajectory; the public ``eval_*`` operations run them. A
 performance kernel (``*_performance``) advances a variant's fitness and
 fatigue states together and returns p over one walk of the load; forecasts
@@ -433,20 +438,19 @@ def three_delay_path(
     return g
 
 
+# The kernel recursion g(k+1) = [w(k) + g(k) + tau5 (w1 g(k-1) + w2 g(k-2) +
+# w3 g(k-3))] a is the three-lag shape at rates r_j = -(w_j * tau5), so it has
+# no loop of its own. It matches that literal expression up to rounding only:
+# each weighted state is scaled by tau5 apart instead of their sum.
+
+
+def _kernel_rates(tau5: float, weights) -> tuple[float, ...]:
+    """A kernel side's three-delay lag rates r_j = -(w_j * tau5)."""
+    return tuple([-(x * tau5) for x in weights])
+
+
 def kernel_path(w, tau_decay: float, tau5: float, weights, horizon: int) -> list[float]:
-    a = math.exp(-1.0 / tau_decay)
-    w1, w2, w3 = weights
-    g = [0.0]
-    append = g.append
-    gk = g1 = g2 = g3 = 0.0
-    for wk in islice(w, horizon - 1):
-        nxt = (wk + gk + tau5 * (w1 * g1 + w2 * g2 + w3 * g3)) * a
-        append(nxt)
-        g3 = g2
-        g2 = g1
-        g1 = gk
-        gk = nxt
-    return g
+    return three_delay_path(w, tau_decay, *_kernel_rates(tau5, weights), horizon)
 
 
 # Performance kernels: p = p0 + k1 g - k2 h over one walk of w. ``fitness``
@@ -455,7 +459,8 @@ def kernel_path(w, tau_decay: float, tau5: float, weights, horizon: int) -> list
 # equal its two paths bit for bit. The combine groups the state terms first
 # so that k1 == k2 with identical sides gives exactly p0 (the gains cancel
 # before the baseline is touched). Classical runs single_delay_performance
-# with both lag rates 0.0.
+# with both lag rates 0.0, and kernel runs three_delay_performance at the
+# rates of ``_kernel_rates``.
 
 
 def single_delay_performance(
@@ -492,31 +497,6 @@ def three_delay_performance(
         g1 = g
         g = nxt
         nxt = (wk + h - r1h * h1 - r2h * h2 - r3h * h3) * b
-        h3 = h2
-        h2 = h1
-        h1 = h
-        h = nxt
-        append(p0 + (k1 * g - k2 * h))
-    return p
-
-
-def kernel_performance(
-    w, p0: float, k1: float, k2: float, fitness: tuple, fatigue: tuple, horizon: int
-) -> list[float]:
-    tau_g, gain_g, (w1g, w2g, w3g) = fitness
-    tau_h, gain_h, (w1h, w2h, w3h) = fatigue
-    a = math.exp(-1.0 / tau_g)
-    b = math.exp(-1.0 / tau_h)
-    p = [p0 + (k1 * 0.0 - k2 * 0.0)]
-    append = p.append
-    g = g1 = g2 = g3 = h = h1 = h2 = h3 = 0.0
-    for wk in islice(w, horizon - 1):
-        nxt = (wk + g + gain_g * (w1g * g1 + w2g * g2 + w3g * g3)) * a
-        g3 = g2
-        g2 = g1
-        g1 = g
-        g = nxt
-        nxt = (wk + h + gain_h * (w1h * h1 + w2h * h2 + w3h * h3)) * b
         h3 = h2
         h2 = h1
         h1 = h
@@ -630,7 +610,8 @@ def eval_three_delay_convolution(
 
 def eval_kernel_recursive(w: LoadSeries, params: KernelParams, horizon: int) -> StateSeries:
     """Weighted-memory model:
-    g(k+1) = [w(k) + g(k) + tau5 (w1 g(k-1) + w2 g(k-2) + w3 g(k-3))] e^{-1/tau}."""
+    g(k+1) = [w(k) + g(k) + tau5 (w1 g(k-1) + w2 g(k-2) + w3 g(k-3))] e^{-1/tau},
+    run as the three-delay recursion at lag rates -(w_j tau5)."""
     horizon = _check_horizon(w, horizon)
     path = kernel_path(w.values, params.tau_decay, params.tau5, params.weights, horizon)
     return StateSeries(tuple(path), "kernel")
@@ -639,19 +620,19 @@ def eval_kernel_recursive(w: LoadSeries, params: KernelParams, horizon: int) -> 
 def kernel_to_three_delay(params: KernelParams) -> ThreeDelayParams:
     """Map kernel parameters onto the equivalent three-delay parameters.
 
-    The kernel recursion coincides with the three-delay recursion whenever
-    -1/tau_lag_j = weight_j * tau5, i.e. tau_lag_j = -1 / (weight_j * tau5).
-    A lag whose rate weight_j * tau5 is zero maps to +inf (the classical
+    The kernel recursion is the three-delay recursion at lag rates
+    r_j = -(weight_j * tau5), so tau_lag_j = 1/r_j = -1 / (weight_j * tau5);
+    the mapped parameters reproduce the kernel path up to the rounding of
+    1/(1/r_j). A lag whose rate is zero maps to +inf (the classical
     reduction at tau5 = 0); so does one whose rate underflows to zero or whose
-    constant -1/rate overflows, as with a subnormal gain. For tau5 > 0 the
+    constant 1/rate overflows, as with a subnormal gain. For tau5 > 0 the
     other mapped lag constants are negative; they are returned verbatim (the
     trajectories still coincide) with a UserWarning flagging the sign-domain
     departure.
     """
     lags = []
-    for weight in params.weights:
-        rate = weight * params.tau5
-        lag = -1.0 / rate if rate else INF
+    for rate in _kernel_rates(params.tau5, params.weights):
+        lag = 1.0 / rate if rate else INF
         lags.append(lag if math.isfinite(lag) else INF)
     if min(lags) < 0.0:
         warnings.warn(

@@ -242,6 +242,28 @@ class TestPredict:
         assert capsys.readouterr().err.startswith("error: invalid JSON: ")
         assert not (tmp_path / "out").exists()
 
+    def test_unstable_params_are_numerical_failure(self, tmp_path, capsys):
+        # valid three_delay lags of 0.5 days: the fitness state leaves the
+        # double range on day 1,204 and the forecast is +inf from there on
+        load = tmp_path / "load.csv"
+        load.write_text("day,load\n" + "\n".join(
+            f"{d},{format_number(v)}" for d, v in enumerate(block_load(1500).values)) + "\n")
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({
+            "variant": "three_delay", "p0": 500.0, "k1": 0.1, "k2": 0.12,
+            "fitness": {"tau_decay": 45.0, "tau_lag1": 0.5, "tau_lag2": 0.5, "tau_lag3": 0.5},
+            "fatigue": {"tau_decay": 15.0, "tau_lag1": 10.0, "tau_lag2": 10.0, "tau_lag3": 10.0},
+        }))
+        code = main([
+            "predict", "--load", str(load), "--params", str(params),
+            "--horizon", "1500", "--out", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip() == "error: prediction failed: forecast is not finite from day 1204"
+        assert not (tmp_path / "out").exists()
+
     def test_matches_fit_predictions_over_shared_horizon(self, tmp_path, fast_config):
         fit_out = tmp_path / "fit"
         assert main([

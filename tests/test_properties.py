@@ -4,9 +4,10 @@ The kernels stream the load with ``islice``, so nothing inside them stops a
 horizon longer than the load; these properties pin their length and their
 arithmetic over generated loads of up to about 4,000 days. Each variant's
 performance kernel must equal the combine p0 + (k1*g - k2*h) of its two path
-kernels bit for bit, and give exactly p0 for equal gains and sides. A last
-property round-trips generated parameters of every variant through a params
-document.
+kernels bit for bit, and give exactly p0 for equal gains and sides. The
+reductions to the classical model (kernel gain 0, all three lags +inf) must
+be the one-lag recursion at rate 0.0 bit for bit. A last property
+round-trips generated parameters of every variant through a params document.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from ffdelay.dataio import dumps_params, parse_params
 from ffdelay.models import (
     _lag_rate,
     kernel_path,
-    kernel_performance,
     single_delay_path,
     single_delay_performance,
     three_delay_path,
@@ -110,6 +110,17 @@ def test_kernel_path_matches_its_three_delay_mapping(w, tau, tau5, data):
         assert abs(x - y) <= 1e-9 * scale, (n, x, y)
 
 
+@given(w=loads(), tau=taus, data=st.data())
+def test_reductions_are_the_one_lag_recursion_at_rate_zero(w, tau, data):
+    horizon = data.draw(st.integers(1, len(w)))
+    want = _bits(single_delay_path(w.values, tau, 0.0, horizon))
+    for tau5 in (0.0, -0.0):
+        got = ff.eval_kernel_recursive(w, ff.KernelParams(tau, tau5), horizon)
+        assert _bits(got.values) == want, tau5
+    no_lags = ff.ThreeDelayParams(tau, math.inf, math.inf, math.inf)
+    assert _bits(ff.eval_three_delay_recursive(w, no_lags, horizon).values) == want
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 # kernel weights keep their field default, as in a fit
@@ -135,7 +146,8 @@ def test_params_document_round_trip(variant, data):
 
 # Each variant's performance kernel, the path kernel of one of its sides, and
 # one side's arguments to both (lag constants as rates; classical is
-# single_delay at rate 0.0, kernel weights keep their default as in a fit).
+# single_delay at rate 0.0 and kernel three_delay at rates -(w_j * tau5), with
+# the kernel weights at their default as in a fit).
 rates = signed_lags.map(_lag_rate)
 # a baseline and gains of fitted size, where each rounding of the combine shows,
 # and any finite ones
@@ -147,7 +159,10 @@ PERFORMANCE_KERNELS = {
         single_delay_performance, single_delay_path, st.tuples(taus, positive_lags.map(_lag_rate))
     ),
     "three_delay": (three_delay_performance, three_delay_path, st.tuples(taus, rates, rates, rates)),
-    "kernel": (kernel_performance, kernel_path, st.tuples(taus, gains, st.just((0.5, 0.3, 0.2)))),
+    "kernel": (
+        three_delay_performance, three_delay_path,
+        st.tuples(taus, gains).map(lambda s: (s[0], *(-(x * s[1]) for x in (0.5, 0.3, 0.2)))),
+    ),
 }
 
 
@@ -180,3 +195,15 @@ def test_equal_gains_and_sides_give_the_baseline(variant, w, data):
     assert [v for v, x in zip(p, g) if math.isfinite(k * x)] == [
         p0 for x in g if math.isfinite(k * x)
     ]
+
+
+@given(w=loads(), data=st.data())
+def test_kernel_forecast_is_the_combine_of_kernel_paths(w, data):
+    fitness = ff.KernelParams(data.draw(taus), data.draw(gains))
+    fatigue = ff.KernelParams(data.draw(taus), data.draw(gains))
+    p0, k1, k2 = data.draw(baselines), data.draw(performance_gains), data.draw(performance_gains)
+    horizon = data.draw(st.integers(1, len(w)))
+    g, h = (kernel_path(w.values, s.tau_decay, s.tau5, s.weights, horizon) for s in (fitness, fatigue))
+    want = [p0 + (k1 * x - k2 * y) for x, y in zip(g, h)]
+    got = ff.predict_performance("kernel", p0, k1, k2, fitness, fatigue, w, horizon)
+    assert _bits(got) == _bits(want)
