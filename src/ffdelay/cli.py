@@ -7,16 +7,21 @@ Four subcommands wire the library into the full workflow:
 * ``simulate`` -- evaluate any state-model variant directly from flags
 * ``compare``  -- fit all four variants on the same data and tabulate quality
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure or
-internal error (an unexpected exception; the last line of stderr reads
-``error: internal error: <Type>: <message>``). All artifacts are computed
-before anything is written, and each file is written to a temporary name and
-renamed into place, so a failing run leaves no partial artifacts behind.
+Each ``cmd_*`` returns its stdout summary or raises ``_Failure`` with an exit
+code and a message; ``main`` alone prints and returns the code. Exit codes: 0
+success, 1 usage error, 2 data error (an unreadable or invalid input, or
+artifacts that cannot be written), 3 numerical failure or internal error (an
+unexpected exception; the last line of stderr reads ``error: internal error:
+<Type>: <message>``). All artifacts are computed before anything is written.
+Each is written to a temporary file, and only when all are written are they
+renamed into place; if writing fails, this run's temporaries and renamed
+artifacts are removed, so a failed run leaves no artifact behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -39,7 +44,7 @@ from .dataio import (
     render_fit_chart,
     render_load_chart,
 )
-from .errors import CsvError, FfdelayError
+from .errors import FfdelayError
 from .estimation import (
     FitConfig,
     ObservationSet,
@@ -52,7 +57,6 @@ from .models import (
     LoadSeries,
     SingleDelayParams,
     _field_dict,
-    _record,
     eval_kernel_recursive,
     eval_single_delay_recursive,
     eval_three_delay_recursive,
@@ -65,89 +69,85 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 
-@_record
-class CommandOutcome:
-    exit_code: int
-    summary: str
+class _Failure(Exception):
+    """Ends a command: ``main`` prints ``error: <message>`` and exits with ``code``."""
+
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(message)
+        self.code = code
 
 
-class _UsageError(Exception):
-    pass
-
-
-def _read_text(path: str) -> str:
+def _parse(parse, path: str):
+    """``parse`` of the UTF-8 text in file ``path``; any fault is a data error."""
     try:
-        data = Path(path).read_bytes()
+        return parse(Path(path).read_bytes().decode("utf-8"))
     except OSError as exc:
-        raise CsvError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    try:
-        return data.decode("utf-8")
+        message = f"cannot read {path}: {exc.strerror or exc}"
     except UnicodeDecodeError as exc:
-        raise CsvError(f"{path} is not valid UTF-8: {exc}") from exc
+        message = f"{path} is not valid UTF-8: {exc}"
+    except FfdelayError as exc:
+        message = str(exc)
+    raise _Failure(EXIT_DATA, message)
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+def _write(out_dir: str, artifacts: dict[str, str], lines: list[str]) -> str:
+    """Write all of ``artifacts`` into ``out_dir`` or none of them, and return
+    the summary: ``lines`` plus a ``wrote:`` line.
 
-
-def _write_artifacts(out_dir: str, artifacts: dict[str, str]) -> list[str]:
+    Every file is written under a temporary name before any is renamed into
+    place, with the mode ``open(path, "w")`` would give it. On a failure the
+    temporaries and the artifacts this run already renamed into place are
+    removed.
+    """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in artifacts.items():
-        _atomic_write(out / name, text)
-    return [str(out / name) for name in artifacts]
-
-
-def _data_error(message: str) -> CommandOutcome:
-    return CommandOutcome(EXIT_DATA, f"error: {message}")
-
-
-def _write_outcome(
-    out_dir: str, artifacts: dict[str, str], lines: list[str]
-) -> CommandOutcome:
-    """Write ``artifacts`` and report success as ``lines`` plus a ``wrote:`` line."""
+    paths = [out / name for name in artifacts]
+    temps: list[str] = []
+    placed = 0
+    umask = os.umask(0)
+    os.umask(umask)
     try:
-        written = _write_artifacts(out_dir, artifacts)
-    except OSError as exc:
-        return _data_error(f"cannot write artifacts to {out_dir}: {exc}")
-    return CommandOutcome(EXIT_OK, "\n".join([*lines, "wrote: " + ", ".join(written)]))
+        out.mkdir(parents=True, exist_ok=True)
+        for path, text in zip(paths, artifacts.values()):
+            fd, tmp = tempfile.mkstemp(dir=out, prefix=path.name + ".", suffix=".tmp")
+            temps.append(tmp)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
+            placed += 1
+    except BaseException as exc:
+        for leftover in [*paths[:placed], *temps[placed:]]:
+            with contextlib.suppress(OSError):
+                os.unlink(leftover)
+        if isinstance(exc, OSError):
+            raise _Failure(EXIT_DATA, f"cannot write artifacts to {out_dir}: {exc}") from exc
+        raise
+    return "\n".join([*lines, "wrote: " + ", ".join(map(str, paths))])
 
 
 def _load_fit_inputs(
     load_path: str, perf_path: str, config_path: str, seed: int | None
-) -> tuple[LoadSeries, ObservationSet, RunConfig, FitConfig] | CommandOutcome:
+) -> tuple[LoadSeries, ObservationSet, RunConfig, FitConfig]:
     """Parse and validate the inputs of ``fit`` and ``compare``.
 
     Returns the load cut to the configured horizon, the observations, the run
-    configuration and its fit settings with ``seed`` applied, or the data
-    error outcome.
+    configuration and its fit settings with ``seed`` applied.
     """
-    try:
-        w = parse_load_csv(_read_text(load_path))
-        obs = parse_performance_csv(_read_text(perf_path))
-        config = load_config(_read_text(config_path))
-    except FfdelayError as exc:
-        return _data_error(str(exc))
-
+    w = _parse(parse_load_csv, load_path)
+    obs = _parse(parse_performance_csv, perf_path)
+    config = _parse(load_config, config_path)
     horizon = config.horizon if config.horizon is not None else len(w)
     if horizon > len(w):
-        return _data_error(f"horizon {horizon} exceeds load series length {len(w)}")
+        raise _Failure(EXIT_DATA, f"horizon {horizon} exceeds load series length {len(w)}")
     if len(obs) < 2:
-        return _data_error("need at least 2 observations (R^2 is undefined otherwise)")
+        raise _Failure(EXIT_DATA, "need at least 2 observations (R^2 is undefined otherwise)")
     if len(set(obs.values)) == 1:
-        return _data_error("observations have zero variance; R^2 is undefined")
+        raise _Failure(EXIT_DATA, "observations have zero variance; R^2 is undefined")
     if obs.days[-1] >= horizon:
-        return _data_error(f"observation day {obs.days[-1]} is outside the horizon {horizon}")
+        raise _Failure(
+            EXIT_DATA, f"observation day {obs.days[-1]} is outside the horizon {horizon}"
+        )
     fit_config = config.fit
     if seed is not None:
         fit_config = FitConfig(**{**_field_dict(fit_config), "seed": seed})
@@ -162,21 +162,16 @@ def cmd_fit(
     config_path: str,
     out_dir: str,
     seed: int | None = None,
-) -> CommandOutcome:
+) -> str:
     """Fit the configured variant and write params, predictions and charts."""
-    inputs = _load_fit_inputs(load_path, perf_path, config_path, seed)
-    if isinstance(inputs, CommandOutcome):
-        return inputs
-    w, obs, config, fit_config = inputs
-
+    w, obs, config, fit_config = _load_fit_inputs(load_path, perf_path, config_path, seed)
     try:
         result = fit_variant(w, obs, config.bounds, fit_config, config.variant)
     except FfdelayError as exc:
-        return CommandOutcome(EXIT_NUMERIC, f"error: fit failed: {exc}")
+        raise _Failure(EXIT_NUMERIC, f"fit failed: {exc}") from exc
     if result.starts_converged == 0:
-        return CommandOutcome(
-            EXIT_NUMERIC,
-            f"error: no start converged within {fit_config.max_iterations} iterations",
+        raise _Failure(
+            EXIT_NUMERIC, f"no start converged within {fit_config.max_iterations} iterations"
         )
 
     table = build_prediction_table(w, result.predicted, obs)
@@ -194,22 +189,17 @@ def cmd_fit(
         f" (best: #{result.best_start_index}, {result.iterations_used} iterations)",
     ]
     lines += [f"warning: {warning}" for warning in result.warnings]
-    return _write_outcome(out_dir, artifacts, lines)
+    return _write(out_dir, artifacts, lines)
 
 
-def cmd_predict(
-    load_path: str, params_path: str, horizon: int, out_dir: str
-) -> CommandOutcome:
+def cmd_predict(load_path: str, params_path: str, horizon: int, out_dir: str) -> str:
     """Forward-run a parameter document over the requested horizon."""
     if horizon < 1:
-        return CommandOutcome(EXIT_USAGE, f"error: horizon must be >= 1, got {horizon}")
-    try:
-        w = parse_load_csv(_read_text(load_path))
-        params = parse_params(_read_text(params_path))
-    except FfdelayError as exc:
-        return _data_error(str(exc))
+        raise _Failure(EXIT_USAGE, f"horizon must be >= 1, got {horizon}")
+    w = _parse(parse_load_csv, load_path)
+    params = _parse(parse_params, params_path)
     if horizon > len(w):
-        return _data_error(f"horizon {horizon} exceeds load series length {len(w)}")
+        raise _Failure(EXIT_DATA, f"horizon {horizon} exceeds load series length {len(w)}")
 
     try:
         predicted = predict_performance(
@@ -217,11 +207,11 @@ def cmd_predict(
             params.fitness, params.fatigue, w, horizon,
         )
     except FfdelayError as exc:
-        return CommandOutcome(EXIT_NUMERIC, f"error: prediction failed: {exc}")
+        raise _Failure(EXIT_NUMERIC, f"prediction failed: {exc}") from exc
     if not all(map(math.isfinite, predicted)):  # valid but unstable parameters
         day = list(map(math.isfinite, predicted)).index(False)
-        return CommandOutcome(
-            EXIT_NUMERIC, f"error: prediction failed: forecast is not finite from day {day}"
+        raise _Failure(
+            EXIT_NUMERIC, f"prediction failed: forecast is not finite from day {day}"
         )
 
     table = build_prediction_table(w, predicted)
@@ -229,9 +219,7 @@ def cmd_predict(
         "predictions.csv": emit_prediction_csv(table),
         "prediction_chart.svg": render_fit_chart(table, ChartOptions()),
     }
-    return _write_outcome(
-        out_dir, artifacts, [f"predicted {horizon} days with variant {params.variant}"]
-    )
+    return _write(out_dir, artifacts, [f"predicted {horizon} days with variant {params.variant}"])
 
 
 def cmd_simulate(
@@ -243,44 +231,39 @@ def cmd_simulate(
     tau3: float | None = None,
     tau4: float | None = None,
     tau5: float | None = None,
-) -> CommandOutcome:
+) -> str:
     """Evaluate one state-model variant and write its trajectory and chart.
 
     The classical variant is evaluated through the single-delay recursion with
     the lag term switched off; this is the same trajectory and makes the
     tau5=0 / infinite-lag reductions produce identical files.
     """
-    try:
-        row = variant_row(variant)
-    except FfdelayError as exc:
-        return CommandOutcome(EXIT_USAGE, f"error: {exc}")
+    row = variant_row(variant)
     given = {"tau1": tau1, "tau2": tau2, "tau3": tau3, "tau4": tau4, "tau5": tau5}
     missing = [f for f in row.flags if given[f] is None]
     if missing:
         flags = " ".join(f"--{f} X" for f in row.flags)
-        return CommandOutcome(
+        raise _Failure(
             EXIT_USAGE,
-            f"error: variant {variant} requires --{', --'.join(missing)}\n"
+            f"variant {variant} requires --{', --'.join(missing)}\n"
             f"usage: ffdelay simulate --load <csv> --variant {variant} {flags} --out <dir>",
         )
-
+    w = _parse(parse_load_csv, load_path)
     try:
-        w = parse_load_csv(_read_text(load_path))
+        side = row.side(*(given[f] for f in row.flags))
     except FfdelayError as exc:
-        return _data_error(str(exc))
-
+        raise _Failure(EXIT_USAGE, f"invalid parameters: {exc}") from exc
+    if variant == "classical":
+        side = SingleDelayParams(side.tau_decay)
     horizon = len(w)
     evaluate = {
         "three_delay": eval_three_delay_recursive,
         "kernel": eval_kernel_recursive,
     }.get(variant, eval_single_delay_recursive)
     try:
-        side = row.side(*(given[f] for f in row.flags))
-        if variant == "classical":
-            side = SingleDelayParams(side.tau_decay)
         state = evaluate(w, side, horizon)
-    except FfdelayError as exc:
-        return CommandOutcome(EXIT_USAGE, f"error: invalid parameters: {exc}")
+    except FfdelayError as exc:  # valid but unstable parameters
+        raise _Failure(EXIT_NUMERIC, f"simulation failed: {exc}") from exc
 
     fmt = format_number
     lines = [
@@ -293,9 +276,7 @@ def cmd_simulate(
         "trajectory.csv": trajectory_csv,
         "state_chart.svg": render_fit_chart(table, ChartOptions(), y_label="state"),
     }
-    return _write_outcome(
-        out_dir, artifacts, [f"simulated variant {variant} over {horizon} days"]
-    )
+    return _write(out_dir, artifacts, [f"simulated variant {variant} over {horizon} days"])
 
 
 def cmd_compare(
@@ -304,22 +285,16 @@ def cmd_compare(
     config_path: str,
     out_dir: str,
     seed: int | None = None,
-) -> CommandOutcome:
+) -> str:
     """Fit all four variants on the same data and write a comparison table."""
-    inputs = _load_fit_inputs(load_path, perf_path, config_path, seed)
-    if isinstance(inputs, CommandOutcome):
-        return inputs
-    w, obs, config, fit_config = inputs
-
+    w, obs, config, fit_config = _load_fit_inputs(load_path, perf_path, config_path, seed)
     try:
         results = compare_variants(w, obs, config.bounds, fit_config)
     except FfdelayError as exc:
-        return CommandOutcome(EXIT_NUMERIC, f"error: fit failed: {exc}")
+        raise _Failure(EXIT_NUMERIC, f"fit failed: {exc}") from exc
     if any(r.starts_converged == 0 for r in results):
         stuck = ", ".join(r.variant for r in results if r.starts_converged == 0)
-        return CommandOutcome(
-            EXIT_NUMERIC, f"error: no start converged for variant(s): {stuck}"
-        )
+        raise _Failure(EXIT_NUMERIC, f"no start converged for variant(s): {stuck}")
 
     lines = ["variant,n_params,sse,r2,starts_converged"]
     for r in results:
@@ -334,7 +309,7 @@ def cmd_compare(
         f"  {r.variant:<13} n_params={r.n_free:<2} SSE={r.sse:.8g} R^2={r.r2:.6f}"
         for r in results
     ]
-    return _write_outcome(out_dir, artifacts, summary)
+    return _write(out_dir, artifacts, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +319,7 @@ def cmd_compare(
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # exit 1 on usage problems, not argparse's 2
-        raise _UsageError(message)
+        raise _Failure(EXIT_USAGE, message)
 
 
 def _tau_flag(value: str) -> float:
@@ -357,6 +332,16 @@ def _tau_flag(value: str) -> float:
     return x
 
 
+def _seed_flag(value: str) -> int:
+    try:
+        seed = int(value)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ffdelay",
@@ -366,12 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p_fit = sub.add_parser("fit", help="fit parameters to observed performance")
-    p_fit.add_argument("--load", required=True, help="load CSV (day,load)")
-    p_fit.add_argument("--perf", required=True, help="performance CSV (day,performance)")
-    p_fit.add_argument("--config", required=True, help="YAML run configuration")
-    p_fit.add_argument("--out", required=True, help="output directory")
-    p_fit.add_argument("--seed", type=int, default=None, help="override fit.seed")
+    fit_flags = argparse.ArgumentParser(add_help=False)  # shared by fit and compare
+    fit_flags.add_argument("--load", required=True, help="load CSV (day,load)")
+    fit_flags.add_argument("--perf", required=True, help="performance CSV (day,performance)")
+    fit_flags.add_argument("--config", required=True, help="YAML run configuration")
+    fit_flags.add_argument("--out", required=True, help="output directory")
+    fit_flags.add_argument("--seed", type=_seed_flag, default=None, help="override fit.seed")
+
+    sub.add_parser("fit", parents=[fit_flags], help="fit parameters to observed performance")
 
     p_pred = sub.add_parser("predict", help="predict performance from fitted parameters")
     p_pred.add_argument("--load", required=True, help="load CSV (day,load)")
@@ -389,47 +376,38 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--tau5", type=_tau_flag, default=None, help="kernel gain (1/day^2)")
     p_sim.add_argument("--out", required=True, help="output directory")
 
-    p_cmp = sub.add_parser("compare", help="fit all four variants and tabulate quality")
-    p_cmp.add_argument("--load", required=True)
-    p_cmp.add_argument("--perf", required=True)
-    p_cmp.add_argument("--config", required=True)
-    p_cmp.add_argument("--out", required=True)
-    p_cmp.add_argument("--seed", type=int, default=None, help="override fit.seed")
-
+    sub.add_parser(
+        "compare", parents=[fit_flags], help="fit all four variants and tabulate quality"
+    )
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        if args.command == "fit":
-            outcome = cmd_fit(args.load, args.perf, args.config, args.out, args.seed)
-        elif args.command == "predict":
-            outcome = cmd_predict(args.load, args.params, args.horizon, args.out)
+        args = build_parser().parse_args(argv)
+        if args.command == "predict":
+            summary = cmd_predict(args.load, args.params, args.horizon, args.out)
         elif args.command == "simulate":
-            outcome = cmd_simulate(
+            summary = cmd_simulate(
                 args.load, args.variant, args.out,
                 tau1=args.tau1, tau2=args.tau2, tau3=args.tau3,
                 tau4=args.tau4, tau5=args.tau5,
             )
         else:
-            outcome = cmd_compare(args.load, args.perf, args.config, args.out, args.seed)
-    except Exception as exc:  # bad input raises FfdelayError; anything else is a defect
+            command = cmd_fit if args.command == "fit" else cmd_compare
+            summary = command(args.load, args.perf, args.config, args.out, args.seed)
+    except _Failure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
+    except Exception as exc:  # a failure not raised as _Failure is a defect
         import traceback
 
         traceback.print_exc()
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
-    stream = sys.stdout if outcome.exit_code == EXIT_OK else sys.stderr
-    print(outcome.summary, file=stream)
-    return outcome.exit_code
+    print(summary)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,11 @@ def fast_config(tmp_path: Path) -> Path:
     path = tmp_path / "config.yaml"
     path.write_text(FAST_CONFIG)
     return path
+
+
+def write_load(path: Path, w: ff.LoadSeries) -> None:
+    path.write_text("day,load\n" + "\n".join(
+        f"{d},{format_number(v)}" for d, v in enumerate(w.values)) + "\n")
 
 
 def write_zero_load(path: Path, days: int = 30) -> None:
@@ -153,6 +159,18 @@ class TestFit:
         assert a == (out_b / "params.json").read_bytes()
         assert a != (out_c / "params.json").read_bytes()
 
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_negative_seed_is_usage_error(self, tmp_path, fast_config, capsys, command):
+        out = tmp_path / "out"
+        code = main([
+            command, "--load", str(DATA / "load.csv"), "--perf", str(DATA / "performance.csv"),
+            "--config", str(fast_config), "--out", str(out), "--seed", "-1",
+        ])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.strip() == "error: argument --seed: expected a non-negative integer, got '-1'"
+        assert not out.exists()
+
 
 class TestPredict:
     def test_symmetric_params_constant_baseline(self, tmp_path):
@@ -246,8 +264,7 @@ class TestPredict:
         # valid three_delay lags of 0.5 days: the fitness state leaves the
         # double range on day 1,204 and the forecast is +inf from there on
         load = tmp_path / "load.csv"
-        load.write_text("day,load\n" + "\n".join(
-            f"{d},{format_number(v)}" for d, v in enumerate(block_load(1500).values)) + "\n")
+        write_load(load, block_load(1500))
         params = tmp_path / "params.json"
         params.write_text(json.dumps({
             "variant": "three_delay", "p0": 500.0, "k1": 0.1, "k2": 0.12,
@@ -344,10 +361,55 @@ class TestSimulate:
         ])
         assert code == EXIT_USAGE
 
+    def test_unstable_params_are_numerical_failure(self, tmp_path, capsys):
+        # the lags of predict's test of the same name: valid parameters whose
+        # state leaves the double range on day 1,204
+        load = tmp_path / "load.csv"
+        write_load(load, block_load(1500))
+        code = main([
+            "simulate", "--load", str(load), "--variant", "three_delay", "--tau1", "45",
+            "--tau2", "0.5", "--tau3", "0.5", "--tau4", "0.5", "--out", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.strip() == "error: simulation failed: state at day 1204 is not finite: inf"
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_command_and_bad_flag(self, capsys):
         assert main(["transmogrify"]) == EXIT_USAGE
         assert main(["simulate", "--load", "x.csv", "--variant", "classical",
                      "--tau1", "banana", "--out", "o"]) == EXIT_USAGE
+
+
+class TestArtifacts:
+    SIMULATE = ["simulate", "--load", str(DATA / "load.csv"), "--variant", "classical",
+                "--tau1", "12.5"]
+
+    @pytest.mark.parametrize("blocker", ["directory_on_last_artifact", "out_under_file"])
+    def test_failed_write_leaves_no_artifact(self, tmp_path, capsys, blocker):
+        if blocker == "directory_on_last_artifact":
+            out = tmp_path / "out"
+            (out / "state_chart.svg").mkdir(parents=True)
+            expected = ["out", "out/state_chart.svg"]
+        else:
+            (tmp_path / "file").write_text("")
+            out = tmp_path / "file" / "out"
+            expected = ["file"]
+        assert main(self.SIMULATE + ["--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: cannot write artifacts to {out}: ")
+        left = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+        assert left == expected
+
+    def test_artifacts_get_the_mode_open_would_give(self, tmp_path):
+        out = tmp_path / "out"
+        umask = os.umask(0o027)
+        try:
+            code = main(self.SIMULATE + ["--out", str(out)])
+        finally:
+            os.umask(umask)
+        assert code == EXIT_OK
+        modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
+        assert modes == {"trajectory.csv": 0o640, "state_chart.svg": 0o640}
 
 
 class TestCompare:
@@ -357,8 +419,7 @@ class TestCompare:
         w = block_load(100)
         p = performance(w, fixture_params(), 100)
         load = tmp_path / "load.csv"
-        load.write_text("day,load\n" + "\n".join(
-            f"{d},{format_number(v)}" for d, v in enumerate(w.values)) + "\n")
+        write_load(load, w)
         perf = tmp_path / "perf.csv"
         perf.write_text("day,performance\n" + "\n".join(
             f"{d},{format_number(p[d])}" for d in observation_days(100)) + "\n")
@@ -393,8 +454,7 @@ class TestCompare:
         w = block_load(2000)
         p = performance(w, fixture_params(), 2000)
         load = tmp_path / "load.csv"
-        load.write_text("day,load\n" + "\n".join(
-            f"{d},{format_number(v)}" for d, v in enumerate(w.values)) + "\n")
+        write_load(load, w)
         perf = tmp_path / "perf.csv"
         perf.write_text("day,performance\n" + "\n".join(
             f"{d},{format_number(p[d])}" for d in range(5, 2000, 30)) + "\n")
