@@ -2,12 +2,13 @@
 
 Library layout:
 
-* :mod:`ffdelay.models`     -- the four state-model variants, the variant table
-                               and ``ModelParams`` (one performance model)
+* :mod:`ffdelay.models`     -- the four state-model variants, the variant table,
+                               ``ModelParams`` (one performance model) and
+                               ``predict_performance``, which runs it forward
 * :mod:`ffdelay.oracle`     -- fine-grid method-of-steps integrator (loaded
                                on first use of one of its names)
-* :mod:`ffdelay.estimation` -- ``fit_variant``, ``compare_variants`` and
-                               ``predict_performance`` (Nelder-Mead, multi-start)
+* :mod:`ffdelay.estimation` -- ``fit_variant`` and ``compare_variants``
+                               (Nelder-Mead, multi-start)
 * :mod:`ffdelay.dataio`     -- CSV/YAML/JSON ingestion and SVG charts
 * :mod:`ffdelay.cli`        -- the ``ffdelay`` command
 """
@@ -42,6 +43,7 @@ from .models import (
     eval_three_delay_convolution,
     eval_three_delay_recursive,
     kernel_to_three_delay,
+    predict_performance,
 )
 from .estimation import (
     FitConfig,
@@ -51,7 +53,6 @@ from .estimation import (
     compare_variants,
     fit_variant,
     nelder_mead,
-    predict_performance,
     r_squared,
     sse_objective,
 )

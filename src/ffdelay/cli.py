@@ -15,7 +15,8 @@ unexpected exception; the last line of stderr reads ``error: internal error:
 <Type>: <message>``). All artifacts are computed before anything is written.
 Each is written to a temporary file, and only when all are written are they
 renamed into place; if writing fails, this run's temporaries and renamed
-artifacts are removed, so a failed run leaves no artifact behind.
+artifacts are removed and the files they replaced are put back, so a failed
+run leaves no artifact of its own and an earlier run's artifacts as they were.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import argparse
 import contextlib
 import math
 import os
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -95,13 +97,15 @@ def _write(out_dir: str, artifacts: dict[str, str], lines: list[str]) -> str:
     the summary: ``lines`` plus a ``wrote:`` line.
 
     Every file is written under a temporary name before any is renamed into
-    place, with the mode ``open(path, "w")`` would give it. On a failure the
+    place, with the mode ``open(path, "w")`` would give it. A file a rename
+    would replace is first hard-linked to a backup name. On a failure the
     temporaries and the artifacts this run already renamed into place are
-    removed.
+    removed and the backups put back; on success the backups are removed.
     """
     out = Path(out_dir)
     paths = [out / name for name in artifacts]
     temps: list[str] = []
+    backups: list[tuple[str, Path]] = []
     placed = 0
     umask = os.umask(0)
     os.umask(umask)
@@ -114,15 +118,25 @@ def _write(out_dir: str, artifacts: dict[str, str], lines: list[str]) -> str:
                 fh.write(text)
             os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600
         for tmp, path in zip(temps, paths):
+            with contextlib.suppress(FileNotFoundError):
+                if not stat.S_ISDIR(os.lstat(path).st_mode):  # no rename replaces a directory
+                    os.link(path, tmp + ".old", follow_symlinks=False)
+                    backups.append((tmp + ".old", path))
             os.replace(tmp, path)
             placed += 1
     except BaseException as exc:
         for leftover in [*paths[:placed], *temps[placed:]]:
             with contextlib.suppress(OSError):
                 os.unlink(leftover)
+        for backup, path in backups:
+            with contextlib.suppress(OSError):
+                os.replace(backup, path)
         if isinstance(exc, OSError):
             raise _Failure(EXIT_DATA, f"cannot write artifacts to {out_dir}: {exc}") from exc
         raise
+    for backup, _ in backups:
+        with contextlib.suppress(OSError):
+            os.unlink(backup)
     return "\n".join([*lines, "wrote: " + ", ".join(map(str, paths))])
 
 
@@ -241,11 +255,14 @@ def cmd_simulate(
     row = variant_row(variant)
     given = {"tau1": tau1, "tau2": tau2, "tau3": tau3, "tau4": tau4, "tau5": tau5}
     missing = [f for f in row.flags if given[f] is None]
-    if missing:
+    extra = [f for f, value in given.items() if value is not None and f not in row.flags]
+    if missing or extra:
+        problem = (f"requires --{', --'.join(missing)}" if missing
+                   else f"does not take --{', --'.join(extra)}")
         flags = " ".join(f"--{f} X" for f in row.flags)
         raise _Failure(
             EXIT_USAGE,
-            f"variant {variant} requires --{', --'.join(missing)}\n"
+            f"variant {variant} {problem}\n"
             f"usage: ffdelay simulate --load <csv> --variant {variant} {flags} --out <dir>",
         )
     w = _parse(parse_load_csv, load_path)

@@ -13,11 +13,12 @@ transformed unit box drawn from a seeded generator; starts are evaluated
 sequentially and the winner is the lowest objective value with the lowest
 start index as tie-break, so results are bit-reproducible for a given seed.
 
-``fit_variant`` fits one variant, ``compare_variants`` fits all four with
-nested seeding, and ``predict_performance`` runs any variant's performance
-model forward. All three read the variant table in :mod:`ffdelay.models`.
+``fit_variant`` fits one variant and ``compare_variants`` fits all four with
+nested seeding. Both read the variant table in :mod:`ffdelay.models`, and
+the fit objective runs that module's performance model, the same pass as
+``predict_performance`` (defined there, and bound here for ``sse_objective``).
 numpy is imported only inside the optimizer (``nelder_mead``, the Latin
-hypercube and ``fit_variant``), so ``predict_performance`` runs without it.
+hypercube and ``fit_variant``).
 """
 
 from __future__ import annotations
@@ -32,14 +33,10 @@ from .models import (
     LoadSeries,
     ModelParams,
     Variant,
-    _check_horizon,
-    _field_values,
-    _kernel_rates,
-    _lag_rate,
+    _performance,
     _record,
     kernel_to_three_delay,
-    single_delay_performance,
-    three_delay_performance,
+    predict_performance,
     variant_row,
 )
 
@@ -402,57 +399,6 @@ def _coords_for(row: Variant, bounds: ParamBounds, fix_p0: float | None) -> list
             else:  # tau5: signed, linear scale
                 coords.append(_Coord(f"{side}.tau5", *bounds.tau5, log_scale=False))
     return coords
-
-
-def _rates(side: tuple) -> tuple:
-    """A lag side's kernel arguments: its decay constant, then each lag's rate."""
-    return (side[0], *map(_lag_rate, side[1:]))
-
-
-def _kernel_side(side: tuple) -> tuple:
-    """A kernel side's three-delay arguments: its decay constant, then -(w_j * tau5)."""
-    return (side[0], *_kernel_rates(side[1], side[2]))
-
-
-def _performance(
-    variant: str, wv: Sequence[float], p0: float, k1: float, k2: float,
-    fitness: tuple, fatigue: tuple, horizon: int,
-) -> list[float]:
-    """p0 + k1*g - k2*h in one pass; each side holds its class's field values in order."""
-    if variant == "single_delay":
-        return single_delay_performance(
-            wv, p0, k1, k2, _rates(fitness), _rates(fatigue), horizon
-        )
-    if variant == "classical":
-        return single_delay_performance(
-            wv, p0, k1, k2, (*fitness, 0.0), (*fatigue, 0.0), horizon
-        )
-    rates = _rates if variant == "three_delay" else _kernel_side
-    return three_delay_performance(
-        wv, p0, k1, k2, rates(fitness), rates(fatigue), horizon
-    )
-
-
-def predict_performance(
-    variant: str,
-    p0: float,
-    k1: float,
-    k2: float,
-    fitness,
-    fatigue,
-    w: LoadSeries,
-    horizon: int,
-) -> tuple[float, ...]:
-    """Performance trajectory p0 + k1*g - k2*h for any state-model variant.
-
-    The arguments must form valid :class:`ModelParams` (ParameterError
-    otherwise).
-    """
-    ModelParams(variant, p0, k1, k2, fitness, fatigue)
-    horizon = _check_horizon(w, horizon)
-    return tuple(_performance(
-        variant, w.values, p0, k1, k2, _field_values(fitness), _field_values(fatigue), horizon
-    ))
 
 
 # ---------------------------------------------------------------------------

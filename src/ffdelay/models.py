@@ -15,14 +15,17 @@ runs one of them at its own lag rates:
 
 ``VARIANT_TABLE`` names each variant's side-parameter class (the parameters
 of one state model, fitness or fatigue) and its ``ffdelay simulate`` flags;
-``ModelParams`` is the performance model p = p0 + k1 g - k2 h of any variant.
+``ModelParams`` is the performance model p = p0 + k1 g - k2 h of any variant,
+and ``predict_performance`` runs it forward.
 
 Each shape has two kinds of kernel. A path kernel (``*_path``) returns one
-side's state trajectory; the public ``eval_*`` operations run them. A
-performance kernel (``*_performance``) advances a variant's fitness and
-fatigue states together and returns p over one walk of the load; forecasts
-and fit objectives run those. Both kinds do the same floating-point
-operations in the same order, so their results agree bit for bit.
+side's state trajectory; the public ``eval_*_recursive`` operations run them.
+A performance kernel (``*_performance``) advances a variant's fitness and
+fatigue states together and returns p over one walk of the load;
+``predict_performance`` and ``estimation``'s fit objective run those. Both
+kinds do the same floating-point operations in the same order, so their
+results agree bit for bit. One private rule, ``_side_args``, maps a side to
+its shape's arguments (the rates above) for every one of these callers.
 
 The delayed variants come in two algebraically equivalent forms: a one-step
 recursion and an explicit exponentially-weighted history sum ("convolution"
@@ -384,9 +387,9 @@ def _check_horizon(w: LoadSeries, horizon: int) -> int:
 # Raw trajectory kernels. These operate on plain sequences and field values,
 # not LoadSeries or side objects. The per-side path kernels power the public
 # operations below; the performance kernels after them advance both sides of
-# a variant and combine them in one pass, for ``estimation``'s forecasts and
-# objective evaluations. Arithmetic ordering inside the recursions is mirrored
-# by the fine-grid integrator so that its m=1 reduction is bit-identical.
+# a variant and combine them in one pass, for forecasts and fit objectives.
+# Arithmetic ordering inside the recursions is mirrored by the fine-grid
+# integrator so that its m=1 reduction is bit-identical.
 # ---------------------------------------------------------------------------
 
 
@@ -438,29 +441,12 @@ def three_delay_path(
     return g
 
 
-# The kernel recursion g(k+1) = [w(k) + g(k) + tau5 (w1 g(k-1) + w2 g(k-2) +
-# w3 g(k-3))] a is the three-lag shape at rates r_j = -(w_j * tau5), so it has
-# no loop of its own. It matches that literal expression up to rounding only:
-# each weighted state is scaled by tau5 apart instead of their sum.
-
-
-def _kernel_rates(tau5: float, weights) -> tuple[float, ...]:
-    """A kernel side's three-delay lag rates r_j = -(w_j * tau5)."""
-    return tuple([-(x * tau5) for x in weights])
-
-
-def kernel_path(w, tau_decay: float, tau5: float, weights, horizon: int) -> list[float]:
-    return three_delay_path(w, tau_decay, *_kernel_rates(tau5, weights), horizon)
-
-
 # Performance kernels: p = p0 + k1 g - k2 h over one walk of w. ``fitness``
-# and ``fatigue`` are the arguments the variant's path kernel takes between w
-# and horizon, and each state advances by that kernel's expression, so g and h
-# equal its two paths bit for bit. The combine groups the state terms first
+# and ``fatigue`` are the arguments the same shape's path kernel takes between
+# w and horizon, and each state advances by that kernel's expression, so g and
+# h equal its two paths bit for bit. The combine groups the state terms first
 # so that k1 == k2 with identical sides gives exactly p0 (the gains cancel
-# before the baseline is touched). Classical runs single_delay_performance
-# with both lag rates 0.0, and kernel runs three_delay_performance at the
-# rates of ``_kernel_rates``.
+# before the baseline is touched).
 
 
 def single_delay_performance(
@@ -506,6 +492,41 @@ def three_delay_performance(
 
 
 # ---------------------------------------------------------------------------
+# The variant rule: each variant's side runs one shape at its own lag rates.
+# The kernel recursion g(k+1) = [w(k) + g(k) + tau5 (w1 g(k-1) + w2 g(k-2) +
+# w3 g(k-3))] a is the three-lag shape at rates r_j = -(w_j * tau5), so it has
+# no loop of its own. It matches that literal expression up to rounding only:
+# each weighted state is scaled by tau5 apart instead of their sum.
+# ---------------------------------------------------------------------------
+
+
+def _side_args(variant: str, side: tuple) -> tuple:
+    """A side's shape-kernel arguments from its field values in order: the
+    decay constant, then the lag rates (0.0 for classical, 1/tau_lag_j for the
+    lag variants, -(w_j * tau5) for kernel). One rate is the one-lag shape,
+    three the three-lag shape."""
+    if variant == "classical":
+        return (side[0], 0.0)
+    if variant == "kernel":
+        return (side[0], *[-(x * side[1]) for x in side[2]])
+    return (side[0], *map(_lag_rate, side[1:]))
+
+
+def _performance(
+    variant: str, wv, p0: float, k1: float, k2: float,
+    fitness: tuple, fatigue: tuple, horizon: int,
+) -> list[float]:
+    """p0 + k1*g - k2*h in one pass; each side holds its class's field values in order."""
+    fitness, fatigue = _side_args(variant, fitness), _side_args(variant, fatigue)
+    fused = single_delay_performance if len(fitness) == 2 else three_delay_performance
+    return fused(wv, p0, k1, k2, fitness, fatigue, horizon)
+
+
+def kernel_path(w, tau_decay: float, tau5: float, weights, horizon: int) -> list[float]:
+    return three_delay_path(w, *_side_args("kernel", (tau_decay, tau5, weights)), horizon)
+
+
+# ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
 
@@ -524,10 +545,8 @@ def eval_single_delay_recursive(
     """One-day-lag model via the step recursion
     g(k+1) = [w(k) + g(k) - (1/tau_lag1) g(k-1)] e^{-1/tau_decay}."""
     horizon = _check_horizon(w, horizon)
-    path = single_delay_path(
-        w.values, params.tau_decay, _lag_rate(params.tau_lag1), horizon
-    )
-    return StateSeries(tuple(path), "single_delay")
+    args = _side_args("single_delay", _field_values(params))
+    return StateSeries(tuple(single_delay_path(w.values, *args, horizon)), "single_delay")
 
 
 def eval_single_delay_convolution(
@@ -559,15 +578,8 @@ def eval_three_delay_recursive(
 ) -> StateSeries:
     """Three-lag model via the step recursion with zero history on [-3, 0]."""
     horizon = _check_horizon(w, horizon)
-    path = three_delay_path(
-        w.values,
-        params.tau_decay,
-        _lag_rate(params.tau_lag1),
-        _lag_rate(params.tau_lag2),
-        _lag_rate(params.tau_lag3),
-        horizon,
-    )
-    return StateSeries(tuple(path), "three_delay")
+    args = _side_args("three_delay", _field_values(params))
+    return StateSeries(tuple(three_delay_path(w.values, *args, horizon)), "three_delay")
 
 
 def eval_three_delay_convolution(
@@ -613,8 +625,23 @@ def eval_kernel_recursive(w: LoadSeries, params: KernelParams, horizon: int) -> 
     g(k+1) = [w(k) + g(k) + tau5 (w1 g(k-1) + w2 g(k-2) + w3 g(k-3))] e^{-1/tau},
     run as the three-delay recursion at lag rates -(w_j tau5)."""
     horizon = _check_horizon(w, horizon)
-    path = kernel_path(w.values, params.tau_decay, params.tau5, params.weights, horizon)
-    return StateSeries(tuple(path), "kernel")
+    args = _side_args("kernel", _field_values(params))
+    return StateSeries(tuple(three_delay_path(w.values, *args, horizon)), "kernel")
+
+
+def predict_performance(
+    variant: str, p0: float, k1: float, k2: float, fitness, fatigue, w: LoadSeries, horizon: int
+) -> tuple[float, ...]:
+    """Performance trajectory p0 + k1*g - k2*h for any state-model variant.
+
+    The arguments must form valid :class:`ModelParams` (ParameterError
+    otherwise).
+    """
+    ModelParams(variant, p0, k1, k2, fitness, fatigue)
+    horizon = _check_horizon(w, horizon)
+    return tuple(_performance(
+        variant, w.values, p0, k1, k2, _field_values(fitness), _field_values(fatigue), horizon
+    ))
 
 
 def kernel_to_three_delay(params: KernelParams) -> ThreeDelayParams:
@@ -631,7 +658,7 @@ def kernel_to_three_delay(params: KernelParams) -> ThreeDelayParams:
     departure.
     """
     lags = []
-    for rate in _kernel_rates(params.tau5, params.weights):
+    for rate in _side_args("kernel", _field_values(params))[1:]:
         lag = 1.0 / rate if rate else INF
         lags.append(lag if math.isfinite(lag) else INF)
     if min(lags) < 0.0:

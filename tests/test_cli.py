@@ -316,14 +316,20 @@ class TestSimulate:
         assert (out_k / "trajectory.csv").read_bytes() == (out_c / "trajectory.csv").read_bytes()
 
     def test_missing_variant_flag_prints_usage(self, tmp_path, capsys):
-        code = main([
-            "simulate", "--load", str(DATA / "load.csv"), "--variant", "single_delay",
-            "--tau1", "10", "--out", str(tmp_path / "out"),
-        ])
-        assert code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "--tau2" in err and "single_delay" in err
-        assert not (tmp_path / "out").exists()
+        # a flag the variant needs is missing, or ones it does not take are given
+        for variant, flags, named in (
+            ("single_delay", ["--tau1", "10"], ["--tau2"]),
+            ("classical", ["--tau1", "30", "--tau2", "10", "--tau5", "-0.1"], ["--tau2", "--tau5"]),
+        ):
+            code = main([
+                "simulate", "--load", str(DATA / "load.csv"), "--variant", variant,
+                *flags, "--out", str(tmp_path / "out"),
+            ])
+            assert code == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: variant {variant} ")
+            assert all(flag in err.splitlines()[0] for flag in named), err
+            assert not (tmp_path / "out").exists()
 
     def test_kernel_vs_mapped_three_delay(self, tmp_path):
         kp = ff.KernelParams(8.0, -0.4)
@@ -399,6 +405,25 @@ class TestArtifacts:
         assert capsys.readouterr().err.startswith(f"error: cannot write artifacts to {out}: ")
         left = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
         assert left == expected
+
+    def test_failed_rerun_keeps_the_earlier_artifacts(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(self.SIMULATE + ["--out", str(out)]) == EXIT_OK
+        earlier = (out / "trajectory.csv").read_bytes()
+        (out / "state_chart.svg").unlink()
+        (out / "state_chart.svg").mkdir()
+        # the rerun replaces trajectory.csv, then fails on the directory
+        rerun = [*self.SIMULATE[:-1], "30", "--out", str(out)]
+        assert main(rerun) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: cannot write artifacts to {out}: ")
+        assert sorted(p.name for p in out.iterdir()) == ["state_chart.svg", "trajectory.csv"]
+        assert (out / "trajectory.csv").read_bytes() == earlier
+
+        # a successful rerun leaves no backup or temporary behind
+        (out / "state_chart.svg").rmdir()
+        assert main(rerun) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == ["state_chart.svg", "trajectory.csv"]
+        assert (out / "trajectory.csv").read_bytes() != earlier
 
     def test_artifacts_get_the_mode_open_would_give(self, tmp_path):
         out = tmp_path / "out"

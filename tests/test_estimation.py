@@ -380,7 +380,7 @@ KERNEL_OF = {
 
 @pytest.fixture()
 def kernel_horizons(monkeypatch) -> dict[str, list[int]]:
-    """The horizon of every performance-kernel call made through estimation's globals.
+    """The horizon of every performance-kernel call made through the models globals.
 
     A call that reaches a kernel through a reference captured at import (a
     default argument, a module-level alias) bypasses the wrapper and is not
@@ -388,11 +388,11 @@ def kernel_horizons(monkeypatch) -> dict[str, list[int]]:
     """
     seen: dict[str, list[int]] = {name: [] for name in set(KERNEL_OF.values())}
     for name, horizons in seen.items():
-        def counting(*args, _real=getattr(estimation, name), _horizons=horizons):
+        def counting(*args, _real=getattr(models, name), _horizons=horizons):
             _horizons.append(args[-1])
             return _real(*args)
 
-        monkeypatch.setattr(estimation, name, counting)
+        monkeypatch.setattr(models, name, counting)
     return seen
 
 
