@@ -200,8 +200,19 @@ class VariantFit(ModelParams):
 # ---------------------------------------------------------------------------
 
 
+def _sse(p: Sequence[float], entries: tuple[tuple[int, float], ...]) -> float:
+    try:
+        return sum((p[d] - y) ** 2 for d, y in entries)
+    except OverflowError:  # a finite residual whose square exceeds a double
+        return math.inf
+
+
 def sse_objective(params: ModelParams, w: LoadSeries, obs: ObservationSet) -> float:
-    """Sum of squared model-vs-observation errors at the observed days."""
+    """Sum of squared model-vs-observation errors at the observed days.
+
+    ``inf`` when an error's square exceeds a double, as it can for valid but
+    unstable parameters.
+    """
     last = obs.days[-1]
     if last >= len(w):
         raise ObservationError(
@@ -211,15 +222,16 @@ def sse_objective(params: ModelParams, w: LoadSeries, obs: ObservationSet) -> fl
         params.variant, params.p0, params.k1, params.k2,
         params.fitness, params.fatigue, w, last + 1,
     )
-    return sum((p[d] - y) ** 2 for d, y in obs.entries)
+    return _sse(p, obs.entries)
 
 
 def r_squared(predicted: Sequence[float], obs: ObservationSet) -> float:
     """Coefficient of determination 1 - SSE/SST, SST about the observation mean.
 
     1 for a perfect fit, 0 for the mean predictor, negative when worse than
-    the mean. Undefined (MetricError) for fewer than two observations or
-    zero observation variance.
+    the mean, ``-inf`` when an error's square exceeds a double. Undefined
+    (MetricError) for fewer than two observations or zero observation
+    variance.
     """
     if len(obs) < 2:
         raise MetricError("r_squared needs at least two observations")
@@ -232,8 +244,7 @@ def r_squared(predicted: Sequence[float], obs: ObservationSet) -> float:
     sst = sum((y - mean) ** 2 for y in values)
     if sst == 0.0:
         raise MetricError("r_squared undefined: observations have zero variance")
-    sse = sum((predicted[d] - y) ** 2 for d, y in obs.entries)
-    return 1.0 - sse / sst
+    return 1.0 - _sse(predicted, obs.entries) / sst
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +370,6 @@ def _logit(u: float) -> float:
 class _Coord:
     """One search coordinate: a bounded box reached via a logistic squash."""
 
-    name: str
     lo: float
     hi: float
     log_scale: bool
@@ -375,6 +385,8 @@ class _Coord:
         return min(max(v, self.lo), self.hi)
 
     def z_of(self, value: float) -> float:
+        if value == math.inf:  # pins a lag at the saturated top of its box
+            return _Z_SATURATED
         if self.log_scale:
             lo = math.log(self.lo)
             u = (math.log(value) - lo) / (math.log(self.hi) - lo)
@@ -386,18 +398,17 @@ class _Coord:
 def _coords_for(row: Variant, bounds: ParamBounds, fix_p0: float | None) -> list[_Coord]:
     coords: list[_Coord] = []
     if fix_p0 is None:
-        coords.append(_Coord("p0", *bounds.p0, log_scale=False))
-    coords.append(_Coord("k1", *bounds.k1, log_scale=True))
-    coords.append(_Coord("k2", *bounds.k2, log_scale=True))
-    for side, decay_b, lag_b in (("fitness", bounds.tau1, bounds.tau2),
-                                 ("fatigue", bounds.tau3, bounds.tau4)):
+        coords.append(_Coord(*bounds.p0, log_scale=False))
+    coords.append(_Coord(*bounds.k1, log_scale=True))
+    coords.append(_Coord(*bounds.k2, log_scale=True))
+    for decay_b, lag_b in ((bounds.tau1, bounds.tau2), (bounds.tau3, bounds.tau4)):
         for pname in row.fitted:
             if pname == "tau_decay":
-                coords.append(_Coord(f"{side}.tau_decay", *decay_b, log_scale=True))
+                coords.append(_Coord(*decay_b, log_scale=True))
             elif pname.startswith("tau_lag"):
-                coords.append(_Coord(f"{side}.{pname}", *lag_b, log_scale=True))
+                coords.append(_Coord(*lag_b, log_scale=True))
             else:  # tau5: signed, linear scale
-                coords.append(_Coord(f"{side}.tau5", *bounds.tau5, log_scale=False))
+                coords.append(_Coord(*bounds.tau5, log_scale=False))
     return coords
 
 
@@ -422,15 +433,17 @@ def fit_variant(
     bounds: ParamBounds,
     config: FitConfig,
     variant: str = "single_delay",
-    extra_starts: Sequence[Sequence[float]] = (),
+    extra_starts: Sequence[ModelParams] = (),
 ) -> VariantFit:
     """Fit the performance model with the given state-model variant.
 
-    ``extra_starts`` prepends deterministic start points in the transformed
-    space ahead of the sampled ones (used by :func:`compare_variants` to seed
-    richer variants with the classical solution). A start whose objective is
-    not finite is skipped and counts as not converged; ParameterError when no
-    start is usable.
+    ``extra_starts`` are parameter sets (a :class:`VariantFit` is one) of this
+    variant or of a variant it contains, tried in order ahead of the sampled
+    starts and mapped into the search space by ``_embed_start``. A seed with
+    no representation in the box is dropped before the starts are numbered,
+    so ``best_start_index`` counts only the seeds kept. A start whose
+    objective is not finite is skipped and counts as not converged;
+    ParameterError when no start is usable.
     """
     import numpy as np
 
@@ -456,15 +469,14 @@ def fit_variant(
         return vals[0], vals[1], vals[2], fitness, fatigue
 
     def objective(z: np.ndarray) -> float:
-        p = _performance(variant, wv, *decode(z), obj_horizon)
-        try:
-            return sum((p[d] - y) ** 2 for d, y in entries)
-        except OverflowError:  # a finite residual whose square exceeds a double
-            return math.inf
+        return _sse(_performance(variant, wv, *decode(z), obj_horizon), entries)
 
     rng = np.random.default_rng(config.seed)
     u = _latin_hypercube(rng, config.starts, len(coords))
-    starts = [np.asarray(z, dtype=float) for z in extra_starts]
+    skip = 0 if config.fix_p0 is None else 1  # a fixed p0 has no coordinate
+    embedded = (_embed_start(row, seed) for seed in extra_starts)
+    starts = [np.array([c.z_of(v) for c, v in zip(coords, vals[skip:])])
+              for vals in embedded if vals is not None]
     starts += [np.array([_logit(ui) for ui in point]) for point in u]
 
     best_z = None
@@ -531,39 +543,34 @@ def fit_variant(
     )
 
 
-def _embed_start(
-    row: Variant, coords: list[_Coord], fit: VariantFit
-) -> tuple[float, ...] | None:
-    """Start vector for the variant ``row`` that realizes ``fit``'s solution.
+def _embed_start(row: Variant, seed: ModelParams) -> tuple[float, ...] | None:
+    """The values of ``seed`` in the search order of variant ``row``.
 
-    A field the contained side lacks takes its "term off" value: +inf for a
-    lag constant, 0 for the kernel gain. A kernel side embeds into the lag
-    variants through ``kernel_to_three_delay``. Returns None when the
-    solution has no representation inside the richer variant's box (a
-    positive kernel gain maps to negative lag constants).
+    That order is p0, k1, k2, then the fitted fields of the fitness and of the
+    fatigue side. A field the seed's side lacks takes its "term off" value:
+    +inf for a lag constant, 0 for the kernel gain. A kernel side embeds into
+    the lag variants through ``kernel_to_three_delay``. Returns None when the
+    seed has no representation inside the variant's box (a positive kernel
+    gain maps to negative lag constants).
 
-    A +inf target pins a lag coordinate at the saturated top of its log box,
+    A +inf value pins a lag coordinate at the saturated top of its log box,
     where the lag constant equals the upper bound hi: the lag rate there is
     1/hi, not 0 (1e-6 for a bound of 1e6), so the exact-inf reduction lies
-    outside the box and the seed only approximates it. A finite target
+    outside the box and the seed only approximates it. A finite value
     outside [lo, hi] is clamped to the nearer box edge. Either way the seed
-    is inexact; it reproduces the contained fit only when every target lies
-    inside the box.
+    is inexact; it reproduces the seed's performance only when every value
+    lies inside the box. A kernel side maps to lag rates r_j = -(w_j * tau5),
+    so even then it is exact only up to the rounding of 1/(1/r_j).
     """
-    targets = {"p0": fit.p0, "k1": fit.k1, "k2": fit.k2}
-    for side_name in ("fitness", "fatigue"):
-        side = getattr(fit, side_name)
+    vals = [seed.p0, seed.k1, seed.k2]
+    for side in (seed.fitness, seed.fatigue):
         if isinstance(side, KernelParams) and row.side is not KernelParams:
             if side.tau5 > 0.0:
                 return None
             side = kernel_to_three_delay(side)
-        for pname in row.fitted:
-            off = 0.0 if pname == "tau5" else math.inf
-            targets[f"{side_name}.{pname}"] = getattr(side, pname, off)
-    return tuple(
-        _Z_SATURATED if targets[c.name] == math.inf else c.z_of(targets[c.name])
-        for c in coords
-    )
+        vals += [getattr(side, pname, 0.0 if pname == "tau5" else math.inf)
+                 for pname in row.fitted]
+    return tuple(vals)
 
 
 def compare_variants(
@@ -574,35 +581,23 @@ def compare_variants(
 ) -> list[VariantFit]:
     """Fit all four variants on the same data.
 
-    Every variant's start list is seeded with the solutions of the variants it
+    Every variant's start list is seeded with the fits of the variants it
     contains as parameter specializations (classical for all; classical and
     single_delay and kernel for three_delay), with the extra delay terms
     switched off. The simplex never returns a value worse than its start, so a
     containing variant cannot report a worse SSE than a contained fit whose
-    embedded seed is exact: kernel from classical (tau5 = 0), and three_delay
-    from kernel when the mapped lags lie inside the lag box. The kernel runs
-    as the three-delay recursion at lag rates r_j = -(w_j * tau5), so that
-    seed is exact up to the rounding of 1/(1/r_j) in each rate. A seed from a
-    +inf lag (every classical embedding, and single_delay into three_delay)
-    sits at the lag rate 1/hi of the box top, so that guarantee holds only up
-    to the delay term left at that rate; with a lag upper bound of 1e6 a
-    richer variant can end measurably worse than the variant it contains.
+    seed ``_embed_start`` maps exactly: kernel from classical (tau5 = 0), and
+    three_delay from kernel when the mapped lags lie inside the lag box. Every
+    other seed is inexact in the way ``_embed_start`` states; with a lag upper
+    bound of 1e6 a richer variant can end measurably worse than the variant
+    it contains.
     """
-    classical = fit_variant(w, obs, bounds, config, "classical")
-    by_name = {"classical": classical}
+    by_name = {"classical": fit_variant(w, obs, bounds, config, "classical")}
     for variant, contained in (
         ("single_delay", ("classical",)),
         ("kernel", ("classical",)),
         ("three_delay", ("classical", "single_delay", "kernel")),
     ):
-        row = variant_row(variant)
-        coords = _coords_for(row, bounds, config.fix_p0)
-        seeds = []
-        for name in contained:
-            seed = _embed_start(row, coords, by_name[name])
-            if seed is not None:
-                seeds.append(seed)
-        by_name[variant] = fit_variant(
-            w, obs, bounds, config, variant, extra_starts=seeds
-        )
+        seeds = [by_name[name] for name in contained]
+        by_name[variant] = fit_variant(w, obs, bounds, config, variant, extra_starts=seeds)
     return [by_name[v] for v in VARIANTS]

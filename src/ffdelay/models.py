@@ -213,9 +213,10 @@ class StateSeries:
             raise ParameterError("state series must contain at least one day")
         if vals[0] != 0.0:
             raise ParameterError("state series must start at 0 (zero initial history)")
-        for i, v in enumerate(vals):
-            if not math.isfinite(v):
-                raise ParameterError(f"state at day {i} is not finite: {v!r}")
+        # checked at C speed; only a failing series is walked to name its day
+        if not all(map(math.isfinite, vals)):
+            day = next(i for i, v in enumerate(vals) if not math.isfinite(v))
+            raise ParameterError(f"state at day {day} is not finite: {vals[day]!r}")
 
     def __len__(self) -> int:
         return len(self.values)

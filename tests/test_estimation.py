@@ -83,11 +83,11 @@ class TestBoundsAndConfig:
     def test_decoded_coordinate_stays_inside_its_box(self):
         # exp(log(5.0)) is 4.999999999999999, exp(log(1.0) + log(10.0)) is
         # 10.000000000000002, and 0.3 + 1.0 * (0.9 - 0.3) is 0.9000000000000001
-        assert _Coord("tau1", 5.0, 150.0, log_scale=True).value(-50.0) == 5.0
-        assert _Coord("k1", 1.0, 10.0, log_scale=True).value(50.0) == 10.0
-        assert _Coord("p0", 0.3, 0.9, log_scale=False).value(50.0) == 0.9
+        assert _Coord(5.0, 150.0, log_scale=True).value(-50.0) == 5.0
+        assert _Coord(1.0, 10.0, log_scale=True).value(50.0) == 10.0
+        assert _Coord(0.3, 0.9, log_scale=False).value(50.0) == 0.9
         for lo, hi in ((5.0, 150.0), (0.5, 500.0), (2.0, 1e6), (1e-4, 10.0)):
-            coord = _Coord("tau", lo, hi, log_scale=True)
+            coord = _Coord(lo, hi, log_scale=True)
             assert all(lo <= coord.value(z) <= hi for z in (-1e3, -50.0, -40.0, 40.0, 50.0, 1e3))
 
     def test_config_domain(self):
@@ -129,6 +129,18 @@ class TestSseObjective:
         obs = ff.ObservationSet(((120, 500.0),))
         with pytest.raises(ObservationError):
             ff.sse_objective(true_params, load_120, obs)
+
+    def test_overflowing_error_scores_inf(self):
+        # valid but unstable parameters: p is about -3.4e160 at day 628, so a
+        # squared error exceeds a double
+        w = block_load(1500)
+        params = ff.ModelParams(
+            "three_delay", 500.0, 0.1, 0.12,
+            ff.ThreeDelayParams(45.0, 0.5, 0.5, 0.5), ff.ThreeDelayParams(15.0),
+        )
+        obs = ff.ObservationSet(((628, 500.0), (629, 501.0)))
+        assert ff.sse_objective(params, w, obs) == math.inf
+        assert ff.r_squared(performance(w, params, 630), obs) == -math.inf
 
 
 class TestRSquared:
@@ -485,6 +497,24 @@ class TestVariantFits:
         # kernel_to_three_delay is exact, so the seeded three-delay fit
         # cannot end worse than the kernel fit it starts from
         assert by_name["three_delay"].sse <= kernel.sse + 1e-9
+
+    def test_seed_without_box_representation_is_dropped(self, load_120, clean_observations):
+        # a positive kernel gain maps to negative lags, outside the lag box
+        seed = ff.ModelParams(
+            "kernel", 500.0, 0.1, 0.12, ff.KernelParams(40.0, 0.1), ff.KernelParams(12.0, -0.2)
+        )
+        config = ff.FitConfig(starts=1, max_iterations=100, seed=3)
+        args = (load_120, clean_observations, recovery_bounds(), config, "three_delay")
+        assert ff.fit_variant(*args, extra_starts=[seed]) == ff.fit_variant(*args)
+
+    def test_kernel_seeded_with_classical_fit_is_no_worse(self, load_120, clean_observations):
+        config = ff.FitConfig(starts=1, max_iterations=200, seed=5)
+        args = (load_120, clean_observations, recovery_bounds(), config)
+        classical = ff.fit_variant(*args, "classical")
+        kernel = ff.fit_variant(*args, "kernel", extra_starts=[classical])
+        # exact at tau5 = 0 up to the rounding of the coordinate round trip
+        assert kernel.best_start_index == 0
+        assert kernel.sse <= classical.sse + 1e-9
 
 
 def _type_checking_names(module) -> dict[str, object]:

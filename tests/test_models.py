@@ -75,6 +75,10 @@ class TestDomainTypes:
         with pytest.raises(ParameterError):
             ff.StateSeries((1.0, 0.0), "classical")
 
+    def test_state_series_names_first_non_finite_day(self):
+        with pytest.raises(ParameterError, match=r"^state at day 2 is not finite: nan$"):
+            ff.StateSeries((0.0, 1.0, math.nan, math.inf), "x")
+
     @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
     def test_decay_constant_domain(self, tau):
         with pytest.raises(ParameterError):
