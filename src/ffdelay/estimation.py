@@ -14,16 +14,20 @@ sequentially and the winner is the lowest objective value with the lowest
 start index as tie-break, so results are bit-reproducible for a given seed.
 
 ``fit_variant`` fits one variant and ``compare_variants`` fits all four with
-nested seeding. Both read the variant table in :mod:`ffdelay.models`, and
-the fit objective runs that module's performance model, the same pass as
-``predict_performance`` (defined there, and bound here for ``sse_objective``).
-numpy is imported only inside the optimizer (``nelder_mead``, the Latin
-hypercube and ``fit_variant``).
+nested seeding. Both read the variant table in :mod:`ffdelay.models`. A fit
+is a driver over one private problem object, ``_FitProblem``, which holds the
+coordinates and the objective, and decodes and embeds search points; each
+start runs through ``_run_start``, the one caller of ``nelder_mead``. The
+objective runs the performance model of :mod:`ffdelay.models`, the same pass
+as ``predict_performance`` (defined there, and bound here for
+``sse_objective``). numpy is imported only where the optimizer runs: in
+``nelder_mead``, the Latin hypercube and ``fit_variant``.
 """
 
 from __future__ import annotations
 
 import math
+from numbers import Real
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import MetricError, ObservationError, ParameterError
@@ -33,6 +37,8 @@ from .models import (
     LoadSeries,
     ModelParams,
     Variant,
+    _as_int,
+    _field_dict,
     _performance,
     _record,
     kernel_to_three_delay,
@@ -105,8 +111,14 @@ class ObservationSet:
         return len(self.entries)
 
 
-def _check_bound_pair(name: str, pair: tuple[float, float], positive: bool) -> tuple[float, float]:
-    lo, hi = float(pair[0]), float(pair[1])
+def _check_bound_pair(name: str, pair, positive: bool) -> tuple[float, float]:
+    try:
+        lo, hi = pair
+    except (TypeError, ValueError):  # not iterable, or not two items
+        lo = hi = None
+    if not all(isinstance(v, Real) and not isinstance(v, bool) for v in (lo, hi)):
+        raise ParameterError(f"bounds for {name} must be two numbers, got {pair!r}")
+    lo, hi = float(lo), float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ParameterError(f"bounds for {name} must be finite, got {pair!r}")
     if not lo < hi:
@@ -138,14 +150,9 @@ class ParamBounds:
     tau5: tuple[float, float] = (-1.0, 1.0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p0", _check_bound_pair("p0", self.p0, positive=False))
-        object.__setattr__(self, "k1", _check_bound_pair("k1", self.k1, positive=True))
-        object.__setattr__(self, "k2", _check_bound_pair("k2", self.k2, positive=True))
-        for name in ("tau1", "tau2", "tau3", "tau4"):
-            object.__setattr__(
-                self, name, _check_bound_pair(name, getattr(self, name), positive=True)
-            )
-        object.__setattr__(self, "tau5", _check_bound_pair("tau5", self.tau5, positive=False))
+        for name in self._fields:  # every box but the baseline's and the signed gain's is positive
+            positive = name not in ("p0", "tau5")
+            object.__setattr__(self, name, _check_bound_pair(name, getattr(self, name), positive))
 
 
 @_record
@@ -160,6 +167,8 @@ class FitConfig:
     fix_p0: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("starts", "max_iterations", "seed"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.starts < 1:
             raise ParameterError(f"starts must be >= 1, got {self.starts}")
         if self.max_iterations < 1:
@@ -207,20 +216,23 @@ def _sse(p: Sequence[float], entries: tuple[tuple[int, float], ...]) -> float:
         return math.inf
 
 
+def _obs_horizon(w: LoadSeries, obs: ObservationSet) -> int:
+    """The days a model pass must cover to reach the last observation."""
+    last = obs.entries[-1][0]
+    if last >= len(w):
+        raise ObservationError(f"observation day {last} outside the load horizon {len(w)}")
+    return last + 1
+
+
 def sse_objective(params: ModelParams, w: LoadSeries, obs: ObservationSet) -> float:
     """Sum of squared model-vs-observation errors at the observed days.
 
     ``inf`` when an error's square exceeds a double, as it can for valid but
     unstable parameters.
     """
-    last = obs.days[-1]
-    if last >= len(w):
-        raise ObservationError(
-            f"observation day {last} outside the load horizon {len(w)}"
-        )
     p = predict_performance(
         params.variant, params.p0, params.k1, params.k2,
-        params.fitness, params.fatigue, w, last + 1,
+        params.fitness, params.fatigue, w, _obs_horizon(w, obs),
     )
     return _sse(p, obs.entries)
 
@@ -395,21 +407,74 @@ class _Coord:
         return _logit(u)
 
 
-def _coords_for(row: Variant, bounds: ParamBounds, fix_p0: float | None) -> list[_Coord]:
-    coords: list[_Coord] = []
-    if fix_p0 is None:
-        coords.append(_Coord(*bounds.p0, log_scale=False))
-    coords.append(_Coord(*bounds.k1, log_scale=True))
-    coords.append(_Coord(*bounds.k2, log_scale=True))
-    for decay_b, lag_b in ((bounds.tau1, bounds.tau2), (bounds.tau3, bounds.tau4)):
-        for pname in row.fitted:
-            if pname == "tau_decay":
-                coords.append(_Coord(*decay_b, log_scale=True))
-            elif pname.startswith("tau_lag"):
-                coords.append(_Coord(*lag_b, log_scale=True))
-            else:  # tau5: signed, linear scale
-                coords.append(_Coord(*bounds.tau5, log_scale=False))
-    return coords
+class _FitProblem:
+    """One variant's least-squares problem in its search coordinates.
+
+    Everything fixed for a fit is read once here: the coordinate boxes (p0's
+    is left out when ``fix_p0`` is given), the load, the observations and the
+    horizon they need. ``sse`` is the objective every start minimizes.
+    """
+
+    def __init__(self, row: Variant, w: LoadSeries, obs: ObservationSet,
+                 bounds: ParamBounds, fix_p0: float | None) -> None:
+        self.horizon = _obs_horizon(w, obs)
+        self.row, self.variant, self.fix_p0 = row, row.name, fix_p0
+        self.wv, self.entries = w.values, obs.entries
+        self.fitted, self.fixed = row.fitted, row.fixed
+        self.coords = [] if fix_p0 is not None else [_Coord(*bounds.p0, log_scale=False)]
+        self.coords += [_Coord(*bounds.k1, log_scale=True), _Coord(*bounds.k2, log_scale=True)]
+        for decay_b, lag_b in ((bounds.tau1, bounds.tau2), (bounds.tau3, bounds.tau4)):
+            for pname in self.fitted:  # every lag on its side's lag box; tau5 signed, linear
+                box = {"tau_decay": decay_b, "tau5": bounds.tau5}.get(pname, lag_b)
+                self.coords.append(_Coord(*box, log_scale=pname != "tau5"))
+        self.fatigue_at = 3 + len(self.fitted)  # where the fatigue side starts in decode
+
+    def decode(self, z: Sequence[float]) -> tuple:
+        """(p0, k1, k2, fitness values, fatigue values) at the search point z."""
+        vals = [c.value(float(zi)) for c, zi in zip(self.coords, z)]
+        if self.fix_p0 is not None:
+            vals.insert(0, self.fix_p0)
+        at, fixed = self.fatigue_at, self.fixed
+        return vals[0], vals[1], vals[2], (*vals[3:at], *fixed), (*vals[at:], *fixed)
+
+    def sse(self, z: Sequence[float]) -> float:
+        """The SSE at the observed days of the model at search point z."""
+        p = _performance(self.variant, self.wv, *self.decode(z), self.horizon)
+        return _sse(p, self.entries)
+
+    def embed(self, seed: ModelParams) -> list[float] | None:
+        """The search point of ``seed``, or None when the box cannot hold it.
+
+        ``seed`` is of this variant or of one it contains. A field its side
+        lacks takes its "term off" value: +inf for a lag constant, 0 for the
+        kernel gain. A kernel side embeds into the lag variants through
+        ``kernel_to_three_delay``. A seed with a value that no log box holds
+        (a lag, gain or decay constant <= 0, as a positive kernel gain maps
+        to) has no search point.
+
+        A +inf value pins a lag coordinate at the saturated top of its log
+        box, where the lag constant equals the upper bound hi: the lag rate
+        there is 1/hi, not 0 (1e-6 for a bound of 1e6), so the exact-inf
+        reduction lies outside the box and the seed only approximates it. A
+        finite value outside [lo, hi] is clamped to the nearer box edge.
+        Either way the seed is inexact; it reproduces the seed's performance
+        only when every value lies inside the box. A kernel side maps to lag
+        rates r_j = -(w_j * tau5), so even then it is exact only up to the
+        rounding of 1/(1/r_j).
+        """
+        vals = [seed.p0, seed.k1, seed.k2]
+        for side in (seed.fitness, seed.fatigue):
+            if isinstance(side, KernelParams) and self.row.side is not KernelParams:
+                if side.tau5 > 0.0:  # negative lags; dropped here, before the mapping warns
+                    return None
+                side = kernel_to_three_delay(side)
+            vals += [getattr(side, pname, 0.0 if pname == "tau5" else math.inf)
+                     for pname in self.fitted]
+        if self.fix_p0 is not None:
+            del vals[0]
+        if any(c.log_scale and not v > 0.0 for c, v in zip(self.coords, vals)):
+            return None
+        return [c.z_of(v) for c, v in zip(self.coords, vals)]
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +492,34 @@ def _latin_hypercube(rng: np.random.Generator, n_starts: int, dims: int) -> np.n
     return np.clip(u, 1e-15, 1.0 - 1e-15)
 
 
+@_record
+class _StartRecord:
+    """One start's outcome: its place in the start list, best point and SSE."""
+
+    index: int
+    z: np.ndarray
+    sse: float
+    iterations: int
+    converged: bool
+
+
+def _run_start(problem: _FitProblem, index: int, z0, config: FitConfig) -> _StartRecord | None:
+    """Nelder-Mead from z0, then a polish restart; None if the SSE at z0 is not finite."""
+    try:
+        z, sse, iterations, converged = nelder_mead(problem.sse, z0, config)
+    except ParameterError:
+        return None
+    budget = config.max_iterations - iterations
+    if budget > 0:
+        polish_config = FitConfig(**{**_field_dict(config), "max_iterations": budget})
+        z2, sse2, iterations2, converged2 = nelder_mead(problem.sse, z, polish_config, step=0.02)
+        if sse2 <= sse:
+            z, sse = z2, sse2
+        iterations += iterations2
+        converged = converged or converged2
+    return _StartRecord(index, z, sse, iterations, converged)
+
+
 def fit_variant(
     w: LoadSeries,
     obs: ObservationSet,
@@ -439,85 +532,32 @@ def fit_variant(
 
     ``extra_starts`` are parameter sets (a :class:`VariantFit` is one) of this
     variant or of a variant it contains, tried in order ahead of the sampled
-    starts and mapped into the search space by ``_embed_start``. A seed with
-    no representation in the box is dropped before the starts are numbered,
-    so ``best_start_index`` counts only the seeds kept. A start whose
-    objective is not finite is skipped and counts as not converged;
-    ParameterError when no start is usable.
+    starts and mapped into the search space by ``_FitProblem.embed``. A seed
+    with no representation in the box is dropped before the starts are
+    numbered, so ``best_start_index`` counts only the seeds kept. A start
+    whose objective is not finite is skipped, keeps its number and counts as
+    not converged; ParameterError when no start is usable.
     """
     import numpy as np
 
-    if obs.days[-1] >= len(w):
-        raise ObservationError(
-            f"observation day {obs.days[-1]} outside the load horizon {len(w)}"
-        )
-    row = variant_row(variant)
-    coords = _coords_for(row, bounds, config.fix_p0)
-    n_side = len(row.fitted)
-    fixed = row.fixed
-    wv = w.values
-    entries = obs.entries
-    obj_horizon = obs.days[-1] + 1
-
-    def decode(z: np.ndarray) -> tuple:
-        """(p0, k1, k2, fitness values, fatigue values) at the search point z."""
-        vals = [c.value(float(zi)) for c, zi in zip(coords, z)]
-        if config.fix_p0 is not None:
-            vals.insert(0, config.fix_p0)
-        fitness = (*vals[3 : 3 + n_side], *fixed)
-        fatigue = (*vals[3 + n_side :], *fixed)
-        return vals[0], vals[1], vals[2], fitness, fatigue
-
-    def objective(z: np.ndarray) -> float:
-        return _sse(_performance(variant, wv, *decode(z), obj_horizon), entries)
-
-    rng = np.random.default_rng(config.seed)
-    u = _latin_hypercube(rng, config.starts, len(coords))
-    skip = 0 if config.fix_p0 is None else 1  # a fixed p0 has no coordinate
-    embedded = (_embed_start(row, seed) for seed in extra_starts)
-    starts = [np.array([c.z_of(v) for c, v in zip(coords, vals[skip:])])
-              for vals in embedded if vals is not None]
-    starts += [np.array([_logit(ui) for ui in point]) for point in u]
-
-    best_z = None
-    best_f = math.inf
-    best_index = -1
-    best_iters = 0
-    n_converged = 0
-    for index, z0 in enumerate(starts):
-        try:
-            zb, fb, iters, conv = nelder_mead(objective, z0, config)
-        except ParameterError:  # the objective is not finite at this start: skip it
-            continue
-        budget = config.max_iterations - iters
-        if budget > 0:
-            polish_config = FitConfig(
-                starts=1,
-                max_iterations=budget,
-                tolerance=config.tolerance,
-                simplex_tolerance=config.simplex_tolerance,
-                seed=config.seed,
-            )
-            zb2, fb2, iters2, conv2 = nelder_mead(objective, zb, polish_config, step=0.02)
-            if fb2 <= fb:
-                zb, fb = zb2, fb2
-            iters += iters2
-            conv = conv or conv2
-        if conv:
-            n_converged += 1
-        if fb < best_f:
-            best_z, best_f, best_index, best_iters = zb, fb, index, iters
-
-    if best_z is None:
+    problem = _FitProblem(variant_row(variant), w, obs, bounds, config.fix_p0)
+    n_free = len(problem.coords)
+    starts = [z for z in map(problem.embed, extra_starts) if z is not None]
+    u = _latin_hypercube(np.random.default_rng(config.seed), config.starts, n_free)
+    starts += [[_logit(ui) for ui in point] for point in u]
+    runs = (_run_start(problem, index, z0, config) for index, z0 in enumerate(starts))
+    records = [record for record in runs if record is not None]
+    if not records:
         raise ParameterError("no usable start point: the objective is not finite at any start")
+    best = min(records, key=lambda record: record.sse)  # the first of equal SSEs
 
-    p0, k1, k2, fitness, fatigue = decode(best_z)
-    predicted = tuple(_performance(variant, wv, p0, k1, k2, fitness, fatigue, len(w)))
+    p0, k1, k2, fitness, fatigue = problem.decode(best.z)
+    predicted = tuple(_performance(variant, problem.wv, p0, k1, k2, fitness, fatigue, len(w)))
 
     warnings_out = []
-    if len(obs) < len(coords):
+    if len(obs) < n_free:
         warnings_out.append(_WARN_UNDERDETERMINED)
-    if all(v == 0.0 for v in wv):
+    if all(v == 0.0 for v in problem.wv):
         warnings_out.append(_WARN_ZERO_LOAD)
     try:
         r2 = r_squared(predicted, obs)
@@ -530,47 +570,17 @@ def fit_variant(
         p0=p0,
         k1=k1,
         k2=k2,
-        fitness=row.side(*fitness),
-        fatigue=row.side(*fatigue),
-        n_free=len(coords),
-        sse=best_f,
+        fitness=problem.row.side(*fitness),
+        fatigue=problem.row.side(*fatigue),
+        n_free=n_free,
+        sse=best.sse,
         r2=r2,
         predicted=predicted,
-        starts_converged=n_converged,
-        best_start_index=best_index,
-        iterations_used=best_iters,
+        starts_converged=sum(record.converged for record in records),
+        best_start_index=best.index,
+        iterations_used=best.iterations,
         warnings=tuple(warnings_out),
     )
-
-
-def _embed_start(row: Variant, seed: ModelParams) -> tuple[float, ...] | None:
-    """The values of ``seed`` in the search order of variant ``row``.
-
-    That order is p0, k1, k2, then the fitted fields of the fitness and of the
-    fatigue side. A field the seed's side lacks takes its "term off" value:
-    +inf for a lag constant, 0 for the kernel gain. A kernel side embeds into
-    the lag variants through ``kernel_to_three_delay``. Returns None when the
-    seed has no representation inside the variant's box (a positive kernel
-    gain maps to negative lag constants).
-
-    A +inf value pins a lag coordinate at the saturated top of its log box,
-    where the lag constant equals the upper bound hi: the lag rate there is
-    1/hi, not 0 (1e-6 for a bound of 1e6), so the exact-inf reduction lies
-    outside the box and the seed only approximates it. A finite value
-    outside [lo, hi] is clamped to the nearer box edge. Either way the seed
-    is inexact; it reproduces the seed's performance only when every value
-    lies inside the box. A kernel side maps to lag rates r_j = -(w_j * tau5),
-    so even then it is exact only up to the rounding of 1/(1/r_j).
-    """
-    vals = [seed.p0, seed.k1, seed.k2]
-    for side in (seed.fitness, seed.fatigue):
-        if isinstance(side, KernelParams) and row.side is not KernelParams:
-            if side.tau5 > 0.0:
-                return None
-            side = kernel_to_three_delay(side)
-        vals += [getattr(side, pname, 0.0 if pname == "tau5" else math.inf)
-                 for pname in row.fitted]
-    return tuple(vals)
 
 
 def compare_variants(
@@ -586,11 +596,11 @@ def compare_variants(
     single_delay and kernel for three_delay), with the extra delay terms
     switched off. The simplex never returns a value worse than its start, so a
     containing variant cannot report a worse SSE than a contained fit whose
-    seed ``_embed_start`` maps exactly: kernel from classical (tau5 = 0), and
-    three_delay from kernel when the mapped lags lie inside the lag box. Every
-    other seed is inexact in the way ``_embed_start`` states; with a lag upper
-    bound of 1e6 a richer variant can end measurably worse than the variant
-    it contains.
+    seed ``_FitProblem.embed`` maps exactly: kernel from classical (tau5 = 0),
+    and three_delay from kernel when the mapped lags lie inside the lag box.
+    Every other seed is inexact in the way ``_FitProblem.embed`` states; with
+    a lag upper bound of 1e6 a richer variant can end measurably worse than
+    the variant it contains.
     """
     by_name = {"classical": fit_variant(w, obs, bounds, config, "classical")}
     for variant, contained in (

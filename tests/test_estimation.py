@@ -73,6 +73,10 @@ class TestBoundsAndConfig:
     def test_bound_inversion(self):
         with pytest.raises(ParameterError):
             ff.ParamBounds(p0=(10.0, 1.0))
+        # a box is two numbers: nothing is cut off, indexed past or converted
+        for box in ((0.0, 1.0, 2.0), (1.0,), ("a", 1.0), ("0", "1"), (False, 1.0), 5.0):
+            with pytest.raises(ParameterError, match="must be two numbers"):
+                ff.ParamBounds(p0=box)
 
     def test_tau_bounds_must_be_positive(self):
         with pytest.raises(ParameterError):
@@ -97,6 +101,11 @@ class TestBoundsAndConfig:
             ff.FitConfig(tolerance=0.0)
         with pytest.raises(ParameterError):
             ff.FitConfig(seed=-1)
+        for field in ("starts", "max_iterations", "seed"):
+            for value in (2.5, True, "3"):
+                with pytest.raises(ParameterError, match=f"{field} must be an integer"):
+                    ff.FitConfig(**{field: value})
+        assert ff.FitConfig(starts=np.int64(3)).starts == 3
 
 
 class TestSseObjective:
@@ -248,13 +257,27 @@ class TestFit:
             ff.fit_variant(w, obs, bounds, config, "three_delay")
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_overflowing_starts_are_skipped(self, seed):
+    def test_overflowing_starts_are_skipped(self, seed, monkeypatch):
         # most of these seeds sample at least one start in the overflowing
         # region; the fit goes on from the others
         w, obs, bounds = overflowing_scenario()
+        skipped = []
+        run_start = estimation._run_start
+
+        def recording_run_start(problem, index, z0, config):
+            record = run_start(problem, index, z0, config)
+            if record is None:
+                skipped.append(index)
+            return record
+
+        monkeypatch.setattr(estimation, "_run_start", recording_run_start)
         config = ff.FitConfig(starts=8, max_iterations=30, seed=seed)
         res = ff.fit_variant(w, obs, bounds, config, "three_delay")
         assert math.isfinite(res.sse)
+        # a skipped start keeps its number, so the best start's index counts it
+        expected = {0: ([2, 3, 5, 7], 4), 2: ([1, 2], 3)}
+        if seed in expected:
+            assert (skipped, res.best_start_index) == expected[seed]
 
     def test_zero_load_degenerate_flags(self):
         w = ff.LoadSeries((0.0,) * 30)
@@ -506,6 +529,26 @@ class TestVariantFits:
         config = ff.FitConfig(starts=1, max_iterations=100, seed=3)
         args = (load_120, clean_observations, recovery_bounds(), config, "three_delay")
         assert ff.fit_variant(*args, extra_starts=[seed]) == ff.fit_variant(*args)
+
+    def test_seed_with_negative_lag_is_dropped(self, load_120, clean_observations):
+        # ThreeDelayParams accepts a negative lag; no log box holds one
+        seed = ff.ModelParams(
+            "three_delay", 500.0, 0.1, 0.12,
+            ff.ThreeDelayParams(40.0, -40.0), ff.ThreeDelayParams(9.0, 20.0),
+        )
+        config = ff.FitConfig(starts=1, max_iterations=50)
+        args = (load_120, clean_observations, ff.ParamBounds(), config, "three_delay")
+        assert ff.fit_variant(*args, extra_starts=[seed]) == ff.fit_variant(*args)
+
+    def test_equal_seeds_pick_the_first(self, load_120, clean_observations):
+        config = ff.FitConfig(starts=2, max_iterations=400, seed=3)
+        args = (load_120, clean_observations, recovery_bounds(), config, "classical")
+        fit = ff.fit_variant(*args)
+        refit = ff.fit_variant(*args, extra_starts=[fit, fit])
+        # both seeds end at the same SSE; the lower start index wins the tie
+        assert refit.best_start_index == 0
+        assert refit.starts_converged == 2
+        assert refit.sse == pytest.approx(1.8066981146484171, rel=1e-9)
 
     def test_kernel_seeded_with_classical_fit_is_no_worse(self, load_120, clean_observations):
         config = ff.FitConfig(starts=1, max_iterations=200, seed=5)
