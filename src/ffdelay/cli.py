@@ -7,16 +7,18 @@ Four subcommands wire the library into the full workflow:
 * ``simulate`` -- evaluate any state-model variant directly from flags
 * ``compare``  -- fit all four variants on the same data and tabulate quality
 
-Each ``cmd_*`` returns its stdout summary or raises ``_Failure`` with an exit
-code and a message; ``main`` alone prints and returns the code. Exit codes: 0
-success, 1 usage error, 2 data error (an unreadable or invalid input, or
-artifacts that cannot be written), 3 numerical failure or internal error (an
-unexpected exception; the last line of stderr reads ``error: internal error:
-<Type>: <message>``). All artifacts are computed before anything is written.
-Each is written to a temporary file, and only when all are written are they
-renamed into place; if writing fails, this run's temporaries and renamed
-artifacts are removed and the files they replaced are put back, so a failed
-run leaves no artifact of its own and an earlier run's artifacts as they were.
+Each ``cmd_*`` is a function of the parsed arguments that returns its artifacts
+(file name -> text) and summary lines, or raises ``_Failure`` with an exit code
+and a message. ``main`` alone parses, runs the command, writes its artifacts,
+prints and returns the code. Exit codes: 0 success, 1 usage error, 2 data error
+(an unreadable or invalid input, or artifacts that cannot be written), 3
+numerical failure or internal error (an unexpected exception; the last line of
+stderr reads ``error: internal error: <Type>: <message>``). All artifacts are
+computed before anything is written. Each is written to a temporary file, and
+only when all are written are they renamed into place; if writing fails, this
+run's temporaries and renamed artifacts are removed and the files they replaced
+are put back, so a failed run leaves no artifact of its own and an earlier
+run's artifacts as they were.
 """
 
 from __future__ import annotations
@@ -70,6 +72,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
+_Artifacts = tuple[dict[str, str], list[str]]  # a command's file name -> text, summary lines
+
 
 class _Failure(Exception):
     """Ends a command: ``main`` prints ``error: <message>`` and exits with ``code``."""
@@ -92,9 +96,8 @@ def _parse(parse, path: str):
     raise _Failure(EXIT_DATA, message)
 
 
-def _write(out_dir: str, artifacts: dict[str, str], lines: list[str]) -> str:
-    """Write all of ``artifacts`` into ``out_dir`` or none of them, and return
-    the summary: ``lines`` plus a ``wrote:`` line.
+def _write(out_dir: str, artifacts: dict[str, str]) -> list[Path]:
+    """Write all of ``artifacts`` into ``out_dir`` or none of them; return their paths.
 
     Every file is written under a temporary name before any is renamed into
     place, with the mode ``open(path, "w")`` would give it. A file a rename
@@ -137,20 +140,20 @@ def _write(out_dir: str, artifacts: dict[str, str], lines: list[str]) -> str:
     for backup, _ in backups:
         with contextlib.suppress(OSError):
             os.unlink(backup)
-    return "\n".join([*lines, "wrote: " + ", ".join(map(str, paths))])
+    return paths
 
 
 def _load_fit_inputs(
-    load_path: str, perf_path: str, config_path: str, seed: int | None
+    args: argparse.Namespace,
 ) -> tuple[LoadSeries, ObservationSet, RunConfig, FitConfig]:
     """Parse and validate the inputs of ``fit`` and ``compare``.
 
     Returns the load cut to the configured horizon, the observations, the run
-    configuration and its fit settings with ``seed`` applied.
+    configuration and its fit settings with ``--seed`` applied.
     """
-    w = _parse(parse_load_csv, load_path)
-    obs = _parse(parse_performance_csv, perf_path)
-    config = _parse(load_config, config_path)
+    w = _parse(parse_load_csv, args.load)
+    obs = _parse(parse_performance_csv, args.perf)
+    config = _parse(load_config, args.config)
     horizon = config.horizon if config.horizon is not None else len(w)
     if horizon > len(w):
         raise _Failure(EXIT_DATA, f"horizon {horizon} exceeds load series length {len(w)}")
@@ -163,22 +166,16 @@ def _load_fit_inputs(
             EXIT_DATA, f"observation day {obs.days[-1]} is outside the horizon {horizon}"
         )
     fit_config = config.fit
-    if seed is not None:
-        fit_config = FitConfig(**{**_field_dict(fit_config), "seed": seed})
+    if args.seed is not None:
+        fit_config = FitConfig(**{**_field_dict(fit_config), "seed": args.seed})
     if horizon < len(w):
         w = LoadSeries(w.values[:horizon])
     return w, obs, config, fit_config
 
 
-def cmd_fit(
-    load_path: str,
-    perf_path: str,
-    config_path: str,
-    out_dir: str,
-    seed: int | None = None,
-) -> str:
-    """Fit the configured variant and write params, predictions and charts."""
-    w, obs, config, fit_config = _load_fit_inputs(load_path, perf_path, config_path, seed)
+def cmd_fit(args: argparse.Namespace) -> _Artifacts:
+    """Fit the configured variant: params, predictions and charts."""
+    w, obs, config, fit_config = _load_fit_inputs(args)
     try:
         result = fit_variant(w, obs, config.bounds, fit_config, config.variant)
     except FfdelayError as exc:
@@ -203,57 +200,57 @@ def cmd_fit(
         f" (best: #{result.best_start_index}, {result.iterations_used} iterations)",
     ]
     lines += [f"warning: {warning}" for warning in result.warnings]
-    return _write(out_dir, artifacts, lines)
+    return artifacts, lines
 
 
-def cmd_predict(load_path: str, params_path: str, horizon: int, out_dir: str) -> str:
+def cmd_predict(args: argparse.Namespace) -> _Artifacts:
     """Forward-run a parameter document over the requested horizon."""
-    if horizon < 1:
-        raise _Failure(EXIT_USAGE, f"horizon must be >= 1, got {horizon}")
-    w = _parse(parse_load_csv, load_path)
-    params = _parse(parse_params, params_path)
-    if horizon > len(w):
-        raise _Failure(EXIT_DATA, f"horizon {horizon} exceeds load series length {len(w)}")
+    if args.horizon < 1:
+        raise _Failure(EXIT_USAGE, f"horizon must be >= 1, got {args.horizon}")
+    w = _parse(parse_load_csv, args.load)
+    params = _parse(parse_params, args.params)
+    if args.horizon > len(w):
+        raise _Failure(EXIT_DATA, f"horizon {args.horizon} exceeds load series length {len(w)}")
 
     try:
         predicted = predict_performance(
             params.variant, params.p0, params.k1, params.k2,
-            params.fitness, params.fatigue, w, horizon,
+            params.fitness, params.fatigue, w, args.horizon,
         )
     except FfdelayError as exc:
         raise _Failure(EXIT_NUMERIC, f"prediction failed: {exc}") from exc
     if not all(map(math.isfinite, predicted)):  # valid but unstable parameters
         day = list(map(math.isfinite, predicted)).index(False)
-        raise _Failure(
-            EXIT_NUMERIC, f"prediction failed: forecast is not finite from day {day}"
-        )
+        raise _Failure(EXIT_NUMERIC, f"prediction failed: forecast is not finite from day {day}")
 
     table = build_prediction_table(w, predicted)
     artifacts = {
         "predictions.csv": emit_prediction_csv(table),
         "prediction_chart.svg": render_fit_chart(table, ChartOptions()),
     }
-    return _write(out_dir, artifacts, [f"predicted {horizon} days with variant {params.variant}"])
+    return artifacts, [f"predicted {args.horizon} days with variant {params.variant}"]
 
 
-def cmd_simulate(
-    load_path: str,
-    variant: str,
-    out_dir: str,
-    tau1: float | None = None,
-    tau2: float | None = None,
-    tau3: float | None = None,
-    tau4: float | None = None,
-    tau5: float | None = None,
-) -> str:
-    """Evaluate one state-model variant and write its trajectory and chart.
+# Every ``simulate --tau*`` flag and its help; a variant's ``flags`` name the ones it takes
+_TAU_FLAGS = {
+    "tau1": "decay constant (days)",
+    "tau2": "lag-1 constant (days or inf)",
+    "tau3": "lag-2 constant (days or inf)",
+    "tau4": "lag-3 constant (days or inf)",
+    "tau5": "kernel gain (1/day^2)",
+}
+
+
+def cmd_simulate(args: argparse.Namespace) -> _Artifacts:
+    """Evaluate one state-model variant: its trajectory and chart.
 
     The classical variant is evaluated through the single-delay recursion with
     the lag term switched off; this is the same trajectory and makes the
     tau5=0 / infinite-lag reductions produce identical files.
     """
+    variant = args.variant
     row = variant_row(variant)
-    given = {"tau1": tau1, "tau2": tau2, "tau3": tau3, "tau4": tau4, "tau5": tau5}
+    given = {f: getattr(args, f) for f in _TAU_FLAGS}
     missing = [f for f in row.flags if given[f] is None]
     extra = [f for f, value in given.items() if value is not None and f not in row.flags]
     if missing or extra:
@@ -265,7 +262,7 @@ def cmd_simulate(
             f"variant {variant} {problem}\n"
             f"usage: ffdelay simulate --load <csv> --variant {variant} {flags} --out <dir>",
         )
-    w = _parse(parse_load_csv, load_path)
+    w = _parse(parse_load_csv, args.load)
     try:
         side = row.side(*(given[f] for f in row.flags))
     except FfdelayError as exc:
@@ -282,29 +279,21 @@ def cmd_simulate(
     except FfdelayError as exc:  # valid but unstable parameters
         raise _Failure(EXIT_NUMERIC, f"simulation failed: {exc}") from exc
 
-    fmt = format_number
-    lines = [
-        f"{day},{fmt(load)},{fmt(value)}"
-        for day, (load, value) in enumerate(zip(w.values, state.values))
-    ]
-    trajectory_csv = "day,load,state\n" + "\n".join(lines) + "\n"
+    pairs = enumerate(zip(w.values, state.values))
+    trajectory_csv = "day,load,state\n" + "".join(
+        f"{day},{format_number(load)},{format_number(value)}\n" for day, (load, value) in pairs
+    )
     table = build_prediction_table(w, state.values)
     artifacts = {
         "trajectory.csv": trajectory_csv,
         "state_chart.svg": render_fit_chart(table, ChartOptions(), y_label="state"),
     }
-    return _write(out_dir, artifacts, [f"simulated variant {variant} over {horizon} days"])
+    return artifacts, [f"simulated variant {variant} over {horizon} days"]
 
 
-def cmd_compare(
-    load_path: str,
-    perf_path: str,
-    config_path: str,
-    out_dir: str,
-    seed: int | None = None,
-) -> str:
-    """Fit all four variants on the same data and write a comparison table."""
-    w, obs, config, fit_config = _load_fit_inputs(load_path, perf_path, config_path, seed)
+def cmd_compare(args: argparse.Namespace) -> _Artifacts:
+    """Fit all four variants on the same data: a comparison table."""
+    w, obs, config, fit_config = _load_fit_inputs(args)
     try:
         results = compare_variants(w, obs, config.bounds, fit_config)
     except FfdelayError as exc:
@@ -320,13 +309,11 @@ def cmd_compare(
             f"{format_number(r.r2)},{r.starts_converged}"
         )
     artifacts = {"comparison.csv": "\n".join(lines) + "\n"}
-    summary = [
-        f"compared {len(results)} variants over {len(w)} days, {len(obs)} observations"
-    ] + [
-        f"  {r.variant:<13} n_params={r.n_free:<2} SSE={r.sse:.8g} R^2={r.r2:.6f}"
-        for r in results
+    summary = [f"compared {len(results)} variants over {len(w)} days, {len(obs)} observations"]
+    summary += [
+        f"  {r.variant:<13} n_params={r.n_free:<2} SSE={r.sse:.8g} R^2={r.r2:.6f}" for r in results
     ]
-    return _write(out_dir, artifacts, summary)
+    return artifacts, summary
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fit, predict, simulate and compare.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    sub = parser.add_subparsers(required=True, metavar="command")
 
     fit_flags = argparse.ArgumentParser(add_help=False)  # shared by fit and compare
     fit_flags.add_argument("--load", required=True, help="load CSV (day,load)")
@@ -375,44 +362,36 @@ def build_parser() -> argparse.ArgumentParser:
     fit_flags.add_argument("--out", required=True, help="output directory")
     fit_flags.add_argument("--seed", type=_seed_flag, default=None, help="override fit.seed")
 
-    sub.add_parser("fit", parents=[fit_flags], help="fit parameters to observed performance")
+    sub.add_parser(
+        "fit", parents=[fit_flags], help="fit parameters to observed performance"
+    ).set_defaults(command=cmd_fit)
 
     p_pred = sub.add_parser("predict", help="predict performance from fitted parameters")
     p_pred.add_argument("--load", required=True, help="load CSV (day,load)")
     p_pred.add_argument("--params", required=True, help="params JSON from a prior fit")
     p_pred.add_argument("--horizon", required=True, type=int, help="days to predict")
     p_pred.add_argument("--out", required=True, help="output directory")
+    p_pred.set_defaults(command=cmd_predict)
 
     p_sim = sub.add_parser("simulate", help="evaluate a state-model variant directly")
     p_sim.add_argument("--load", required=True, help="load CSV (day,load)")
     p_sim.add_argument("--variant", required=True, choices=VARIANTS)
-    p_sim.add_argument("--tau1", type=_tau_flag, default=None, help="decay constant (days)")
-    p_sim.add_argument("--tau2", type=_tau_flag, default=None, help="lag-1 constant (days or inf)")
-    p_sim.add_argument("--tau3", type=_tau_flag, default=None, help="lag-2 constant (days or inf)")
-    p_sim.add_argument("--tau4", type=_tau_flag, default=None, help="lag-3 constant (days or inf)")
-    p_sim.add_argument("--tau5", type=_tau_flag, default=None, help="kernel gain (1/day^2)")
+    for flag, text in _TAU_FLAGS.items():
+        p_sim.add_argument(f"--{flag}", type=_tau_flag, default=None, help=text)
     p_sim.add_argument("--out", required=True, help="output directory")
+    p_sim.set_defaults(command=cmd_simulate)
 
     sub.add_parser(
         "compare", parents=[fit_flags], help="fit all four variants and tabulate quality"
-    )
+    ).set_defaults(command=cmd_compare)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "predict":
-            summary = cmd_predict(args.load, args.params, args.horizon, args.out)
-        elif args.command == "simulate":
-            summary = cmd_simulate(
-                args.load, args.variant, args.out,
-                tau1=args.tau1, tau2=args.tau2, tau3=args.tau3,
-                tau4=args.tau4, tau5=args.tau5,
-            )
-        else:
-            command = cmd_fit if args.command == "fit" else cmd_compare
-            summary = command(args.load, args.perf, args.config, args.out, args.seed)
+        artifacts, lines = args.command(args)
+        paths = _write(args.out, artifacts)
     except _Failure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
@@ -423,7 +402,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
-    print(summary)
+    print("\n".join([*lines, "wrote: " + ", ".join(map(str, paths))]))
     return EXIT_OK
 
 

@@ -41,7 +41,9 @@ from typing import Iterator, NamedTuple
 
 from .errors import ConfigError, CsvError, DuplicateDayError, ParameterError
 from .estimation import FitConfig, ObservationSet, ParamBounds
-from .models import _REQUIRED, LoadSeries, ModelParams, _as_int, _field_dict, _record, variant_row
+from .models import (
+    _REQUIRED, LoadSeries, ModelParams, _as_int, _as_real, _field_dict, _record, variant_row,
+)
 
 
 def format_number(x: float) -> str:
@@ -264,7 +266,8 @@ class ChartOptions:
     title: str = ""
 
     def __post_init__(self) -> None:
-        for size in (self.width, self.height):
+        for name in ("width", "height"):
+            size = _as_real(getattr(self, name), name, ConfigError)
             if not (math.isfinite(size) and size > 0):
                 raise ConfigError(f"chart dimensions must be finite and positive, got {size!r}")
 

@@ -38,6 +38,7 @@ from .models import (
     ModelParams,
     Variant,
     _as_int,
+    _as_real,
     _field_dict,
     _performance,
     _record,
@@ -173,15 +174,15 @@ class FitConfig:
             raise ParameterError(f"starts must be >= 1, got {self.starts}")
         if self.max_iterations < 1:
             raise ParameterError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not self.tolerance > 0.0:
+        if not _as_real(self.tolerance, "tolerance") > 0.0:
             raise ParameterError(f"tolerance must be > 0, got {self.tolerance}")
-        if not self.simplex_tolerance > 0.0:
+        if not _as_real(self.simplex_tolerance, "simplex_tolerance") > 0.0:
             raise ParameterError(
                 f"simplex_tolerance must be > 0, got {self.simplex_tolerance}"
             )
         if self.seed < 0:
             raise ParameterError(f"seed must be a non-negative integer, got {self.seed}")
-        if self.fix_p0 is not None and not math.isfinite(self.fix_p0):
+        if self.fix_p0 is not None and not math.isfinite(_as_real(self.fix_p0, "fix_p0")):
             raise ParameterError(f"fix_p0 must be finite, got {self.fix_p0!r}")
 
 

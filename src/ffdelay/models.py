@@ -43,19 +43,34 @@ from __future__ import annotations
 import math
 import warnings
 from itertools import islice
+from numbers import Real
 
 from .errors import ParameterError, SeriesLengthError
 
 INF = math.inf
 
 
+def _as_real(value, name: str, error: type = ParameterError):
+    # any real number type (numpy's too), never a bool or a string; stored unchanged
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    return value
+
+
+def _as_int(value, name: str, error: type = ParameterError) -> int:
+    # any integer type (numpy's too), never a bool, a float or a string
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_decay(tau: float, name: str) -> None:
-    if not (math.isfinite(tau) and tau > 0.0):
+    if not (math.isfinite(_as_real(tau, name)) and tau > 0.0):
         raise ParameterError(f"{name} must be finite and > 0, got {tau!r}")
 
 
 def _check_lag(tau: float, name: str, allow_negative: bool = False) -> None:
-    if tau == INF:
+    if _as_real(tau, name) == INF:
         return
     if math.isnan(tau) or tau == -INF or tau == 0.0:
         raise ParameterError(f"{name} must be nonzero and not NaN (or +inf), got {tau!r}")
@@ -275,7 +290,7 @@ class KernelParams:
 
     def __post_init__(self) -> None:
         _check_decay(self.tau_decay, "tau_decay")
-        if not math.isfinite(self.tau5):
+        if not math.isfinite(_as_real(self.tau5, "tau5")):
             raise ParameterError(f"tau5 must be finite, got {self.tau5!r}")
         w = tuple(float(x) for x in self.weights)
         object.__setattr__(self, "weights", w)
@@ -350,27 +365,22 @@ class ModelParams:
     fatigue: FirstOrderParams | SingleDelayParams | ThreeDelayParams | KernelParams
 
     def __post_init__(self) -> None:
-        row = variant_row(self.variant)
-        if not math.isfinite(self.p0):
+        variant_row(self.variant)
+        if not math.isfinite(_as_real(self.p0, "p0")):
             raise ParameterError(f"p0 must be finite, got {self.p0!r}")
-        if not (math.isfinite(self.k1) and self.k1 > 0.0):
+        if not (math.isfinite(_as_real(self.k1, "k1")) and self.k1 > 0.0):
             raise ParameterError(f"k1 must be finite and > 0, got {self.k1!r}")
-        if not (math.isfinite(self.k2) and self.k2 > 0.0):
+        if not (math.isfinite(_as_real(self.k2, "k2")) and self.k2 > 0.0):
             raise ParameterError(f"k2 must be finite and > 0, got {self.k2!r}")
-        for name in ("fitness", "fatigue"):
-            side = getattr(self, name)
-            if not isinstance(side, row.side):
-                raise ParameterError(
-                    f"{self.variant} {name} must be {row.side.__name__}, "
-                    f"got {type(side).__name__}"
-                )
+        _check_side(self.variant, self.fitness, "fitness")
+        _check_side(self.variant, self.fatigue, "fatigue")
 
 
-def _as_int(value, name: str, error: type = ParameterError) -> int:
-    # any integer type (numpy's too), never a bool, a float or a string
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise error(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def _check_side(variant: str, side, name: str) -> None:
+    """ParameterError unless ``side`` is an instance of ``variant``'s side class."""
+    cls = variant_row(variant).side
+    if not isinstance(side, cls):
+        raise ParameterError(f"{variant} {name} must be {cls.__name__}, got {type(side).__name__}")
 
 
 def _check_horizon(w: LoadSeries, horizon: int) -> int:
@@ -532,8 +542,19 @@ def kernel_path(w, tau_decay: float, tau5: float, weights, horizon: int) -> list
 # ---------------------------------------------------------------------------
 
 
+def _recursive(variant: str, w: LoadSeries, params, horizon: int) -> StateSeries:
+    """A side's state path by the step recursion of its shape: the path kernel
+    is picked by rate count, as ``_performance`` picks the fused kernel."""
+    _check_side(variant, params, "params")
+    horizon = _check_horizon(w, horizon)
+    args = _side_args(variant, _field_values(params))
+    path = single_delay_path if len(args) == 2 else three_delay_path
+    return StateSeries(tuple(path(w.values, *args, horizon)), variant)
+
+
 def eval_classical(w: LoadSeries, params: FirstOrderParams, horizon: int) -> StateSeries:
     """Evaluate the classical first-order model as the explicit history sum."""
+    _check_side("classical", params, "params")
     horizon = _check_horizon(w, horizon)
     return StateSeries(
         tuple(classical_path(w.values, params.tau_decay, horizon)), "classical"
@@ -545,9 +566,7 @@ def eval_single_delay_recursive(
 ) -> StateSeries:
     """One-day-lag model via the step recursion
     g(k+1) = [w(k) + g(k) - (1/tau_lag1) g(k-1)] e^{-1/tau_decay}."""
-    horizon = _check_horizon(w, horizon)
-    args = _side_args("single_delay", _field_values(params))
-    return StateSeries(tuple(single_delay_path(w.values, *args, horizon)), "single_delay")
+    return _recursive("single_delay", w, params, horizon)
 
 
 def eval_single_delay_convolution(
@@ -561,6 +580,7 @@ def eval_single_delay_convolution(
     """
     import numpy as np
 
+    _check_side("single_delay", params, "params")
     horizon = _check_horizon(w, horizon)
     tau = params.tau_decay
     rate = _lag_rate(params.tau_lag1)
@@ -578,9 +598,7 @@ def eval_three_delay_recursive(
     w: LoadSeries, params: ThreeDelayParams, horizon: int
 ) -> StateSeries:
     """Three-lag model via the step recursion with zero history on [-3, 0]."""
-    horizon = _check_horizon(w, horizon)
-    args = _side_args("three_delay", _field_values(params))
-    return StateSeries(tuple(three_delay_path(w.values, *args, horizon)), "three_delay")
+    return _recursive("three_delay", w, params, horizon)
 
 
 def eval_three_delay_convolution(
@@ -601,6 +619,7 @@ def eval_three_delay_convolution(
     """
     import numpy as np
 
+    _check_side("three_delay", params, "params")
     horizon = _check_horizon(w, horizon)
     tau = params.tau_decay
     r1 = _lag_rate(params.tau_lag1)
@@ -625,9 +644,7 @@ def eval_kernel_recursive(w: LoadSeries, params: KernelParams, horizon: int) -> 
     """Weighted-memory model:
     g(k+1) = [w(k) + g(k) + tau5 (w1 g(k-1) + w2 g(k-2) + w3 g(k-3))] e^{-1/tau},
     run as the three-delay recursion at lag rates -(w_j tau5)."""
-    horizon = _check_horizon(w, horizon)
-    args = _side_args("kernel", _field_values(params))
-    return StateSeries(tuple(three_delay_path(w.values, *args, horizon)), "kernel")
+    return _recursive("kernel", w, params, horizon)
 
 
 def predict_performance(
@@ -658,6 +675,7 @@ def kernel_to_three_delay(params: KernelParams) -> ThreeDelayParams:
     trajectories still coincide) with a UserWarning flagging the sign-domain
     departure.
     """
+    _check_side("kernel", params, "params")
     lags = []
     for rate in _side_args("kernel", _field_values(params))[1:]:
         lag = 1.0 / rate if rate else INF

@@ -21,7 +21,9 @@ from math import exp
 from typing import Sequence
 
 from .errors import ParameterError, SeriesLengthError
-from .models import LoadSeries, SingleDelayParams, ThreeDelayParams, _as_int, _lag_rate, _record
+from .models import (
+    LoadSeries, SingleDelayParams, ThreeDelayParams, _as_int, _check_side, _lag_rate, _record,
+)
 
 
 @_record
@@ -71,6 +73,7 @@ def integrate_single_delay(
     w: StepLoad, params: SingleDelayParams, days: int, substeps: int
 ) -> GridSolution:
     """Integrate the single-delay equation over [0, days] with m substeps/day."""
+    _check_side("single_delay", params, "params")
     days, m = _check_grid_args(w, days, substeps)
     h = 1.0 / m
     a = exp(-h / params.tau_decay)
@@ -89,6 +92,7 @@ def integrate_three_delay(
     w: StepLoad, params: ThreeDelayParams, days: int, substeps: int
 ) -> GridSolution:
     """Integrate the three-delay equation (zero history on [-3, 0])."""
+    _check_side("three_delay", params, "params")
     days, m = _check_grid_args(w, days, substeps)
     h = 1.0 / m
     a = exp(-h / params.tau_decay)

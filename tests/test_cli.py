@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import ffdelay as ff
-from ffdelay.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from ffdelay.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
 from ffdelay.dataio import format_number, parse_prediction_csv
+from ffdelay.models import VARIANT_TABLE
 from helpers import block_load, fixture_params, observation_days, performance, sup_rel_diff
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -385,6 +386,22 @@ class TestSimulate:
         assert main(["transmogrify"]) == EXIT_USAGE
         assert main(["simulate", "--load", "x.csv", "--variant", "classical",
                      "--tau1", "banana", "--out", "o"]) == EXIT_USAGE
+
+    def test_variant_flags_are_the_tau_flags(self):
+        # every flag a variant names is a simulate flag, and every --tau* flag
+        # belongs to some variant
+        args = build_parser().parse_args(
+            ["simulate", "--load", "x.csv", "--variant", "kernel", "--out", "o"]
+        )
+        declared = {name for name in vars(args) if name.startswith("tau")}
+        assert declared == {flag for row in VARIANT_TABLE.values() for flag in row.flags}
+
+
+def test_missing_command_is_usage_error(capsys):
+    assert main([]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: the following arguments are required: command\n")
 
 
 class TestArtifacts:

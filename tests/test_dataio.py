@@ -253,6 +253,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             load_config("bounds:\n  k1: [10.0, 0.1]\n")
 
+    def test_chart_size_must_be_a_real_number(self):
+        for value in (True, "a", None):
+            with pytest.raises(ConfigError, match="^width must be a real number, got "):
+                ChartOptions(width=value)
+        assert type(ChartOptions(height=np.float64(480.0)).height) is np.float64
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             load_config("variant: kernel\nturbo: true\n")

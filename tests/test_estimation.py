@@ -106,6 +106,14 @@ class TestBoundsAndConfig:
                 with pytest.raises(ParameterError, match=f"{field} must be an integer"):
                     ff.FitConfig(**{field: value})
         assert ff.FitConfig(starts=np.int64(3)).starts == 3
+        for field, values in (("tolerance", ("a", [1], True)),
+                              ("simplex_tolerance", ("a", [1], True)),
+                              ("fix_p0", ("a", True))):
+            for value in values:
+                with pytest.raises(ParameterError, match=f"{field} must be a real number"):
+                    ff.FitConfig(**{field: value})
+        config = ff.FitConfig(tolerance=np.float32(1e-6), fix_p0=np.float64(500.0))
+        assert type(config.tolerance) is np.float32 and type(config.fix_p0) is np.float64
 
 
 class TestSseObjective:

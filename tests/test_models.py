@@ -47,6 +47,9 @@ def unit_impulse(n: int, at: int) -> ff.LoadSeries:
     return ff.LoadSeries(tuple(vals))
 
 
+FO_SIDE = ff.FirstOrderParams(3.0)
+
+
 # ---------------------------------------------------------------------------
 # Domain type validation
 # ---------------------------------------------------------------------------
@@ -111,6 +114,70 @@ class TestDomainTypes:
             ff.ModelParams("single_delay", 0.0, -0.1, 0.1, side, side)
         with pytest.raises(ParameterError):
             ff.ModelParams("single_delay", math.inf, 0.1, 0.1, side, side)
+
+    @pytest.mark.parametrize("name, make", [
+        ("tau_decay", lambda: ff.SingleDelayParams("a")),
+        ("tau_decay", lambda: ff.FirstOrderParams(None)),
+        ("tau_decay", lambda: ff.SingleDelayParams(True)),
+        ("tau_lag1", lambda: ff.SingleDelayParams(30.0, "inf")),
+        ("tau_lag2", lambda: ff.ThreeDelayParams(30.0, 5.0, False)),
+        ("tau5", lambda: ff.KernelParams(30.0, "x")),
+        ("p0", lambda: ff.ModelParams("classical", True, 0.1, 0.1, FO_SIDE, FO_SIDE)),
+        ("k1", lambda: ff.ModelParams("classical", 500.0, "0.1", 0.1, FO_SIDE, FO_SIDE)),
+        ("k2", lambda: ff.ModelParams("classical", 500.0, 0.1, None, FO_SIDE, FO_SIDE)),
+    ], ids=["str-decay", "none-decay", "bool-decay", "str-lag1", "bool-lag2", "str-tau5",
+            "bool-p0", "str-k1", "none-k2"])
+    def test_parameters_must_be_real_numbers(self, name, make):
+        with pytest.raises(ParameterError, match=f"^{name} must be a real number, got "):
+            make()
+
+    def test_real_numbers_of_any_type_are_stored_unchanged(self):
+        side = ff.SingleDelayParams(np.float64(30.0), np.int64(5))
+        assert type(side.tau_decay) is np.float64 and type(side.tau_lag1) is np.int64
+        params = ff.ModelParams("classical", 500, np.float32(0.25), 0.1, FO_SIDE, FO_SIDE)
+        assert repr(params.p0) == "500" and type(params.k1) is np.float32
+
+
+SIDE_LOAD = ff.LoadSeries((0.0, 10.0, 0.0, 5.0, 0.0, 0.0, 3.0, 0.0))
+# each single-side function: the variant whose side it takes, and a call on a side
+SIDE_FUNCTIONS = {
+    "eval_classical": ("classical", lambda side: ff.eval_classical(SIDE_LOAD, side, 8)),
+    "eval_single_delay_recursive": (
+        "single_delay", lambda side: ff.eval_single_delay_recursive(SIDE_LOAD, side, 8)),
+    "eval_single_delay_convolution": (
+        "single_delay", lambda side: ff.eval_single_delay_convolution(SIDE_LOAD, side, 8)),
+    "eval_three_delay_recursive": (
+        "three_delay", lambda side: ff.eval_three_delay_recursive(SIDE_LOAD, side, 8)),
+    "eval_three_delay_convolution": (
+        "three_delay", lambda side: ff.eval_three_delay_convolution(SIDE_LOAD, side, 8)),
+    "eval_kernel_recursive": ("kernel", lambda side: ff.eval_kernel_recursive(SIDE_LOAD, side, 8)),
+    "kernel_to_three_delay": ("kernel", ff.kernel_to_three_delay),
+    "integrate_single_delay": (
+        "single_delay", lambda side: ff.integrate_single_delay(ff.StepLoad(SIDE_LOAD), side, 7, 1)),
+    "integrate_three_delay": (
+        "three_delay", lambda side: ff.integrate_three_delay(ff.StepLoad(SIDE_LOAD), side, 7, 1)),
+}
+SIDE_OF = {
+    "classical": ff.FirstOrderParams(45.0),
+    "single_delay": ff.SingleDelayParams(45.0, 20.0),
+    "three_delay": ff.ThreeDelayParams(45.0, 20.0, 30.0, 40.0),
+    "kernel": ff.KernelParams(45.0, -0.1),
+}
+
+
+@pytest.mark.parametrize("function, other", [
+    (function, other) for function, (variant, _) in SIDE_FUNCTIONS.items()
+    for other in SIDE_OF if other != variant
+])
+def test_single_side_functions_reject_another_variants_side(function, other):
+    # a side of another variant was a bare TypeError, or a silently wrong path:
+    # a three_delay side ran as single_delay with lags 2 and 3 dropped
+    variant, call = SIDE_FUNCTIONS[function]
+    call(SIDE_OF[variant])
+    message = (f"^{variant} params must be {type(SIDE_OF[variant]).__name__}, "
+               f"got {type(SIDE_OF[other]).__name__}$")
+    with pytest.raises(ParameterError, match=message):
+        call(SIDE_OF[other])
 
 
 # ---------------------------------------------------------------------------

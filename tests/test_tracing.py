@@ -16,6 +16,7 @@ of the objective.
 from __future__ import annotations
 
 import importlib.util
+import inspect
 import json
 from pathlib import Path
 
@@ -49,10 +50,17 @@ def _wrapped_names(spans) -> list[tuple[object, str]]:
 def test_install_wraps_every_boundary_and_uninstall_restores(spans, tmp_path, capsys):
     names = _wrapped_names(spans)
     originals = [getattr(module, attr) for module, attr in names]
+    real_fit = estimation.fit_variant
     tracer = spans.Tracer()
     tracer.install()
     try:
         assert all(getattr(m, a) is not o for (m, a), o in zip(names, originals))
+        # the wrapper re-declares fit_variant's signature: names, kinds and defaults
+        def shape(fn):
+            return [(p.name, p.kind, p.default)
+                    for p in inspect.signature(fn).parameters.values()]
+
+        assert shape(estimation.fit_variant) == shape(real_fit)
         calls = tracer.calls
 
         load = str(DATA / "load.csv")
