@@ -42,7 +42,8 @@ from typing import Iterator, NamedTuple
 from .errors import ConfigError, CsvError, DuplicateDayError, ParameterError
 from .estimation import FitConfig, ObservationSet, ParamBounds
 from .models import (
-    _REQUIRED, LoadSeries, ModelParams, _as_int, _as_real, _field_dict, _record, variant_row,
+    _REQUIRED, LoadSeries, ModelParams, _as_int, _as_real, _as_reals, _field_dict, _record,
+    variant_row,
 )
 
 
@@ -215,7 +216,7 @@ def build_prediction_table(
 
     ``predicted`` may be shorter than ``w``, never longer (ParameterError).
     """
-    predicted = tuple(map(float, predicted))
+    predicted = _as_reals(predicted, "predicted")
     if len(predicted) > len(w):
         raise ParameterError(
             f"{len(predicted)} predicted days exceed the load series length {len(w)}"
@@ -248,6 +249,10 @@ def parse_prediction_csv(text: str) -> PredictionTable:
         load = _parse_value(cells[1], "load", line)
         predicted = _parse_value(cells[2], "predicted", line)
         observed = _parse_value(cells[3], "observed", line) if cells[3].strip() else None
+        if day < len(out):  # the rows before this one hold days 0..len(out)-1
+            raise DuplicateDayError(f"duplicate day {day}", line=line)
+        if day > len(out):
+            raise CsvError(f"day {day} skips day {len(out)}", line=line)
         out.append(PredictionRow(day, load, predicted, observed))
     if not out:
         raise CsvError("no data rows")
@@ -270,6 +275,8 @@ class ChartOptions:
             size = _as_real(getattr(self, name), name, ConfigError)
             if not (math.isfinite(size) and size > 0):
                 raise ConfigError(f"chart dimensions must be finite and positive, got {size!r}")
+        if not isinstance(self.title, str):
+            raise ConfigError(f"title must be a string, got {self.title!r}")
 
 
 @_record
@@ -282,8 +289,10 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         variant_row(self.variant)
-        if self.horizon is not None and self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
+        if self.horizon is not None:
+            object.__setattr__(self, "horizon", _as_int(self.horizon, "horizon", ConfigError))
+            if self.horizon < 1:
+                raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
 
 
 def _as_float(value, key: str) -> float:
@@ -359,16 +368,14 @@ def load_config(text: str) -> RunConfig:
     data = _require_mapping(data, "configuration")
     _reject_unknown(data, RunConfig._fields, "configuration")
     try:
-        variant = variant_row(data.get("variant", "single_delay")).name
-        horizon = data.get("horizon")
-        if horizon is not None:
-            horizon = _as_int(horizon, "horizon", ConfigError)
+        # variant and horizon first: they precede the sections in field order
+        head = RunConfig(data.get("variant", "single_delay"), data.get("horizon"))
         sections = {  # bounds, fit and chart: the fields whose default is a record
             name: _record_from_doc(type(default), data[name], name)
             for name, default in RunConfig._fields.items()
             if name in data and hasattr(default, "_fields")
         }
-        return RunConfig(variant, horizon, **sections)
+        return RunConfig(head.variant, head.horizon, **sections)
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
 

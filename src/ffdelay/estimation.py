@@ -71,24 +71,10 @@ class ObservationSet:
     def __post_init__(self) -> None:
         norm = []
         for day, value in self.entries:
-            if isinstance(day, bool):
-                raise ObservationError(f"observation day must be an integer, got {day!r}")
-            try:
-                d = int(day)
-            except (TypeError, ValueError, OverflowError):
-                raise ObservationError(
-                    f"observation day must be an integer, got {day!r}"
-                ) from None
-            try:
-                v = float(value)
-            except (TypeError, ValueError):
-                raise ObservationError(
-                    f"observation at day {d} must be a number, got {value!r}"
-                ) from None
+            d = _as_int(day, "observation day", ObservationError)
+            v = float(_as_real(value, f"observation at day {d}", ObservationError))
             if d < 0:
                 raise ObservationError(f"observation day must be >= 0, got {day!r}")
-            if d != day:
-                raise ObservationError(f"observation day must be an integer, got {day!r}")
             if not math.isfinite(v):
                 raise ObservationError(f"observation at day {d} is not finite: {value!r}")
             norm.append((d, v))

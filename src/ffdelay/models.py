@@ -64,6 +64,19 @@ def _as_int(value, name: str, error: type = ParameterError) -> int:
     return int(value)
 
 
+def _as_reals(values, name: str, error: type = ParameterError) -> tuple[float, ...]:
+    # _as_real's rule by the set of element types; a failure is walked to name its element
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise error(f"{name} must be a sequence of real numbers, got {values!r}") from None
+    types = set(map(type, values))
+    if bool in types or not all(issubclass(t, Real) for t in types):
+        for i, v in enumerate(values):
+            _as_real(v, f"{name}[{i}]", error)
+    return values if types <= {float} else tuple(map(float, values))
+
+
 def _check_decay(tau: float, name: str) -> None:
     if not (math.isfinite(_as_real(tau, name)) and tau > 0.0):
         raise ParameterError(f"{name} must be finite and > 0, got {tau!r}")
@@ -194,7 +207,7 @@ class LoadSeries:
     units: str | None = None
 
     def __post_init__(self) -> None:
-        vals = tuple(map(float, self.values))
+        vals = _as_reals(self.values, "load")
         object.__setattr__(self, "values", vals)
         if not vals:
             raise ParameterError("load series must contain at least one day")
@@ -222,7 +235,7 @@ class StateSeries:
     variant_tag: str
 
     def __post_init__(self) -> None:
-        vals = tuple(map(float, self.values))
+        vals = _as_reals(self.values, "state")
         object.__setattr__(self, "values", vals)
         if not vals:
             raise ParameterError("state series must contain at least one day")
@@ -292,7 +305,7 @@ class KernelParams:
         _check_decay(self.tau_decay, "tau_decay")
         if not math.isfinite(_as_real(self.tau5, "tau5")):
             raise ParameterError(f"tau5 must be finite, got {self.tau5!r}")
-        w = tuple(float(x) for x in self.weights)
+        w = _as_reals(self.weights, "weights")
         object.__setattr__(self, "weights", w)
         if len(w) != 3:
             raise ParameterError("weights must be a triple (lag-1, lag-2, lag-3)")
@@ -383,14 +396,13 @@ def _check_side(variant: str, side, name: str) -> None:
         raise ParameterError(f"{variant} {name} must be {cls.__name__}, got {type(side).__name__}")
 
 
-def _check_horizon(w: LoadSeries, horizon: int) -> int:
-    horizon = _as_int(horizon, "horizon")
+def _check_horizon(w: LoadSeries, horizon: int, name: str = "horizon") -> int:
+    """``horizon`` as an int day count in 1..len(w); ``name`` names it in messages."""
+    horizon = _as_int(horizon, name)
     if horizon < 1:
-        raise ParameterError(f"horizon must be >= 1, got {horizon}")
+        raise ParameterError(f"{name} must be >= 1, got {horizon}")
     if horizon > len(w):
-        raise SeriesLengthError(
-            f"horizon {horizon} exceeds load series length {len(w)}"
-        )
+        raise SeriesLengthError(f"{name} {horizon} exceeds load series length {len(w)}")
     return horizon
 
 
@@ -412,11 +424,7 @@ def classical_path(w, tau_decay: float, horizon: int) -> list[float]:
         return [0.0]
     wv = np.asarray(w[: horizon - 1], dtype=float)
     decay = np.exp(-np.arange(1, horizon, dtype=float) / tau_decay)
-    conv = np.convolve(wv, decay)
-    out = [0.0] * horizon
-    for n in range(1, horizon):
-        out[n] = float(conv[n - 1])
-    return out
+    return [0.0, *np.convolve(wv, decay)[: horizon - 1].tolist()]
 
 
 # Loop shape: per-day indexing dominated these kernels' cost, so they stream w
@@ -549,16 +557,14 @@ def _recursive(variant: str, w: LoadSeries, params, horizon: int) -> StateSeries
     horizon = _check_horizon(w, horizon)
     args = _side_args(variant, _field_values(params))
     path = single_delay_path if len(args) == 2 else three_delay_path
-    return StateSeries(tuple(path(w.values, *args, horizon)), variant)
+    return StateSeries(path(w.values, *args, horizon), variant)
 
 
 def eval_classical(w: LoadSeries, params: FirstOrderParams, horizon: int) -> StateSeries:
     """Evaluate the classical first-order model as the explicit history sum."""
     _check_side("classical", params, "params")
     horizon = _check_horizon(w, horizon)
-    return StateSeries(
-        tuple(classical_path(w.values, params.tau_decay, horizon)), "classical"
-    )
+    return StateSeries(classical_path(w.values, params.tau_decay, horizon), "classical")
 
 
 def eval_single_delay_recursive(
@@ -591,7 +597,7 @@ def eval_single_delay_convolution(
     for n in range(2, horizon):
         c[n - 1] = wv[n - 1] - rate * g[n - 2]
         g[n] = float(np.dot(c[1:n], decay[n - 1:0:-1]))
-    return StateSeries(tuple(float(x) for x in g), "single_delay")
+    return StateSeries(g.tolist(), "single_delay")
 
 
 def eval_three_delay_recursive(
@@ -637,7 +643,7 @@ def eval_three_delay_convolution(
             total -= g[n - 3] * (r1 * decay[2] + r2 * decay[1])
         total -= g[n - 2] * (r1 * decay[1])
         g[n] = total
-    return StateSeries(tuple(float(x) for x in g), "three_delay")
+    return StateSeries(g.tolist(), "three_delay")
 
 
 def eval_kernel_recursive(w: LoadSeries, params: KernelParams, horizon: int) -> StateSeries:

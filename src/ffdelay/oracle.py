@@ -20,9 +20,10 @@ from __future__ import annotations
 from math import exp
 from typing import Sequence
 
-from .errors import ParameterError, SeriesLengthError
+from .errors import ParameterError
 from .models import (
-    LoadSeries, SingleDelayParams, ThreeDelayParams, _as_int, _check_side, _lag_rate, _record,
+    LoadSeries, SingleDelayParams, ThreeDelayParams, _as_int, _check_horizon, _check_side,
+    _lag_rate, _record,
 )
 
 
@@ -62,11 +63,7 @@ def _check_grid_args(w: StepLoad, days: int, substeps: int) -> tuple[int, int]:
     substeps = _as_int(substeps, "substeps")
     if substeps < 1:
         raise ParameterError(f"substeps must be >= 1, got {substeps}")
-    if days < 1:
-        raise ParameterError(f"days must be >= 1, got {days}")
-    if days > len(w):
-        raise SeriesLengthError(f"days {days} exceeds load series length {len(w)}")
-    return days, substeps
+    return _check_horizon(w, days, "days"), substeps
 
 
 def integrate_single_delay(

@@ -286,6 +286,11 @@ class TestRunConfig:
         assert config.bounds.tau5 == (-0.5, 0.5)
         assert config.chart == ChartOptions(640.0, 480.0, "demo")
 
+    def test_horizon_fault_is_reported_before_a_section_fault(self):
+        for horizon in ("0", "2.5", "'3'"):
+            with pytest.raises(ConfigError, match="^horizon must be "):
+                load_config(f"horizon: {horizon}\nbounds: 5\nchart:\n  title: 5\n")
+
     def test_invalid_yaml(self):
         with pytest.raises(ConfigError):
             load_config("variant: [unterminated\n")
@@ -338,6 +343,14 @@ class TestPredictionCsv:
     def test_days_must_be_contiguous(self):
         with pytest.raises(ParameterError):
             PredictionTable((PredictionRow(1, 0.0, 1.0, None),))
+
+    def test_repeated_and_skipped_days_name_their_line(self):
+        header = "day,load,predicted,observed\n0,0,500,\n1,2,501,\n"
+        with pytest.raises(DuplicateDayError, match=r"^line 4: duplicate day 1$"):
+            parse_prediction_csv(header + "1,0,502,\n")
+        with pytest.raises(CsvError, match=r"^line 5: day 3 skips day 2$") as info:
+            parse_prediction_csv(header + "\n3,0,503,\n")  # a blank line 4, then day 3
+        assert type(info.value) is CsvError and info.value.line == 5
         with pytest.raises(ParameterError):
             PredictionTable(())
 

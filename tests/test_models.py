@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 import ffdelay as ff
-from ffdelay.errors import ParameterError, SeriesLengthError
+from ffdelay.dataio import ChartOptions, RunConfig, build_prediction_table
+from ffdelay.errors import ConfigError, ObservationError, ParameterError, SeriesLengthError
 from ffdelay.models import _record
 from helpers import (
     performance,
@@ -136,6 +138,51 @@ class TestDomainTypes:
         assert type(side.tau_decay) is np.float64 and type(side.tau_lag1) is np.int64
         params = ff.ModelParams("classical", 500, np.float32(0.25), 0.1, FO_SIDE, FO_SIDE)
         assert repr(params.p0) == "500" and type(params.k1) is np.float32
+
+
+# One rule per kind of value, each raising its record's error and naming the value
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: ff.LoadSeries((0, "1")), ParameterError, "load[1] must be a real number, got '1'"),
+    (lambda: ff.LoadSeries((0, True)), ParameterError, "load[1] must be a real number, got True"),
+    (lambda: ff.LoadSeries(5), ParameterError, "load must be a sequence of real numbers, got 5"),
+    (lambda: ff.StateSeries((0.0, "1"), "x"), ParameterError,
+     "state[1] must be a real number, got '1'"),
+    (lambda: ff.KernelParams(30.0, -0.1, 5.0), ParameterError,
+     "weights must be a sequence of real numbers, got 5.0"),
+    (lambda: ff.KernelParams(30.0, -0.1, ("a", 0.3, 0.2)), ParameterError,
+     "weights[0] must be a real number, got 'a'"),
+    (lambda: ff.KernelParams(30.0, -0.1, (0.5, None, 0.2)), ParameterError,
+     "weights[1] must be a real number, got None"),
+    (lambda: ff.KernelParams(30.0, -0.1, "0.5"), ParameterError,
+     "weights[0] must be a real number, got '0'"),
+    (lambda: build_prediction_table(ff.LoadSeries((0.0, 1.0)), ("1",)), ParameterError,
+     "predicted[0] must be a real number, got '1'"),
+    (lambda: ff.ObservationSet(((1, "500"),)), ObservationError,
+     "observation at day 1 must be a real number, got '500'"),
+    (lambda: ff.ObservationSet(((1, True),)), ObservationError,
+     "observation at day 1 must be a real number, got True"),
+    (lambda: ff.ObservationSet(((3.0, 1.0),)), ObservationError,
+     "observation day must be an integer, got 3.0"),
+    (lambda: RunConfig(horizon=2.5), ConfigError, "horizon must be an integer, got 2.5"),
+    (lambda: RunConfig(horizon="3"), ConfigError, "horizon must be an integer, got '3'"),
+    (lambda: ChartOptions(title=5), ConfigError, "title must be a string, got 5"),
+    (lambda: ChartOptions(title=b"x"), ConfigError, "title must be a string, got b'x'"),
+], ids=["str-load", "bool-load", "int-load", "str-state", "float-weights", "str-weight",
+        "none-weight", "str-weights", "str-predicted", "str-observation", "bool-observation",
+        "float-day", "float-horizon", "str-horizon", "int-title", "bytes-title"])
+def test_each_record_rejects_a_wrong_value_with_its_own_error(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_numpy_scalars_are_numbers():
+    obs = ff.ObservationSet(((np.int64(3), np.float32(1.5)),))
+    assert obs.entries == ((3, 1.5),) and type(obs.entries[0][0]) is int
+    w = ff.LoadSeries((np.float32(0.0), np.float32(0.1)))
+    assert w.values == (0.0, float(np.float32(0.1))) and type(w.values[1]) is float
+    kp = ff.KernelParams(30.0, -0.1, tuple(map(np.float32, (0.5, 0.25, 0.25))))
+    assert kp.weights == (0.5, 0.25, 0.25) and type(kp.weights[0]) is float
+    assert RunConfig(horizon=np.int64(90)).horizon == 90
 
 
 SIDE_LOAD = ff.LoadSeries((0.0, 10.0, 0.0, 5.0, 0.0, 0.0, 3.0, 0.0))

@@ -9,7 +9,8 @@ forecast of every variant must be that combine of its two sides' public
 ``eval_*_recursive`` paths. The reductions to the classical model (kernel
 gain 0, all three lags +inf) must be the one-lag recursion at rate 0.0 bit
 for bit. One more property round-trips generated parameters of every variant
-through a params document.
+through a params document, and another stores a load of Python and numpy
+reals as their floats, bit for bit.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import random
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -228,3 +230,22 @@ def test_forecast_is_the_combine_of_recursive_paths(w, data):
         want = [p0 + (k1 * x - k2 * y) for x, y in zip(g, h)]
         got = ff.predict_performance(variant, p0, k1, k2, fitness, fatigue, w, horizon)
         assert _bits(got) == _bits(want), (variant, horizon)
+
+
+# non-negative finite reals of Python and numpy types; a load starts with a zero
+LOAD_REALS = st.one_of(
+    st.floats(0.0, 1e300),
+    st.integers(0, 2**53),
+    st.floats(0.0, 1e300).map(np.float64),
+    st.floats(0.0, width=32, allow_infinity=False).map(np.float32),
+    st.integers(0, 2**62).map(np.int64),
+)
+LOAD_ZEROS = st.sampled_from((0, 0.0, -0.0, np.float64(0.0), np.float32(-0.0), np.int64(0)))
+
+
+@given(st.tuples(LOAD_ZEROS), st.lists(LOAD_REALS, max_size=50))
+def test_load_series_stores_each_real_as_its_float(first, rest):
+    values = [*first, *rest]
+    stored = ff.LoadSeries(values).values
+    assert all(type(x) is float for x in stored)
+    assert _bits(stored) == _bits(tuple(map(float, values)))
