@@ -65,7 +65,8 @@ def _as_int(value, name: str, error: type = ParameterError) -> int:
 
 
 def _as_reals(values, name: str, error: type = ParameterError) -> tuple[float, ...]:
-    # _as_real's rule by the set of element types; a failure is walked to name its element
+    # _as_real's rule by the set of element types; a failure is walked to name its element.
+    # The values are read into a tuple first, so an iterator is read only once.
     try:
         values = tuple(values)
     except TypeError:

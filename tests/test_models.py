@@ -185,6 +185,11 @@ def test_numpy_scalars_are_numbers():
     assert RunConfig(horizon=np.int64(90)).horizon == 90
 
 
+def test_a_load_or_weights_iterator_is_read_once():
+    assert ff.LoadSeries(iter((0, 2.5))).values == (0.0, 2.5)
+    assert ff.KernelParams(30.0, -0.1, iter((0.5, 0.25, 0.25))).weights == (0.5, 0.25, 0.25)
+
+
 SIDE_LOAD = ff.LoadSeries((0.0, 10.0, 0.0, 5.0, 0.0, 0.0, 3.0, 0.0))
 # each single-side function: the variant whose side it takes, and a call on a side
 SIDE_FUNCTIONS = {
