@@ -65,17 +65,15 @@ def _as_int(value, name: str, error: type = ParameterError) -> int:
 
 
 def _as_reals(values, name: str, error: type = ParameterError) -> tuple[float, ...]:
-    # _as_real's rule by the set of element types; a failure is walked to name its element.
-    # The values are read into a tuple first, so an iterator is read only once.
-    try:
-        values = tuple(values)
-    except TypeError:
-        raise error(f"{name} must be a sequence of real numbers, got {values!r}") from None
+    # _as_real's rule, checked on the set of element types; a string is one value, not a sequence
+    if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
+        raise error(f"{name} must be a sequence of real numbers, got {values!r}")
+    values = tuple(values)
     types = set(map(type, values))
     if bool in types or not all(issubclass(t, Real) for t in types):
         for i, v in enumerate(values):
             _as_real(v, f"{name}[{i}]", error)
-    return values if types <= {float} else tuple(map(float, values))
+    return tuple(map(float, values))
 
 
 def _check_decay(tau: float, name: str) -> None:
@@ -398,7 +396,6 @@ def _check_side(variant: str, side, name: str) -> None:
 
 
 def _check_horizon(w: LoadSeries, horizon: int, name: str = "horizon") -> int:
-    """``horizon`` as an int day count in 1..len(w); ``name`` names it in messages."""
     horizon = _as_int(horizon, name)
     if horizon < 1:
         raise ParameterError(f"{name} must be >= 1, got {horizon}")
@@ -425,7 +422,11 @@ def classical_path(w, tau_decay: float, horizon: int) -> list[float]:
         return [0.0]
     wv = np.asarray(w[: horizon - 1], dtype=float)
     decay = np.exp(-np.arange(1, horizon, dtype=float) / tau_decay)
-    return [0.0, *np.convolve(wv, decay)[: horizon - 1].tolist()]
+    conv = np.convolve(wv, decay)
+    out = [0.0] * horizon
+    for n in range(1, horizon):
+        out[n] = float(conv[n - 1])
+    return out
 
 
 # Loop shape: per-day indexing dominated these kernels' cost, so they stream w

@@ -343,6 +343,8 @@ class TestPredictionCsv:
     def test_days_must_be_contiguous(self):
         with pytest.raises(ParameterError):
             PredictionTable((PredictionRow(1, 0.0, 1.0, None),))
+        with pytest.raises(ParameterError):
+            PredictionTable(())
 
     def test_repeated_and_skipped_days_name_their_line(self):
         header = "day,load,predicted,observed\n0,0,500,\n1,2,501,\n"
@@ -351,8 +353,6 @@ class TestPredictionCsv:
         with pytest.raises(CsvError, match=r"^line 5: day 3 skips day 2$") as info:
             parse_prediction_csv(header + "\n3,0,503,\n")  # a blank line 4, then day 3
         assert type(info.value) is CsvError and info.value.line == 5
-        with pytest.raises(ParameterError):
-            PredictionTable(())
 
 
 class TestParamsDocument:

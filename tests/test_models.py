@@ -154,7 +154,7 @@ class TestDomainTypes:
     (lambda: ff.KernelParams(30.0, -0.1, (0.5, None, 0.2)), ParameterError,
      "weights[1] must be a real number, got None"),
     (lambda: ff.KernelParams(30.0, -0.1, "0.5"), ParameterError,
-     "weights[0] must be a real number, got '0'"),
+     "weights must be a sequence of real numbers, got '0.5'"),
     (lambda: build_prediction_table(ff.LoadSeries((0.0, 1.0)), ("1",)), ParameterError,
      "predicted[0] must be a real number, got '1'"),
     (lambda: ff.ObservationSet(((1, "500"),)), ObservationError,
