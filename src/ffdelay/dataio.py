@@ -19,7 +19,9 @@ Params document   JSON mapping with ``variant``, ``p0``, ``k1``, ``k2`` and a
                   keys are the fields of the variant's side class, read the
                   same way; it reads back as a ``ModelParams``.
 
-A document with several faults reports the first in field order.
+Sections are read in field order. Within one, the first value of the wrong
+kind (not a number or an integer, or a list of the wrong length) is reported;
+a record's range checks run only after its whole section has been read.
 
 In every CSV document a cell may carry surrounding whitespace, blank and
 whitespace-only rows are skipped, and the header may be in any case. Each
@@ -290,9 +292,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         variant_row(self.variant)
         if self.horizon is not None:
-            object.__setattr__(self, "horizon", _as_int(self.horizon, "horizon", ConfigError))
-            if self.horizon < 1:
-                raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
+            horizon = _as_int(self.horizon, "horizon", ConfigError, least=1)
+            object.__setattr__(self, "horizon", horizon)
 
 
 def _as_float(value, key: str) -> float:
@@ -523,14 +524,7 @@ def render_fit_chart(table: PredictionTable, options: ChartOptions | None = None
     pad = 0.05 * (y_hi - y_lo) if y_hi > y_lo else 1.0
     frame = _Frame(options, (rows[0].day, rows[-1].day), (y_lo - pad, y_hi + pad))
 
-    # _Frame.x and _Frame.y, term for term, so each point is bit-identical to them
-    x0, x_span, plot_w = frame.x0, frame.x1 - frame.x0, frame.plot_w
-    y0, y_span, plot_h = frame.y0, frame.y1 - frame.y0, frame.plot_h
-    points = " ".join([
-        f"{_MARGIN_LEFT + (day - x0) / x_span * plot_w:.2f},"
-        f"{_MARGIN_TOP + (1.0 - (p - y0) / y_span) * plot_h:.2f}"
-        for day, _, p, _ in rows
-    ])
+    points = " ".join([f"{frame.x(day):.2f},{frame.y(p):.2f}" for day, _, p, _ in rows])
     body = (
         f'<polyline class="prediction" points="{points}" fill="none" '
         f'stroke="{_PREDICTION_COLOR}" stroke-width="2" />'

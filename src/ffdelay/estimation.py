@@ -27,7 +27,6 @@ as ``predict_performance`` (defined there, and bound here for
 from __future__ import annotations
 
 import math
-from numbers import Real
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import MetricError, ObservationError, ParameterError
@@ -37,8 +36,10 @@ from .models import (
     LoadSeries,
     ModelParams,
     Variant,
+    _as_finite,
     _as_int,
     _as_real,
+    _as_reals,
     _field_dict,
     _performance,
     _record,
@@ -62,6 +63,17 @@ _WARN_ZERO_LOAD = "zero-load"
 _WARN_ZERO_VARIANCE = "zero-variance-observations"
 
 
+def _pairs(entries) -> list[tuple]:
+    """The entries as (day, value) pairs; a str or bytes is one value, never a pair."""
+    def items(x, n: int | None = None) -> tuple:
+        t = None if isinstance(x, (str, bytes)) or not hasattr(x, "__iter__") else tuple(x)
+        if t is None or n is not None and len(t) != n:
+            raise ObservationError(f"observations must be (day, value) pairs, got {x!r}")
+        return t
+
+    return [items(entry, 2) for entry in items(entries)]
+
+
 @_record
 class ObservationSet:
     """Sparse (day, performance) measurements, normalized to increasing day."""
@@ -70,14 +82,9 @@ class ObservationSet:
 
     def __post_init__(self) -> None:
         norm = []
-        for day, value in self.entries:
-            d = _as_int(day, "observation day", ObservationError)
-            v = float(_as_real(value, f"observation at day {d}", ObservationError))
-            if d < 0:
-                raise ObservationError(f"observation day must be >= 0, got {day!r}")
-            if not math.isfinite(v):
-                raise ObservationError(f"observation at day {d} is not finite: {value!r}")
-            norm.append((d, v))
+        for day, value in _pairs(self.entries):
+            d = _as_int(day, "observation day", ObservationError, least=0)
+            norm.append((d, float(_as_finite(value, f"observation at day {d}", ObservationError))))
         norm.sort(key=lambda e: e[0])
         if not norm:
             raise ObservationError("observation set must not be empty")
@@ -100,12 +107,9 @@ class ObservationSet:
 
 def _check_bound_pair(name: str, pair, positive: bool) -> tuple[float, float]:
     try:
-        lo, hi = pair
-    except (TypeError, ValueError):  # not iterable, or not two items
-        lo = hi = None
-    if not all(isinstance(v, Real) and not isinstance(v, bool) for v in (lo, hi)):
-        raise ParameterError(f"bounds for {name} must be two numbers, got {pair!r}")
-    lo, hi = float(lo), float(hi)
+        lo, hi = _as_reals(pair, name)
+    except (ParameterError, ValueError):  # not two real numbers
+        raise ParameterError(f"bounds for {name} must be two numbers, got {pair!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ParameterError(f"bounds for {name} must be finite, got {pair!r}")
     if not lo < hi:
@@ -154,22 +158,13 @@ class FitConfig:
     fix_p0: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("starts", "max_iterations", "seed"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name))
-        if self.starts < 1:
-            raise ParameterError(f"starts must be >= 1, got {self.starts}")
-        if self.max_iterations < 1:
-            raise ParameterError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not _as_real(self.tolerance, "tolerance") > 0.0:
-            raise ParameterError(f"tolerance must be > 0, got {self.tolerance}")
-        if not _as_real(self.simplex_tolerance, "simplex_tolerance") > 0.0:
-            raise ParameterError(
-                f"simplex_tolerance must be > 0, got {self.simplex_tolerance}"
-            )
-        if self.seed < 0:
-            raise ParameterError(f"seed must be a non-negative integer, got {self.seed}")
-        if self.fix_p0 is not None and not math.isfinite(_as_real(self.fix_p0, "fix_p0")):
-            raise ParameterError(f"fix_p0 must be finite, got {self.fix_p0!r}")
+        for name, least in (("starts", 1), ("max_iterations", 1), ("seed", 0)):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, least=least))
+        for name in ("tolerance", "simplex_tolerance"):  # > 0 admits +inf
+            if not _as_real(getattr(self, name), name) > 0.0:
+                raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.fix_p0 is not None:
+            _as_finite(self.fix_p0, "fix_p0")
 
 
 @_record
@@ -476,7 +471,7 @@ def _latin_hypercube(rng: np.random.Generator, n_starts: int, dims: int) -> np.n
     for i in range(dims):
         perm = rng.permutation(n_starts)
         u[:, i] = (perm + rng.random(n_starts)) / n_starts
-    return np.clip(u, 1e-15, 1.0 - 1e-15)
+    return u
 
 
 @_record

@@ -51,17 +51,36 @@ INF = math.inf
 
 
 def _as_real(value, name: str, error: type = ParameterError):
-    # any real number type (numpy's too), never a bool or a string; stored unchanged
+    # any real number type (numpy's too) a double holds, never a bool or a string; stored unchanged
     if isinstance(value, bool) or not isinstance(value, Real):
         raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:  # an int beyond the double range; its str may fail too
+        raise error(f"{name} must be a real number within the double range") from None
     return value
 
 
-def _as_int(value, name: str, error: type = ParameterError) -> int:
+def _as_finite(value, name: str, error: type = ParameterError):
+    if not math.isfinite(_as_real(value, name, error)):
+        raise error(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _as_positive(value, name: str, error: type = ParameterError):
+    if not (math.isfinite(_as_real(value, name, error)) and value > 0.0):
+        raise error(f"{name} must be finite and > 0, got {value!r}")
+    return value
+
+
+def _as_int(value, name: str, error: type = ParameterError, least: int | None = None) -> int:
     # any integer type (numpy's too), never a bool, a float or a string
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise error(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if least is not None and value < least:
+        raise error(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def _as_reals(values, name: str, error: type = ParameterError) -> tuple[float, ...]:
@@ -70,15 +89,28 @@ def _as_reals(values, name: str, error: type = ParameterError) -> tuple[float, .
         raise error(f"{name} must be a sequence of real numbers, got {values!r}")
     values = tuple(values)
     types = set(map(type, values))
-    if bool in types or not all(issubclass(t, Real) for t in types):
-        for i, v in enumerate(values):
-            _as_real(v, f"{name}[{i}]", error)
-    return tuple(map(float, values))
+    if bool not in types and all(issubclass(t, Real) for t in types):
+        try:
+            return tuple(map(float, values))
+        except OverflowError:  # an int beyond the double range, named below
+            pass
+    # only a failing sequence is walked, to name its first bad element
+    for i, v in enumerate(values):
+        _as_real(v, f"{name}[{i}]", error)
 
 
-def _check_decay(tau: float, name: str) -> None:
-    if not (math.isfinite(_as_real(tau, name)) and tau > 0.0):
-        raise ParameterError(f"{name} must be finite and > 0, got {tau!r}")
+def _as_series(values, name: str) -> tuple[float, ...]:
+    """A daily series from day 0: at least one day, every day finite, day 0 zero."""
+    vals = _as_reals(values, name)
+    if not vals:
+        raise ParameterError(f"{name} series must contain at least one day")
+    # checked at C speed; only a failing series is walked to name its day
+    if not all(map(math.isfinite, vals)):
+        day = next(i for i, v in enumerate(vals) if not math.isfinite(v))
+        raise ParameterError(f"{name} at day {day} is not finite: {vals[day]!r}")
+    if vals[0] != 0.0:
+        raise ParameterError(f"{name} at day 0 must be 0, got {vals[0]!r}")
+    return vals
 
 
 def _check_lag(tau: float, name: str, allow_negative: bool = False) -> None:
@@ -206,21 +238,11 @@ class LoadSeries:
     units: str | None = None
 
     def __post_init__(self) -> None:
-        vals = _as_reals(self.values, "load")
+        vals = _as_series(self.values, "load")
         object.__setattr__(self, "values", vals)
-        if not vals:
-            raise ParameterError("load series must contain at least one day")
-        # checked at C speed; only a failing series is walked to name its day
-        if not (all(map(math.isfinite, vals)) and min(vals) >= 0.0):
-            for i, v in enumerate(vals):
-                if not math.isfinite(v):
-                    raise ParameterError(f"load at day {i} is not finite: {v!r}")
-                if v < 0.0:
-                    raise ParameterError(f"load at day {i} is negative: {v!r}")
-        if vals[0] != 0.0:
-            raise ParameterError(
-                f"load at day 0 must be 0 (model assumption), got {vals[0]!r}"
-            )
+        if min(vals) < 0.0:
+            day = next(i for i, v in enumerate(vals) if v < 0.0)
+            raise ParameterError(f"load at day {day} is negative: {vals[day]!r}")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -234,16 +256,7 @@ class StateSeries:
     variant_tag: str
 
     def __post_init__(self) -> None:
-        vals = _as_reals(self.values, "state")
-        object.__setattr__(self, "values", vals)
-        if not vals:
-            raise ParameterError("state series must contain at least one day")
-        if vals[0] != 0.0:
-            raise ParameterError("state series must start at 0 (zero initial history)")
-        # checked at C speed; only a failing series is walked to name its day
-        if not all(map(math.isfinite, vals)):
-            day = next(i for i, v in enumerate(vals) if not math.isfinite(v))
-            raise ParameterError(f"state at day {day} is not finite: {vals[day]!r}")
+        object.__setattr__(self, "values", _as_series(self.values, "state"))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -256,7 +269,7 @@ class FirstOrderParams:
     tau_decay: float
 
     def __post_init__(self) -> None:
-        _check_decay(self.tau_decay, "tau_decay")
+        _as_positive(self.tau_decay, "tau_decay")
 
 
 @_record
@@ -267,7 +280,7 @@ class SingleDelayParams:
     tau_lag1: float = INF
 
     def __post_init__(self) -> None:
-        _check_decay(self.tau_decay, "tau_decay")
+        _as_positive(self.tau_decay, "tau_decay")
         _check_lag(self.tau_lag1, "tau_lag1")
 
 
@@ -286,7 +299,7 @@ class ThreeDelayParams:
     tau_lag3: float = INF
 
     def __post_init__(self) -> None:
-        _check_decay(self.tau_decay, "tau_decay")
+        _as_positive(self.tau_decay, "tau_decay")
         _check_lag(self.tau_lag1, "tau_lag1", allow_negative=True)
         _check_lag(self.tau_lag2, "tau_lag2", allow_negative=True)
         _check_lag(self.tau_lag3, "tau_lag3", allow_negative=True)
@@ -301,9 +314,8 @@ class KernelParams:
     weights: tuple[float, float, float] = (0.5, 0.3, 0.2)
 
     def __post_init__(self) -> None:
-        _check_decay(self.tau_decay, "tau_decay")
-        if not math.isfinite(_as_real(self.tau5, "tau5")):
-            raise ParameterError(f"tau5 must be finite, got {self.tau5!r}")
+        _as_positive(self.tau_decay, "tau_decay")
+        _as_finite(self.tau5, "tau5")
         w = _as_reals(self.weights, "weights")
         object.__setattr__(self, "weights", w)
         if len(w) != 3:
@@ -378,12 +390,9 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         variant_row(self.variant)
-        if not math.isfinite(_as_real(self.p0, "p0")):
-            raise ParameterError(f"p0 must be finite, got {self.p0!r}")
-        if not (math.isfinite(_as_real(self.k1, "k1")) and self.k1 > 0.0):
-            raise ParameterError(f"k1 must be finite and > 0, got {self.k1!r}")
-        if not (math.isfinite(_as_real(self.k2, "k2")) and self.k2 > 0.0):
-            raise ParameterError(f"k2 must be finite and > 0, got {self.k2!r}")
+        _as_finite(self.p0, "p0")
+        _as_positive(self.k1, "k1")
+        _as_positive(self.k2, "k2")
         _check_side(self.variant, self.fitness, "fitness")
         _check_side(self.variant, self.fatigue, "fatigue")
 
@@ -396,9 +405,7 @@ def _check_side(variant: str, side, name: str) -> None:
 
 
 def _check_horizon(w: LoadSeries, horizon: int, name: str = "horizon") -> int:
-    horizon = _as_int(horizon, name)
-    if horizon < 1:
-        raise ParameterError(f"{name} must be >= 1, got {horizon}")
+    horizon = _as_int(horizon, name, least=1)
     if horizon > len(w):
         raise SeriesLengthError(f"{name} {horizon} exceeds load series length {len(w)}")
     return horizon

@@ -60,9 +60,7 @@ class GridSolution:
 
 def _check_grid_args(w: StepLoad, days: int, substeps: int) -> tuple[int, int]:
     days = _as_int(days, "days")
-    substeps = _as_int(substeps, "substeps")
-    if substeps < 1:
-        raise ParameterError(f"substeps must be >= 1, got {substeps}")
+    substeps = _as_int(substeps, "substeps", least=1)
     return _check_horizon(w, days, "days"), substeps
 
 

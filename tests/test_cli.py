@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -452,6 +453,56 @@ class TestArtifacts:
         assert code == EXIT_OK
         modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
         assert modes == {"trajectory.csv": 0o640, "state_chart.svg": 0o640}
+
+    # SHA-256 of every simulate and predict artifact on the bundled load, frozen
+    # so that a change meant to keep the numbers cannot move a byte unnoticed
+    GOLDEN_SIMULATE = {
+        "classical": (["--tau1", "30"], {
+            "state_chart.svg": "021cdaafb5b4d806d908685493488fcfdabd4c1cb122d49bad0f2d4252c1d02b",
+            "trajectory.csv": "4c3c2ac8c26313444ad005e4218bc978a617734c4649739689cb3e8a0de6e0c1",
+        }),
+        "single_delay": (["--tau1", "30", "--tau2", "12"], {
+            "state_chart.svg": "677c3df2c80278f7af0cc842354828ef642664106018c12f7a788a39f87c295d",
+            "trajectory.csv": "090ffcb2170140c5cabce00bea65a3459966488a2b59ac7bd00cee63f330f61e",
+        }),
+        "three_delay": (["--tau1", "30", "--tau2", "12", "--tau3", "20", "--tau4", "40"], {
+            "state_chart.svg": "0b7c2d91a60e224d2b7a5911c69d2da264038475b1245b57a4f22230712c352b",
+            "trajectory.csv": "1b01f3f515c20119a1fdcfe1b19f9639b69bf1e653c93d0a357c81580c49e159",
+        }),
+        "kernel": (["--tau1", "30", "--tau5", "-0.2"], {
+            "state_chart.svg": "c49e5432f0a2204603c1141d26a159dbcd268f321ed1a88d4d61cb40704a17a9",
+            "trajectory.csv": "0c51a0a3d435561b40056cf63fc7eb161fef2121b90f2c453b66d212af323b5d",
+        }),
+    }
+    GOLDEN_PREDICT = {
+        "prediction_chart.svg": "ce6422ad5d06f960737defd1ac57e9d80b6d1ce1cbaec6599ce09c21704d3039",
+        "predictions.csv": "e39795ca2b6892d0cfce4687f0ad4c40c4de736feea98d150046d1c509fbaabb",
+    }
+
+    @staticmethod
+    def _digests(out: Path) -> dict[str, str]:
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+    def test_simulate_and_predict_artifacts_are_byte_identical(self, tmp_path):
+        for variant, (flags, digests) in self.GOLDEN_SIMULATE.items():
+            out = tmp_path / variant
+            assert main([
+                "simulate", "--load", str(DATA / "load.csv"), "--variant", variant, *flags,
+                "--out", str(out),
+            ]) == EXIT_OK
+            assert self._digests(out) == digests, variant
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({
+            "variant": "single_delay", "p0": 500.0, "k1": 0.1, "k2": 0.12,
+            "fitness": {"tau_decay": 45.0, "tau_lag1": 20.0},
+            "fatigue": {"tau_decay": 15.0, "tau_lag1": 10.0},
+        }))
+        out = tmp_path / "predict"
+        assert main([
+            "predict", "--load", str(DATA / "load.csv"), "--params", str(params),
+            "--horizon", "120", "--out", str(out),
+        ]) == EXIT_OK
+        assert self._digests(out) == self.GOLDEN_PREDICT
 
 
 class TestCompare:

@@ -167,9 +167,64 @@ class TestDomainTypes:
     (lambda: RunConfig(horizon="3"), ConfigError, "horizon must be an integer, got '3'"),
     (lambda: ChartOptions(title=5), ConfigError, "title must be a string, got 5"),
     (lambda: ChartOptions(title=b"x"), ConfigError, "title must be a string, got b'x'"),
+    # a Python int beyond the double range is not a real number of any record
+    (lambda: ff.LoadSeries((0, 10**400)), ParameterError,
+     "load[1] must be a real number within the double range"),
+    (lambda: ff.StateSeries((0.0, 10**400), "x"), ParameterError,
+     "state[1] must be a real number within the double range"),
+    (lambda: ff.FirstOrderParams(10**400), ParameterError,
+     "tau_decay must be a real number within the double range"),
+    (lambda: ff.SingleDelayParams(5.0, 10**400), ParameterError,
+     "tau_lag1 must be a real number within the double range"),
+    (lambda: ff.ThreeDelayParams(5.0, 10**400), ParameterError,
+     "tau_lag1 must be a real number within the double range"),
+    (lambda: ff.KernelParams(5.0, 10**400), ParameterError,
+     "tau5 must be a real number within the double range"),
+    (lambda: ff.KernelParams(5.0, -0.1, (0.5, 10**400, 0.2)), ParameterError,
+     "weights[1] must be a real number within the double range"),
+    (lambda: ff.ModelParams("classical", 10**400, 0.1, 0.1, FO_SIDE, FO_SIDE), ParameterError,
+     "p0 must be a real number within the double range"),
+    (lambda: ff.ObservationSet(((1, 10**400),)), ObservationError,
+     "observation at day 1 must be a real number within the double range"),
+    (lambda: ff.ObservationSet(((1, 10**5000),)), ObservationError,
+     "observation at day 1 must be a real number within the double range"),
+    (lambda: ff.ParamBounds(p0=(0, 10**400)), ParameterError,
+     f"bounds for p0 must be two numbers, got {(0, 10**400)!r}"),
+    (lambda: ff.FitConfig(fix_p0=10**400), ParameterError,
+     "fix_p0 must be a real number within the double range"),
+    (lambda: ChartOptions(width=10**400), ConfigError,
+     "width must be a real number within the double range"),
+    (lambda: build_prediction_table(ff.LoadSeries((0.0, 1.0)), (10**400,)), ParameterError,
+     "predicted[0] must be a real number within the double range"),
+    # observations are (day, value) pairs; a string is one value, not a pair
+    (lambda: ff.ObservationSet(5), ObservationError,
+     "observations must be (day, value) pairs, got 5"),
+    (lambda: ff.ObservationSet((3,)), ObservationError,
+     "observations must be (day, value) pairs, got 3"),
+    (lambda: ff.ObservationSet(((1,),)), ObservationError,
+     "observations must be (day, value) pairs, got (1,)"),
+    (lambda: ff.ObservationSet(((1, 2.0, 3),)), ObservationError,
+     "observations must be (day, value) pairs, got (1, 2.0, 3)"),
+    (lambda: ff.ObservationSet(("ab",)), ObservationError,
+     "observations must be (day, value) pairs, got 'ab'"),
+    # the range rules' messages
+    (lambda: ff.FitConfig(seed=-1), ParameterError, "seed must be >= 0, got -1"),
+    (lambda: ff.ObservationSet(((4, math.nan),)), ObservationError,
+     "observation at day 4 must be finite, got nan"),
+    (lambda: ff.LoadSeries((1.0, 2.0)), ParameterError, "load at day 0 must be 0, got 1.0"),
+    (lambda: ff.StateSeries((1.0, 0.0), "x"), ParameterError,
+     "state at day 0 must be 0, got 1.0"),
+    (lambda: ff.LoadSeries((0.0, -1.0, math.inf)), ParameterError,
+     "load at day 2 is not finite: inf"),
 ], ids=["str-load", "bool-load", "int-load", "str-state", "float-weights", "str-weight",
         "none-weight", "str-weights", "str-predicted", "str-observation", "bool-observation",
-        "float-day", "float-horizon", "str-horizon", "int-title", "bytes-title"])
+        "float-day", "float-horizon", "str-horizon", "int-title", "bytes-title",
+        "huge-load", "huge-state", "huge-decay", "huge-lag", "huge-three-delay-lag",
+        "huge-tau5", "huge-weight", "huge-p0", "huge-observation", "huge-digits-observation",
+        "huge-bound", "huge-fix-p0", "huge-chart-width", "huge-predicted",
+        "int-observations", "int-entry", "short-entry", "long-entry", "str-entry",
+        "negative-seed", "nan-observation", "nonzero-load-day0", "nonzero-state-day0",
+        "non-finite-before-negative-load"])
 def test_each_record_rejects_a_wrong_value_with_its_own_error(make, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         make()

@@ -9,8 +9,9 @@ forecast of every variant must be that combine of its two sides' public
 ``eval_*_recursive`` paths. The reductions to the classical model (kernel
 gain 0, all three lags +inf) must be the one-lag recursion at rate 0.0 bit
 for bit. One more property round-trips generated parameters of every variant
-through a params document, and another stores a load of Python and numpy
-reals as their floats, bit for bit.
+through a params document, another stores a load of Python and numpy
+reals as their floats, bit for bit, and a last one checks the range rules
+of ``ffdelay.models`` on finite reals of every type.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 import random
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +31,8 @@ import ffdelay as ff
 from ffdelay import oracle
 from ffdelay.dataio import dumps_params, parse_params
 from ffdelay.models import (
+    _as_finite,
+    _as_positive,
     _lag_rate,
     kernel_path,
     single_delay_path,
@@ -249,3 +253,24 @@ def test_load_series_stores_each_real_as_its_float(first, rest):
     stored = ff.LoadSeries(values).values
     assert all(type(x) is float for x in stored)
     assert _bits(stored) == _bits(tuple(map(float, values)))
+
+
+# finite reals of Python and numpy types, on both sides of zero
+FINITE_REALS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**308), 10**308),
+    st.fractions(Fraction(-(10**300)), Fraction(10**300)),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+)
+
+
+@given(FINITE_REALS)
+def test_range_rules_keep_a_finite_real_and_take_it_as_positive_when_above_zero(x):
+    assert _as_finite(x, "x") is x
+    try:
+        accepted = _as_positive(x, "x") is x
+    except ff.ParameterError:
+        accepted = False
+    assert accepted == (x > 0)
