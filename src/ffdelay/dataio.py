@@ -45,7 +45,7 @@ from .errors import ConfigError, CsvError, DuplicateDayError, ParameterError
 from .estimation import FitConfig, ObservationSet, ParamBounds
 from .models import (
     _REQUIRED, LoadSeries, ModelParams, _as_int, _as_real, _as_reals, _field_dict, _record,
-    variant_row,
+    _shown, variant_row,
 )
 
 
@@ -207,7 +207,7 @@ class PredictionTable:
         for i, row in enumerate(self.rows):
             if row.day != i:
                 raise ParameterError(
-                    f"days must be contiguous from 0; row {i} has day {row.day}"
+                    f"days must be contiguous from 0; row {i} has day {_shown(row.day, str)}"
                 )
 
 
@@ -276,9 +276,11 @@ class ChartOptions:
         for name in ("width", "height"):
             size = _as_real(getattr(self, name), name, ConfigError)
             if not (math.isfinite(size) and size > 0):
-                raise ConfigError(f"chart dimensions must be finite and positive, got {size!r}")
+                raise ConfigError(
+                    f"chart dimensions must be finite and positive, got {_shown(size)}"
+                )
         if not isinstance(self.title, str):
-            raise ConfigError(f"title must be a string, got {self.title!r}")
+            raise ConfigError(f"title must be a string, got {_shown(self.title)}")
 
 
 @_record

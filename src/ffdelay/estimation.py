@@ -43,6 +43,7 @@ from .models import (
     _field_dict,
     _performance,
     _record,
+    _shown,
     kernel_to_three_delay,
     predict_performance,
     variant_row,
@@ -68,7 +69,7 @@ def _pairs(entries) -> list[tuple]:
     def items(x, n: int | None = None) -> tuple:
         t = None if isinstance(x, (str, bytes)) or not hasattr(x, "__iter__") else tuple(x)
         if t is None or n is not None and len(t) != n:
-            raise ObservationError(f"observations must be (day, value) pairs, got {x!r}")
+            raise ObservationError(f"observations must be (day, value) pairs, got {_shown(x)}")
         return t
 
     return [items(entry, 2) for entry in items(entries)]
@@ -84,13 +85,14 @@ class ObservationSet:
         norm = []
         for day, value in _pairs(self.entries):
             d = _as_int(day, "observation day", ObservationError, least=0)
-            norm.append((d, float(_as_finite(value, f"observation at day {d}", ObservationError))))
+            name = f"observation at day {_shown(d)}"
+            norm.append((d, float(_as_finite(value, name, ObservationError))))
         norm.sort(key=lambda e: e[0])
         if not norm:
             raise ObservationError("observation set must not be empty")
         for (d1, _), (d2, _) in zip(norm, norm[1:]):
             if d1 == d2:
-                raise ObservationError(f"duplicate observation day {d1}")
+                raise ObservationError(f"duplicate observation day {_shown(d1)}")
         object.__setattr__(self, "entries", tuple(norm))
 
     @property
@@ -109,13 +111,14 @@ def _check_bound_pair(name: str, pair, positive: bool) -> tuple[float, float]:
     try:
         lo, hi = _as_reals(pair, name)
     except (ParameterError, ValueError):  # not two real numbers
-        raise ParameterError(f"bounds for {name} must be two numbers, got {pair!r}") from None
+        message = f"bounds for {name} must be two numbers, got {_shown(pair)}"
+        raise ParameterError(message) from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ParameterError(f"bounds for {name} must be finite, got {pair!r}")
+        raise ParameterError(f"bounds for {name} must be finite, got {_shown(pair)}")
     if not lo < hi:
-        raise ParameterError(f"bounds for {name} must satisfy lower < upper, got {pair!r}")
+        raise ParameterError(f"bounds for {name} must satisfy lower < upper, got {_shown(pair)}")
     if positive and lo <= 0.0:
-        raise ParameterError(f"bounds for {name} must be strictly positive, got {pair!r}")
+        raise ParameterError(f"bounds for {name} must be strictly positive, got {_shown(pair)}")
     return (lo, hi)
 
 
@@ -162,7 +165,7 @@ class FitConfig:
             object.__setattr__(self, name, _as_int(getattr(self, name), name, least=least))
         for name in ("tolerance", "simplex_tolerance"):  # > 0 admits +inf
             if not _as_real(getattr(self, name), name) > 0.0:
-                raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
+                raise ParameterError(f"{name} must be > 0, got {_shown(getattr(self, name), str)}")
         if self.fix_p0 is not None:
             _as_finite(self.fix_p0, "fix_p0")
 
@@ -202,7 +205,9 @@ def _obs_horizon(w: LoadSeries, obs: ObservationSet) -> int:
     """The days a model pass must cover to reach the last observation."""
     last = obs.entries[-1][0]
     if last >= len(w):
-        raise ObservationError(f"observation day {last} outside the load horizon {len(w)}")
+        raise ObservationError(
+            f"observation day {_shown(last)} outside the load horizon {len(w)}"
+        )
     return last + 1
 
 
@@ -231,7 +236,8 @@ def r_squared(predicted: Sequence[float], obs: ObservationSet) -> float:
         raise MetricError("r_squared needs at least two observations")
     if obs.days[-1] >= len(predicted):
         raise ObservationError(
-            f"observation day {obs.days[-1]} outside the predicted horizon {len(predicted)}"
+            f"observation day {_shown(obs.days[-1])} outside the predicted horizon"
+            f" {len(predicted)}"
         )
     values = obs.values
     mean = sum(values) / len(values)

@@ -22,10 +22,16 @@ Each shape has two kinds of kernel. A path kernel (``*_path``) returns one
 side's state trajectory; the public ``eval_*_recursive`` operations run them.
 A performance kernel (``*_performance``) advances a variant's fitness and
 fatigue states together and returns p over one walk of the load;
-``predict_performance`` and ``estimation``'s fit objective run those. Both
-kinds do the same floating-point operations in the same order, so their
-results agree bit for bit. One private rule, ``_side_args``, maps a side to
-its shape's arguments (the rates above) for every one of these callers.
+``predict_performance`` and ``estimation``'s fit objective run those. A
+third performance kernel, ``no_lag_performance``, runs every model whose
+lag rates are all zero (classical, and the lag-free reductions below): it is
+the one-lag shape without its r g(k-1) term, which is exactly 0.0 while the
+state is finite. So a performance kernel and the path kernels of its shape
+agree bit for bit while the states are finite, and reach their first
+non-finite day together; every other kernel does its path kernel's
+floating-point operations in the same order. One private rule,
+``_side_args``, maps a side to its shape's arguments (the rates above) for
+every one of these callers.
 
 The delayed variants come in two algebraically equivalent forms: a one-step
 recursion and an explicit exponentially-weighted history sum ("convolution"
@@ -42,7 +48,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from itertools import islice
+from itertools import chain, islice, repeat
 from numbers import Real
 
 from .errors import ParameterError, SeriesLengthError
@@ -50,10 +56,20 @@ from .errors import ParameterError, SeriesLengthError
 INF = math.inf
 
 
+def _shown(value, form=repr) -> str:
+    """``form(value)`` for an error message about a caller's value. A value
+    holding an int of more digits than Python converts to text (4,300 by
+    default) shows as its type name, so the message is still raised."""
+    try:
+        return form(value)
+    except ValueError:
+        return f"<{type(value).__name__} too large to print>"
+
+
 def _as_real(value, name: str, error: type = ParameterError):
     # any real number type (numpy's too) a double holds, never a bool or a string; stored unchanged
     if isinstance(value, bool) or not isinstance(value, Real):
-        raise error(f"{name} must be a real number, got {value!r}")
+        raise error(f"{name} must be a real number, got {_shown(value)}")
     try:
         float(value)
     except OverflowError:  # an int beyond the double range; its str may fail too
@@ -63,30 +79,30 @@ def _as_real(value, name: str, error: type = ParameterError):
 
 def _as_finite(value, name: str, error: type = ParameterError):
     if not math.isfinite(_as_real(value, name, error)):
-        raise error(f"{name} must be finite, got {value!r}")
+        raise error(f"{name} must be finite, got {_shown(value)}")
     return value
 
 
 def _as_positive(value, name: str, error: type = ParameterError):
     if not (math.isfinite(_as_real(value, name, error)) and value > 0.0):
-        raise error(f"{name} must be finite and > 0, got {value!r}")
+        raise error(f"{name} must be finite and > 0, got {_shown(value)}")
     return value
 
 
 def _as_int(value, name: str, error: type = ParameterError, least: int | None = None) -> int:
     # any integer type (numpy's too), never a bool, a float or a string
     if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {_shown(value)}")
     value = int(value)
     if least is not None and value < least:
-        raise error(f"{name} must be >= {least}, got {value}")
+        raise error(f"{name} must be >= {least}, got {_shown(value)}")
     return value
 
 
 def _as_reals(values, name: str, error: type = ParameterError) -> tuple[float, ...]:
     # _as_real's rule, checked on the set of element types; a string is one value, not a sequence
     if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
-        raise error(f"{name} must be a sequence of real numbers, got {values!r}")
+        raise error(f"{name} must be a sequence of real numbers, got {_shown(values)}")
     values = tuple(values)
     types = set(map(type, values))
     if bool not in types and all(issubclass(t, Real) for t in types):
@@ -117,9 +133,9 @@ def _check_lag(tau: float, name: str, allow_negative: bool = False) -> None:
     if _as_real(tau, name) == INF:
         return
     if math.isnan(tau) or tau == -INF or tau == 0.0:
-        raise ParameterError(f"{name} must be nonzero and not NaN (or +inf), got {tau!r}")
+        raise ParameterError(f"{name} must be nonzero and not NaN (or +inf), got {_shown(tau)}")
     if not allow_negative and tau < 0.0:
-        raise ParameterError(f"{name} must be > 0 or +inf, got {tau!r}")
+        raise ParameterError(f"{name} must be > 0 or +inf, got {_shown(tau)}")
 
 
 def _lag_rate(tau: float) -> float:
@@ -368,7 +384,7 @@ def variant_row(name: str) -> Variant:
     """The table row of variant ``name``; ParameterError for an unknown name."""
     if not (isinstance(name, str) and name in VARIANT_TABLE):
         raise ParameterError(
-            f"unknown variant {name!r}; valid variants: {', '.join(VARIANTS)}"
+            f"unknown variant {_shown(name)}; valid variants: {', '.join(VARIANTS)}"
         )
     return VARIANT_TABLE[name]
 
@@ -407,7 +423,7 @@ def _check_side(variant: str, side, name: str) -> None:
 def _check_horizon(w: LoadSeries, horizon: int, name: str = "horizon") -> int:
     horizon = _as_int(horizon, name, least=1)
     if horizon > len(w):
-        raise SeriesLengthError(f"{name} {horizon} exceeds load series length {len(w)}")
+        raise SeriesLengthError(f"{name} {_shown(horizon)} exceeds load series length {len(w)}")
     return horizon
 
 
@@ -438,7 +454,10 @@ def classical_path(w, tau_decay: float, horizon: int) -> list[float]:
 
 # Loop shape: per-day indexing dominated these kernels' cost, so they stream w
 # through islice and append; the arithmetic stays as written for the oracle's
-# m=1 bit-identity. Callers check horizon <= len(w) (islice would not).
+# m=1 bit-identity. The three-lag performance kernel advances four days per
+# pass: each new state overwrites the oldest, so g(k) .. g(k-3) take turns
+# in four variables and none is copied per day. Callers check
+# horizon <= len(w) (islice would not).
 
 
 def single_delay_path(w, tau_decay: float, lag_rate1: float, horizon: int) -> list[float]:
@@ -477,6 +496,23 @@ def three_delay_path(
 # before the baseline is touched).
 
 
+def no_lag_performance(
+    w, p0: float, k1: float, k2: float, fitness: tuple, fatigue: tuple, horizon: int
+) -> list[float]:
+    # sides whose lag rates are all zero: the one-lag expression without its
+    # r * g(k-1) term, which is exactly 0.0 while g is finite (x - 0.0 == x)
+    a = math.exp(-1.0 / fitness[0])
+    b = math.exp(-1.0 / fatigue[0])
+    p = [p0 + (k1 * 0.0 - k2 * 0.0)]
+    append = p.append
+    g = h = 0.0
+    for wk in islice(w, horizon - 1):
+        g = (wk + g) * a
+        h = (wk + h) * b
+        append(p0 + (k1 * g - k2 * h))
+    return p
+
+
 def single_delay_performance(
     w, p0: float, k1: float, k2: float, fitness: tuple, fatigue: tuple, horizon: int
 ) -> list[float]:
@@ -503,19 +539,24 @@ def three_delay_performance(
     b = math.exp(-1.0 / tau_h)
     p = [p0 + (k1 * 0.0 - k2 * 0.0)]
     append = p.append
-    g = g1 = g2 = g3 = h = h1 = h2 = h3 = 0.0
-    for wk in islice(w, horizon - 1):
-        nxt = (wk + g - r1g * g1 - r2g * g2 - r3g * g3) * a
-        g3 = g2
-        g2 = g1
-        g1 = g
-        g = nxt
-        nxt = (wk + h - r1h * h1 - r2h * h2 - r3h * h3) * b
-        h3 = h2
-        h2 = h1
-        h1 = h
-        h = nxt
-        append(p0 + (k1 * g - k2 * h))
+    # g0..g3 hold g(k)..g(k-3) again after each pass; zero-load days pad the
+    # last pass and the days they add are cut off
+    g0 = g1 = g2 = g3 = h0 = h1 = h2 = h3 = 0.0
+    days = chain(islice(w, horizon - 1), repeat(0.0, 3))
+    for w0, w1, w2, w3 in zip(days, days, days, days):
+        g3 = (w0 + g0 - r1g * g1 - r2g * g2 - r3g * g3) * a
+        h3 = (w0 + h0 - r1h * h1 - r2h * h2 - r3h * h3) * b
+        append(p0 + (k1 * g3 - k2 * h3))
+        g2 = (w1 + g3 - r1g * g0 - r2g * g1 - r3g * g2) * a
+        h2 = (w1 + h3 - r1h * h0 - r2h * h1 - r3h * h2) * b
+        append(p0 + (k1 * g2 - k2 * h2))
+        g1 = (w2 + g2 - r1g * g3 - r2g * g0 - r3g * g1) * a
+        h1 = (w2 + h2 - r1h * h3 - r2h * h0 - r3h * h1) * b
+        append(p0 + (k1 * g1 - k2 * h1))
+        g0 = (w3 + g1 - r1g * g2 - r2g * g3 - r3g * g0) * a
+        h0 = (w3 + h1 - r1h * h2 - r2h * h3 - r3h * h0) * b
+        append(p0 + (k1 * g0 - k2 * h0))
+    del p[horizon:]
     return p
 
 
@@ -546,7 +587,12 @@ def _performance(
 ) -> list[float]:
     """p0 + k1*g - k2*h in one pass; each side holds its class's field values in order."""
     fitness, fatigue = _side_args(variant, fitness), _side_args(variant, fatigue)
-    fused = single_delay_performance if len(fitness) == 2 else three_delay_performance
+    if not any(fitness[1:] + fatigue[1:]):  # classical, or a lag-free reduction
+        fused = no_lag_performance
+    elif len(fitness) == 2:
+        fused = single_delay_performance
+    else:
+        fused = three_delay_performance
     return fused(wv, p0, k1, k2, fitness, fatigue, horizon)
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 from .errors import ParameterError
 from .models import (
     LoadSeries, SingleDelayParams, ThreeDelayParams, _as_int, _check_horizon, _check_side,
-    _lag_rate, _record,
+    _lag_rate, _record, _shown,
 )
 
 
@@ -120,12 +120,13 @@ def convergence_probe(
     if len(ms) < 2:
         raise ParameterError("m_list needs at least two entries")
     if any(m2 <= m1 for m1, m2 in zip(ms, ms[1:])):
-        raise ParameterError(f"m_list must be strictly increasing, got {ms}")
+        raise ParameterError(f"m_list must be strictly increasing, got {_shown(ms)}")
     finest = ms[-1]
     for m in ms:
         if m < 1 or finest % m != 0:
             raise ParameterError(
-                f"each m must be >= 1 and divide the finest grid {finest}, got {m}"
+                f"each m must be >= 1 and divide the finest grid {_shown(finest)},"
+                f" got {_shown(m)}"
             )
     ref = integrate_single_delay(w, params, days, finest).values
     out: list[tuple[int, float]] = []

@@ -411,10 +411,10 @@ class TestPredict:
             ff.predict_performance("single_delay", 500.0, -1.0, 0.12, side, side, load_120, 31)
 
 
-# The performance kernel each variant runs; classical runs single_delay's and
+# The performance kernel each variant runs; classical runs the no-lag pass and
 # kernel three_delay's, at its lag rates -(w_j * tau5).
 KERNEL_OF = {
-    "classical": "single_delay_performance",
+    "classical": "no_lag_performance",
     "single_delay": "single_delay_performance",
     "three_delay": "three_delay_performance",
     "kernel": "three_delay_performance",

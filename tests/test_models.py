@@ -5,12 +5,15 @@ from __future__ import annotations
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import ffdelay as ff
-from ffdelay.dataio import ChartOptions, RunConfig, build_prediction_table
+from ffdelay.dataio import (
+    ChartOptions, PredictionRow, PredictionTable, RunConfig, build_prediction_table,
+)
 from ffdelay.errors import ConfigError, ObservationError, ParameterError, SeriesLengthError
 from ffdelay.models import _record
 from helpers import (
@@ -216,6 +219,39 @@ class TestDomainTypes:
      "state at day 0 must be 0, got 1.0"),
     (lambda: ff.LoadSeries((0.0, -1.0, math.inf)), ParameterError,
      "load at day 2 is not finite: inf"),
+    # a value holding an int of more digits than Python prints is named by its type
+    (lambda: ff.ParamBounds(p0=(0, 10**5000)), ParameterError,
+     "bounds for p0 must be two numbers, got <tuple too large to print>"),
+    (lambda: ff.FitConfig(seed=-10**5000), ParameterError,
+     "seed must be >= 0, got <int too large to print>"),
+    (lambda: ff.FitConfig(max_iterations=-10**5000), ParameterError,
+     "max_iterations must be >= 1, got <int too large to print>"),
+    (lambda: ff.ObservationSet(((-10**5000, 1.0),)), ObservationError,
+     "observation day must be >= 0, got <int too large to print>"),
+    (lambda: ff.ObservationSet(((10**5000, 1.0), (10**5000, 2.0))), ObservationError,
+     "duplicate observation day <int too large to print>"),
+    (lambda: RunConfig(horizon=-10**5000), ConfigError,
+     "horizon must be >= 1, got <int too large to print>"),
+    (lambda: ff.predict_performance("classical", 500.0, 0.1, 0.12, FO_SIDE, FO_SIDE,
+                                    ff.LoadSeries((0.0, 1.0)), 10**5000), SeriesLengthError,
+     "horizon <int too large to print> exceeds load series length 2"),
+    (lambda: ff.eval_single_delay_recursive(
+        ff.LoadSeries((0.0, 1.0)), ff.SingleDelayParams(3.0), 10**5000), SeriesLengthError,
+     "horizon <int too large to print> exceeds load series length 2"),
+    (lambda: ff.integrate_single_delay(
+        ff.StepLoad(ff.LoadSeries((0.0, 1.0))), ff.SingleDelayParams(3.0), 10**5000, 1),
+     SeriesLengthError, "days <int too large to print> exceeds load series length 2"),
+    (lambda: PredictionTable((PredictionRow(10**5000, 0.0, 0.0, None),)), ParameterError,
+     "days must be contiguous from 0; row 0 has day <int too large to print>"),
+    (lambda: ff.sse_objective(
+        ff.ModelParams("classical", 500.0, 0.1, 0.12, FO_SIDE, FO_SIDE),
+        ff.LoadSeries((0.0, 1.0)), ff.ObservationSet(((10**5000, 1.0),))), ObservationError,
+     "observation day <int too large to print> outside the load horizon 2"),
+    (lambda: ff.LoadSeries(10**5000), ParameterError,
+     "load must be a sequence of real numbers, got <int too large to print>"),
+    # a real a double holds, whose terms are too long to print
+    (lambda: ff.FirstOrderParams(Fraction(-(10**5000 + 1), 10**4999)), ParameterError,
+     "tau_decay must be finite and > 0, got <Fraction too large to print>"),
 ], ids=["str-load", "bool-load", "int-load", "str-state", "float-weights", "str-weight",
         "none-weight", "str-weights", "str-predicted", "str-observation", "bool-observation",
         "float-day", "float-horizon", "str-horizon", "int-title", "bytes-title",
@@ -224,7 +260,11 @@ class TestDomainTypes:
         "huge-bound", "huge-fix-p0", "huge-chart-width", "huge-predicted",
         "int-observations", "int-entry", "short-entry", "long-entry", "str-entry",
         "negative-seed", "nan-observation", "nonzero-load-day0", "nonzero-state-day0",
-        "non-finite-before-negative-load"])
+        "non-finite-before-negative-load", "huge-digits-bound", "huge-digits-seed",
+        "huge-digits-max-iterations", "huge-digits-day", "huge-digits-duplicate-day",
+        "huge-digits-run-horizon", "huge-digits-forecast-horizon", "huge-digits-path-horizon",
+        "huge-digits-oracle-days", "huge-digits-table-day", "huge-digits-observed-day",
+        "huge-digits-load", "huge-digits-fraction"])
 def test_each_record_rejects_a_wrong_value_with_its_own_error(make, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         make()

@@ -4,11 +4,15 @@ The kernels stream the load with ``islice``, so nothing inside them stops a
 horizon longer than the load; these properties pin their length and their
 arithmetic over generated loads of up to about 4,000 days. Each variant's
 performance kernel must equal the combine p0 + (k1*g - k2*h) of its two path
-kernels bit for bit, and give exactly p0 for equal gains and sides; a
-forecast of every variant must be that combine of its two sides' public
-``eval_*_recursive`` paths. The reductions to the classical model (kernel
-gain 0, all three lags +inf) must be the one-lag recursion at rate 0.0 bit
-for bit. One more property round-trips generated parameters of every variant
+kernels bit for bit at every horizon of the first 64 days (so every
+remainder of the three-lag kernel's four-day pass), and give exactly p0 for
+equal gains and sides; classical's kernel is the no-lag pass, checked
+against the one-lag path at rate 0.0. A forecast of every variant must be
+that combine of its two sides' public ``eval_*_recursive`` paths. The
+reductions to the classical model (kernel gain 0, all three lags +inf) must
+be the one-lag recursion at rate 0.0 bit for bit, and a forecast of every
+lag-free model must run the no-lag pass and equal its classical forecast
+bit for bit. One more property round-trips generated parameters of every variant
 through a params document, another stores a load of Python and numpy
 reals as their floats, bit for bit, and a last one checks the range rules
 of ``ffdelay.models`` on finite reals of every type.
@@ -21,6 +25,7 @@ import random
 import sys
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,13 +33,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ffdelay as ff
-from ffdelay import oracle
+from ffdelay import models, oracle
 from ffdelay.dataio import dumps_params, parse_params
 from ffdelay.models import (
     _as_finite,
     _as_positive,
     _lag_rate,
     kernel_path,
+    no_lag_performance,
     single_delay_path,
     single_delay_performance,
     three_delay_path,
@@ -153,16 +159,17 @@ def test_params_document_round_trip(variant, data):
 
 
 # Each variant's performance kernel, the path kernel of one of its sides, and
-# one side's arguments to both (lag constants as rates; classical is
-# single_delay at rate 0.0 and kernel three_delay at rates -(w_j * tau5), with
-# the kernel weights at their default as in a fit).
+# one side's arguments to both (lag constants as rates; classical is the
+# no-lag pass against single_delay's path at rate 0.0, and kernel three_delay
+# at rates -(w_j * tau5), with the kernel weights at their default as in a
+# fit).
 rates = signed_lags.map(_lag_rate)
 # a baseline and gains of fitted size, where each rounding of the combine shows,
 # and any finite ones
 baselines = st.one_of(st.floats(-1e3, 1e3), finite)
 performance_gains = st.one_of(st.floats(1e-4, 10.0), positive)
 PERFORMANCE_KERNELS = {
-    "classical": (single_delay_performance, single_delay_path, st.tuples(taus, st.just(0.0))),
+    "classical": (no_lag_performance, single_delay_path, st.tuples(taus, st.just(0.0))),
     "single_delay": (
         single_delay_performance, single_delay_path, st.tuples(taus, positive_lags.map(_lag_rate))
     ),
@@ -203,6 +210,33 @@ def test_equal_gains_and_sides_give_the_baseline(variant, w, data):
     assert [v for v, x in zip(p, g) if math.isfinite(k * x)] == [
         p0 for x in g if math.isfinite(k * x)
     ]
+
+
+# The lag-free model of each lag variant, as a side of decay constant tau:
+# every lag rate is exactly zero (1/inf, or -(w_j * tau5) at tau5 = +-0.0).
+LAG_FREE = {
+    "single_delay": lambda tau: ff.SingleDelayParams(tau, math.inf),
+    "three_delay": lambda tau: ff.ThreeDelayParams(tau, math.inf, math.inf, math.inf),
+    "kernel-0.0": lambda tau: ff.KernelParams(tau, 0.0),
+    "kernel--0.0": lambda tau: ff.KernelParams(tau, -0.0),
+}
+
+
+@pytest.mark.parametrize("model", sorted(LAG_FREE))
+@given(w=loads(), data=st.data())
+def test_lag_free_models_forecast_as_classical_through_the_no_lag_pass(model, w, data):
+    side = LAG_FREE[model]
+    variant = model.split("-")[0]
+    tau_g, tau_h = data.draw(taus), data.draw(taus)
+    p0, k1, k2 = data.draw(baselines), data.draw(performance_gains), data.draw(performance_gains)
+    horizon = data.draw(st.integers(1, len(w)))
+    want = ff.predict_performance(
+        "classical", p0, k1, k2, ff.FirstOrderParams(tau_g), ff.FirstOrderParams(tau_h), w, horizon
+    )
+    with mock.patch.object(models, "no_lag_performance", wraps=no_lag_performance) as fused:
+        got = ff.predict_performance(variant, p0, k1, k2, side(tau_g), side(tau_h), w, horizon)
+    assert fused.call_count == 1
+    assert _bits(got) == _bits(want)
 
 
 # Each variant's public recursive evaluation of one side; classical is the
