@@ -48,7 +48,7 @@ from .dataio import (
     render_fit_chart,
     render_load_chart,
 )
-from .errors import FfdelayError
+from .errors import FfdelayError, SeriesLengthError
 from .estimation import (
     FitConfig,
     ObservationSet,
@@ -209,16 +209,13 @@ def cmd_predict(args: argparse.Namespace) -> _Artifacts:
         raise _Failure(EXIT_USAGE, f"horizon must be >= 1, got {args.horizon}")
     w = _parse(parse_load_csv, args.load)
     params = _parse(parse_params, args.params)
-    if args.horizon > len(w):
-        raise _Failure(EXIT_DATA, f"horizon {args.horizon} exceeds load series length {len(w)}")
-
     try:
         predicted = predict_performance(
             params.variant, params.p0, params.k1, params.k2,
             params.fitness, params.fatigue, w, args.horizon,
         )
-    except FfdelayError as exc:
-        raise _Failure(EXIT_NUMERIC, f"prediction failed: {exc}") from exc
+    except SeriesLengthError as exc:  # params are a checked ModelParams; only the horizon fails
+        raise _Failure(EXIT_DATA, str(exc)) from exc
     if not all(map(math.isfinite, predicted)):  # valid but unstable parameters
         day = list(map(math.isfinite, predicted)).index(False)
         raise _Failure(EXIT_NUMERIC, f"prediction failed: forecast is not finite from day {day}")

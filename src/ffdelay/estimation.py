@@ -445,10 +445,11 @@ class _FitProblem:
         there is 1/hi, not 0 (1e-6 for a bound of 1e6), so the exact-inf
         reduction lies outside the box and the seed only approximates it. A
         finite value outside [lo, hi] is clamped to the nearer box edge.
-        Either way the seed is inexact; it reproduces the seed's performance
-        only when every value lies inside the box. A kernel side maps to lag
-        rates r_j = -(w_j * tau5), so even then it is exact only up to the
-        rounding of 1/(1/r_j).
+        Either way the seed is inexact. When every value lies inside the box
+        it reproduces the seed's performance up to the rounding of the box
+        transform (a value can come back a few ulps off). A kernel side maps to
+        lag rates r_j = -(w_j * tau5), so it also moves by the rounding of
+        1/(1/r_j).
         """
         vals = [seed.p0, seed.k1, seed.k2]
         for side in (seed.fitness, seed.fatigue):
@@ -583,12 +584,12 @@ def compare_variants(
     contains as parameter specializations (classical for all; classical and
     single_delay and kernel for three_delay), with the extra delay terms
     switched off. The simplex never returns a value worse than its start, so a
-    containing variant cannot report a worse SSE than a contained fit whose
-    seed ``_FitProblem.embed`` maps exactly: kernel from classical (tau5 = 0),
-    and three_delay from kernel when the mapped lags lie inside the lag box.
-    Every other seed is inexact in the way ``_FitProblem.embed`` states; with
-    a lag upper bound of 1e6 a richer variant can end measurably worse than
-    the variant it contains.
+    containing variant cannot report a worse SSE, up to the rounding of the box
+    transform, than a contained fit whose seed ``_FitProblem.embed`` maps
+    inside the box: kernel from classical (tau5 = 0), and three_delay from
+    kernel when the mapped lags lie inside the lag box. Every other seed is
+    inexact in the way ``_FitProblem.embed`` states; with a lag upper bound of
+    1e6 a richer variant can end measurably worse than the variant it contains.
     """
     by_name = {"classical": fit_variant(w, obs, bounds, config, "classical")}
     for variant, contained in (

@@ -229,7 +229,7 @@ def _record_hash(self) -> int:
 
 
 def _record_repr(self) -> str:
-    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+    fields = ", ".join(f"{name}={_shown(getattr(self, name))}" for name in self._fields)
     return f"{type(self).__qualname__}({fields})"
 
 
@@ -245,13 +245,11 @@ def _record_delattr(self, name: str) -> None:
 class LoadSeries:
     """Daily training-load impulses w(0..N-1), day 0 first.
 
-    Values are unit-agnostic (TRIMP, kJ, ...; note the unit in ``units`` if
-    you care). Construction enforces the modelling assumptions: every value
-    finite and non-negative, and w(0) = 0.
+    Values are unit-agnostic (TRIMP, kJ, ...). Construction enforces the
+    modelling assumptions: every value finite and non-negative, and w(0) = 0.
     """
 
     values: tuple[float, ...]
-    units: str | None = None
 
     def __post_init__(self) -> None:
         vals = _as_series(self.values, "load")
@@ -266,10 +264,9 @@ class LoadSeries:
 
 @_record
 class StateSeries:
-    """A fitness/fatigue state trajectory g(0..N-1) plus the variant that made it."""
+    """A fitness/fatigue state trajectory g(0..N-1)."""
 
     values: tuple[float, ...]
-    variant_tag: str
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _as_series(self.values, "state"))
@@ -612,14 +609,14 @@ def _recursive(variant: str, w: LoadSeries, params, horizon: int) -> StateSeries
     horizon = _check_horizon(w, horizon)
     args = _side_args(variant, _field_values(params))
     path = single_delay_path if len(args) == 2 else three_delay_path
-    return StateSeries(path(w.values, *args, horizon), variant)
+    return StateSeries(path(w.values, *args, horizon))
 
 
 def eval_classical(w: LoadSeries, params: FirstOrderParams, horizon: int) -> StateSeries:
     """Evaluate the classical first-order model as the explicit history sum."""
     _check_side("classical", params, "params")
     horizon = _check_horizon(w, horizon)
-    return StateSeries(classical_path(w.values, params.tau_decay, horizon), "classical")
+    return StateSeries(classical_path(w.values, params.tau_decay, horizon))
 
 
 def eval_single_delay_recursive(
@@ -652,7 +649,7 @@ def eval_single_delay_convolution(
     for n in range(2, horizon):
         c[n - 1] = wv[n - 1] - rate * g[n - 2]
         g[n] = float(np.dot(c[1:n], decay[n - 1:0:-1]))
-    return StateSeries(g.tolist(), "single_delay")
+    return StateSeries(g.tolist())
 
 
 def eval_three_delay_recursive(
@@ -698,7 +695,7 @@ def eval_three_delay_convolution(
             total -= g[n - 3] * (r1 * decay[2] + r2 * decay[1])
         total -= g[n - 2] * (r1 * decay[1])
         g[n] = total
-    return StateSeries(g.tolist(), "three_delay")
+    return StateSeries(g.tolist())
 
 
 def eval_kernel_recursive(w: LoadSeries, params: KernelParams, horizon: int) -> StateSeries:

@@ -10,9 +10,10 @@ factor, i.e.
 
 with h = 1/m. The 1-day delay is always an exact number of substeps, so the
 delayed value is read straight off the stored grid (method of steps, no
-interpolation). At m = 1 this is arithmetic-for-arithmetic the day-grid
-recursion, which makes the oracle relationship exact instead of asymptotic;
-for m > 1 it converges to the continuous solution at first order.
+interpolation); one loop runs both equations, with one or three lag terms.
+At m = 1 this is arithmetic-for-arithmetic the day-grid recursion, which
+makes the oracle relationship exact instead of asymptotic; for m > 1 it
+converges to the continuous solution at first order.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ class StepLoad:
 
     daily: LoadSeries
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.daily, LoadSeries):
+            raise ParameterError(f"daily must be a LoadSeries, got {type(self.daily).__name__}")
+
     def __len__(self) -> int:
         return len(self.daily)
 
@@ -43,10 +48,9 @@ class GridSolution:
 
     substeps_per_day: int
     values: tuple[float, ...]
-    params: SingleDelayParams | ThreeDelayParams
 
     def __post_init__(self) -> None:
-        if self.values[0] != 0.0:
+        if not self.values or self.values[0] != 0.0:
             raise ParameterError("grid solution must start at 0")
 
     @property
@@ -58,10 +62,25 @@ class GridSolution:
         return self.values[:: self.substeps_per_day]
 
 
-def _check_grid_args(w: StepLoad, days: int, substeps: int) -> tuple[int, int]:
+def _integrate(
+    w: StepLoad, tau_decay: float, rates: tuple[float, ...], days: int, substeps: int
+) -> GridSolution:
+    """Both equations' loop: lag d reads g d days back at rate ``rates[d - 1]``, 0.0 before
+    day d. Its terms are subtracted in turn, in the order of each day recursion at m = 1."""
     days = _as_int(days, "days")
-    substeps = _as_int(substeps, "substeps", least=1)
-    return _check_horizon(w, days, "days"), substeps
+    m = _as_int(substeps, "substeps", least=1)
+    days = _check_horizon(w, days, "days")
+    h = 1.0 / m
+    a = exp(-h / tau_decay)
+    lags = [(d * m, h * r) for d, r in enumerate(rates, 1)]
+    wv = w.daily.values
+    g = [0.0] * (days * m + 1)
+    for j in range(days * m):
+        x = h * wv[j // m] + g[j]
+        for back, hr in lags:
+            x -= hr * (g[j - back] if j >= back else 0.0)
+        g[j + 1] = x * a
+    return GridSolution(m, tuple(g))
 
 
 def integrate_single_delay(
@@ -69,18 +88,7 @@ def integrate_single_delay(
 ) -> GridSolution:
     """Integrate the single-delay equation over [0, days] with m substeps/day."""
     _check_side("single_delay", params, "params")
-    days, m = _check_grid_args(w, days, substeps)
-    h = 1.0 / m
-    a = exp(-h / params.tau_decay)
-    hr1 = h * _lag_rate(params.tau_lag1)
-    wv = w.daily.values
-    n = days * m
-    g = [0.0] * (n + 1)
-    for j in range(n):
-        hw = h * wv[j // m]
-        g1 = g[j - m] if j >= m else 0.0
-        g[j + 1] = (hw + g[j] - hr1 * g1) * a
-    return GridSolution(m, tuple(g), params)
+    return _integrate(w, params.tau_decay, (_lag_rate(params.tau_lag1),), days, substeps)
 
 
 def integrate_three_delay(
@@ -88,22 +96,8 @@ def integrate_three_delay(
 ) -> GridSolution:
     """Integrate the three-delay equation (zero history on [-3, 0])."""
     _check_side("three_delay", params, "params")
-    days, m = _check_grid_args(w, days, substeps)
-    h = 1.0 / m
-    a = exp(-h / params.tau_decay)
-    hr1 = h * _lag_rate(params.tau_lag1)
-    hr2 = h * _lag_rate(params.tau_lag2)
-    hr3 = h * _lag_rate(params.tau_lag3)
-    wv = w.daily.values
-    n = days * m
-    g = [0.0] * (n + 1)
-    for j in range(n):
-        hw = h * wv[j // m]
-        g1 = g[j - m] if j >= m else 0.0
-        g2 = g[j - 2 * m] if j >= 2 * m else 0.0
-        g3 = g[j - 3 * m] if j >= 3 * m else 0.0
-        g[j + 1] = (hw + g[j] - hr1 * g1 - hr2 * g2 - hr3 * g3) * a
-    return GridSolution(m, tuple(g), params)
+    rates = tuple(map(_lag_rate, (params.tau_lag1, params.tau_lag2, params.tau_lag3)))
+    return _integrate(w, params.tau_decay, rates, days, substeps)
 
 
 def convergence_probe(

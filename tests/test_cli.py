@@ -161,6 +161,59 @@ class TestFit:
         assert a == (out_b / "params.json").read_bytes()
         assert a != (out_c / "params.json").read_bytes()
 
+    def test_config_horizon_shorter_than_load_fits_that_prefix(
+        self, tmp_path, fast_config, capsys
+    ):
+        # the path of every benchmark fit and compare: the load is cut to the horizon
+        perf = tmp_path / "perf.csv"
+        perf.write_text("".join(
+            line + "\n" for line in (DATA / "performance.csv").read_text().splitlines()
+            if not line[:1].isdigit() or int(line.split(",")[0]) < 100))
+        config = tmp_path / "horizon.yaml"
+        config.write_text(FAST_CONFIG + "horizon: 100\n")
+        load_100 = tmp_path / "load.csv"  # the header and days 0-99
+        load_100.write_text("".join(
+            line + "\n" for line in (DATA / "load.csv").read_text().splitlines()[:101]))
+        cut, full = tmp_path / "cut", tmp_path / "full"
+        assert main(["fit", "--load", str(DATA / "load.csv"), "--perf", str(perf),
+                     "--config", str(config), "--out", str(cut)]) == EXIT_OK
+        summary = capsys.readouterr().out
+        assert "fitted variant single_delay over 100 days, 16 observations" in summary
+        assert main(["fit", "--load", str(load_100), "--perf", str(perf),
+                     "--config", str(fast_config), "--out", str(full)]) == EXIT_OK
+        for name in ("params.json", "predictions.csv", "fit_chart.svg", "load_chart.svg"):
+            assert (cut / name).read_bytes() == (full / name).read_bytes()
+
+    @pytest.mark.parametrize("horizon, message", [
+        (121, "horizon 121 exceeds load series length 120"),
+        (100, "observation day 119 is outside the horizon 100"),
+    ], ids=["beyond-load", "before-last-observation"])
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_config_horizon_is_checked_against_the_inputs(
+        self, tmp_path, capsys, command, horizon, message
+    ):
+        config = tmp_path / "config.yaml"
+        config.write_text(FAST_CONFIG + f"horizon: {horizon}\n")
+        out = tmp_path / "out"
+        code = main([
+            command, "--load", str(DATA / "load.csv"), "--perf", str(DATA / "performance.csv"),
+            "--config", str(config), "--out", str(out),
+        ])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert not out.exists()
+
+    def test_seed_that_is_not_a_number_is_usage_error(self, tmp_path, fast_config, capsys):
+        out = tmp_path / "out"
+        code = main([
+            "fit", "--load", str(DATA / "load.csv"), "--perf", str(DATA / "performance.csv"),
+            "--config", str(fast_config), "--out", str(out), "--seed", "abc",
+        ])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.strip() == "error: argument --seed: expected a non-negative integer, got 'abc'"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["fit", "compare"])
     def test_negative_seed_is_usage_error(self, tmp_path, fast_config, capsys, command):
         out = tmp_path / "out"
@@ -220,6 +273,41 @@ class TestPredict:
             "--horizon", "121", "--out", str(tmp_path / "out"),
         ])
         assert code == EXIT_DATA
+
+    def test_horizon_beyond_load_names_both_lengths(self, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({
+            "variant": "classical", "p0": 440.0, "k1": 0.1, "k2": 0.3,
+            "fitness": {"tau_decay": 40.0}, "fatigue": {"tau_decay": 9.0},
+        }))
+        out = tmp_path / "out"
+        code = main([
+            "predict", "--load", str(DATA / "load.csv"), "--params", str(params),
+            "--horizon", "121", "--out", str(out),
+        ])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == "error: horizon 121 exceeds load series length 120\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"fitness": {"tau_lag1": 12.0}}, "fitness is missing required key 'tau_decay'"),
+        ({"p0": "nan"}, "p0 must be finite, got nan"),
+    ], ids=["side-without-decay", "nan-p0"])
+    def test_invalid_params_document_is_data_error(self, tmp_path, capsys, change, message):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({
+            "variant": "single_delay", "p0": 500.0, "k1": 0.2, "k2": 0.2,
+            "fitness": {"tau_decay": 30.0, "tau_lag1": 12.0},
+            "fatigue": {"tau_decay": 30.0, "tau_lag1": 12.0}, **change,
+        }))
+        out = tmp_path / "out"
+        code = main([
+            "predict", "--load", str(DATA / "load.csv"), "--params", str(params),
+            "--horizon", "60", "--out", str(out),
+        ])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert not out.exists()
 
     def test_zero_horizon_is_usage_error(self, tmp_path, capsys):
         params = tmp_path / "params.json"
@@ -368,6 +456,17 @@ class TestSimulate:
             "--tau1", "-3", "--out", str(tmp_path / "out"),
         ])
         assert code == EXIT_USAGE
+
+    def test_nan_tau_flag_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main([
+            "simulate", "--load", str(DATA / "load.csv"), "--variant", "classical",
+            "--tau1", "nan", "--out", str(out),
+        ])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.strip() == "error: argument --tau1: expected a finite number or 'inf', got 'nan'"
+        assert not out.exists()
 
     def test_unstable_params_are_numerical_failure(self, tmp_path, capsys):
         # the lags of predict's test of the same name: valid parameters whose

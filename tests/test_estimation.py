@@ -7,15 +7,18 @@ import importlib
 import inspect
 import math
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ffdelay as ff
-from ffdelay import estimation, models
+from ffdelay import dataio, estimation, models
 from ffdelay.errors import MetricError, ObservationError, ParameterError
 from ffdelay.estimation import _Coord
 from helpers import EXAMPLE_SIDES, block_load, fixture_params, performance, recovery_bounds
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def tight_nm_config(max_iterations: int = 800) -> ff.FitConfig:
@@ -528,6 +531,32 @@ class TestVariantFits:
         # kernel_to_three_delay is exact, so the seeded three-delay fit
         # cannot end worse than the kernel fit it starts from
         assert by_name["three_delay"].sse <= kernel.sse + 1e-9
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_classical_seed_embeds_into_kernel_up_to_the_box_rounding(self, seed):
+        # tau5 = 0 is the classical reduction, but each value goes through the
+        # box transform and back; on the bundled data the SSE moved by at most
+        # 3.6e-12 (2.0e-14 relative) over these seeds
+        w = dataio.parse_load_csv((DATA / "load.csv").read_text())
+        obs = dataio.parse_performance_csv((DATA / "performance.csv").read_text())
+        bounds = dataio.load_config((DATA / "config.yaml").read_text()).bounds
+        config = ff.FitConfig(starts=1, max_iterations=300, seed=seed)
+        classical = ff.fit_variant(w, obs, bounds, config, "classical")
+        problem = estimation._FitProblem(models.variant_row("kernel"), w, obs, bounds, None)
+        assert problem.sse(problem.embed(classical)) == pytest.approx(classical.sse, rel=1e-12)
+
+    def test_compare_with_fixed_p0_keeps_its_seeds(self, load_120, clean_observations):
+        config = ff.FitConfig(starts=1, max_iterations=200, seed=0, fix_p0=500.0)
+        args = (load_120, clean_observations, recovery_bounds(), config)
+        results = ff.compare_variants(*args)
+        by_name = {r.variant: r for r in results}
+        classical, kernel = by_name["classical"], by_name["kernel"]
+        assert all(r.p0 == 500.0 for r in results)
+        # the classical seed maps to a search point without p0 and is start 0
+        assert kernel == ff.fit_variant(*args, "kernel", extra_starts=[classical])
+        assert kernel != ff.fit_variant(*args, "kernel")
+        assert kernel.best_start_index == 0
+        assert kernel.sse <= classical.sse * (1.0 + 1e-12)
 
     def test_seed_without_box_representation_is_dropped(self, load_120, clean_observations):
         # a positive kernel gain maps to negative lags, outside the lag box

@@ -81,11 +81,11 @@ class TestDomainTypes:
 
     def test_state_series_requires_zero_start(self):
         with pytest.raises(ParameterError):
-            ff.StateSeries((1.0, 0.0), "classical")
+            ff.StateSeries((1.0, 0.0))
 
     def test_state_series_names_first_non_finite_day(self):
         with pytest.raises(ParameterError, match=r"^state at day 2 is not finite: nan$"):
-            ff.StateSeries((0.0, 1.0, math.nan, math.inf), "x")
+            ff.StateSeries((0.0, 1.0, math.nan, math.inf))
 
     @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
     def test_decay_constant_domain(self, tau):
@@ -148,7 +148,7 @@ class TestDomainTypes:
     (lambda: ff.LoadSeries((0, "1")), ParameterError, "load[1] must be a real number, got '1'"),
     (lambda: ff.LoadSeries((0, True)), ParameterError, "load[1] must be a real number, got True"),
     (lambda: ff.LoadSeries(5), ParameterError, "load must be a sequence of real numbers, got 5"),
-    (lambda: ff.StateSeries((0.0, "1"), "x"), ParameterError,
+    (lambda: ff.StateSeries((0.0, "1")), ParameterError,
      "state[1] must be a real number, got '1'"),
     (lambda: ff.KernelParams(30.0, -0.1, 5.0), ParameterError,
      "weights must be a sequence of real numbers, got 5.0"),
@@ -173,7 +173,7 @@ class TestDomainTypes:
     # a Python int beyond the double range is not a real number of any record
     (lambda: ff.LoadSeries((0, 10**400)), ParameterError,
      "load[1] must be a real number within the double range"),
-    (lambda: ff.StateSeries((0.0, 10**400), "x"), ParameterError,
+    (lambda: ff.StateSeries((0.0, 10**400)), ParameterError,
      "state[1] must be a real number within the double range"),
     (lambda: ff.FirstOrderParams(10**400), ParameterError,
      "tau_decay must be a real number within the double range"),
@@ -215,7 +215,7 @@ class TestDomainTypes:
     (lambda: ff.ObservationSet(((4, math.nan),)), ObservationError,
      "observation at day 4 must be finite, got nan"),
     (lambda: ff.LoadSeries((1.0, 2.0)), ParameterError, "load at day 0 must be 0, got 1.0"),
-    (lambda: ff.StateSeries((1.0, 0.0), "x"), ParameterError,
+    (lambda: ff.StateSeries((1.0, 0.0)), ParameterError,
      "state at day 0 must be 0, got 1.0"),
     (lambda: ff.LoadSeries((0.0, -1.0, math.inf)), ParameterError,
      "load at day 2 is not finite: inf"),
@@ -252,6 +252,9 @@ class TestDomainTypes:
     # a real a double holds, whose terms are too long to print
     (lambda: ff.FirstOrderParams(Fraction(-(10**5000 + 1), 10**4999)), ParameterError,
      "tau_decay must be finite and > 0, got <Fraction too large to print>"),
+    # the oracle's records
+    (lambda: ff.StepLoad(5), ParameterError, "daily must be a LoadSeries, got int"),
+    (lambda: ff.GridSolution(1, ()), ParameterError, "grid solution must start at 0"),
 ], ids=["str-load", "bool-load", "int-load", "str-state", "float-weights", "str-weight",
         "none-weight", "str-weights", "str-predicted", "str-observation", "bool-observation",
         "float-day", "float-horizon", "str-horizon", "int-title", "bytes-title",
@@ -264,7 +267,7 @@ class TestDomainTypes:
         "huge-digits-max-iterations", "huge-digits-day", "huge-digits-duplicate-day",
         "huge-digits-run-horizon", "huge-digits-forecast-horizon", "huge-digits-path-horizon",
         "huge-digits-oracle-days", "huge-digits-table-day", "huge-digits-observed-day",
-        "huge-digits-load", "huge-digits-fraction"])
+        "huge-digits-load", "huge-digits-fraction", "int-step-load", "empty-grid-solution"])
 def test_each_record_rejects_a_wrong_value_with_its_own_error(make, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         make()
@@ -393,6 +396,12 @@ class TestValueTypes:
         assert a == b and not a != b
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
+
+    def test_repr_names_a_value_too_large_to_print_by_its_type(self):
+        # the repr of an int of more digits than Python converts to text raised ValueError
+        obs = ff.ObservationSet(((10**5000, 1.0),))
+        assert repr(obs) == "ObservationSet(entries=<tuple too large to print>)"
+        assert ", seed=<int too large to print>, " in repr(ff.FitConfig(seed=10**5000))
 
     def test_different_values_unequal(self):
         assert ff.SingleDelayParams(45.0, 20.0) != ff.SingleDelayParams(45.0, 21.0)
