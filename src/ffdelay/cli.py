@@ -60,6 +60,7 @@ from .models import (
     VARIANTS,
     LoadSeries,
     SingleDelayParams,
+    _check_horizon,
     _field_dict,
     eval_kernel_recursive,
     eval_single_delay_recursive,
@@ -154,9 +155,10 @@ def _load_fit_inputs(
     w = _parse(parse_load_csv, args.load)
     obs = _parse(parse_performance_csv, args.perf)
     config = _parse(load_config, args.config)
-    horizon = config.horizon if config.horizon is not None else len(w)
-    if horizon > len(w):
-        raise _Failure(EXIT_DATA, f"horizon {horizon} exceeds load series length {len(w)}")
+    try:
+        horizon = _check_horizon(w, config.horizon or len(w))  # a config horizon is >= 1
+    except SeriesLengthError as exc:
+        raise _Failure(EXIT_DATA, str(exc)) from exc
     if len(obs) < 2:
         raise _Failure(EXIT_DATA, "need at least 2 observations (R^2 is undefined otherwise)")
     if len(set(obs.values)) == 1:
@@ -259,11 +261,11 @@ def cmd_simulate(args: argparse.Namespace) -> _Artifacts:
             f"variant {variant} {problem}\n"
             f"usage: ffdelay simulate --load <csv> --variant {variant} {flags} --out <dir>",
         )
-    w = _parse(parse_load_csv, args.load)
     try:
         side = row.side(*(given[f] for f in row.flags))
     except FfdelayError as exc:
         raise _Failure(EXIT_USAGE, f"invalid parameters: {exc}") from exc
+    w = _parse(parse_load_csv, args.load)
     if variant == "classical":
         side = SingleDelayParams(side.tau_decay)
     horizon = len(w)
@@ -323,16 +325,6 @@ class _Parser(argparse.ArgumentParser):
         raise _Failure(EXIT_USAGE, message)
 
 
-def _tau_flag(value: str) -> float:
-    try:
-        x = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number or 'inf', got {value!r}") from None
-    if math.isnan(x) or x == -math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite number or 'inf', got {value!r}")
-    return x
-
-
 def _seed_flag(value: str) -> int:
     try:
         seed = int(value)
@@ -352,30 +344,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(required=True, metavar="command")
 
-    fit_flags = argparse.ArgumentParser(add_help=False)  # shared by fit and compare
-    fit_flags.add_argument("--load", required=True, help="load CSV (day,load)")
+    io_flags = argparse.ArgumentParser(add_help=False)  # shared by every command
+    io_flags.add_argument("--load", required=True, help="load CSV (day,load)")
+    io_flags.add_argument("--out", required=True, help="output directory")
+    fit_flags = argparse.ArgumentParser(add_help=False, parents=[io_flags])  # fit and compare
     fit_flags.add_argument("--perf", required=True, help="performance CSV (day,performance)")
     fit_flags.add_argument("--config", required=True, help="YAML run configuration")
-    fit_flags.add_argument("--out", required=True, help="output directory")
     fit_flags.add_argument("--seed", type=_seed_flag, default=None, help="override fit.seed")
 
     sub.add_parser(
         "fit", parents=[fit_flags], help="fit parameters to observed performance"
     ).set_defaults(command=cmd_fit)
 
-    p_pred = sub.add_parser("predict", help="predict performance from fitted parameters")
-    p_pred.add_argument("--load", required=True, help="load CSV (day,load)")
+    p_pred = sub.add_parser(
+        "predict", parents=[io_flags], help="predict performance from fitted parameters"
+    )
     p_pred.add_argument("--params", required=True, help="params JSON from a prior fit")
     p_pred.add_argument("--horizon", required=True, type=int, help="days to predict")
-    p_pred.add_argument("--out", required=True, help="output directory")
     p_pred.set_defaults(command=cmd_predict)
 
-    p_sim = sub.add_parser("simulate", help="evaluate a state-model variant directly")
-    p_sim.add_argument("--load", required=True, help="load CSV (day,load)")
+    p_sim = sub.add_parser(
+        "simulate", parents=[io_flags], help="evaluate a state-model variant directly"
+    )
     p_sim.add_argument("--variant", required=True, choices=VARIANTS)
     for flag, text in _TAU_FLAGS.items():
-        p_sim.add_argument(f"--{flag}", type=_tau_flag, default=None, help=text)
-    p_sim.add_argument("--out", required=True, help="output directory")
+        p_sim.add_argument(f"--{flag}", type=float, default=None, help=text)
     p_sim.set_defaults(command=cmd_simulate)
 
     sub.add_parser(

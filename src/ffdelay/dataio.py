@@ -44,7 +44,7 @@ from typing import Iterator, NamedTuple
 from .errors import ConfigError, CsvError, DuplicateDayError, ParameterError
 from .estimation import FitConfig, ObservationSet, ParamBounds
 from .models import (
-    _REQUIRED, LoadSeries, ModelParams, _as_int, _as_real, _as_reals, _field_dict, _record,
+    _REQUIRED, LoadSeries, ModelParams, _as_int, _as_positive, _as_reals, _field_dict, _record,
     _shown, variant_row,
 )
 
@@ -266,6 +266,13 @@ def parse_prediction_csv(text: str) -> PredictionTable:
 # ---------------------------------------------------------------------------
 
 
+# A chart's plot area is its size less these margins (SVG user units)
+_MARGIN_LEFT = 70.0
+_MARGIN_RIGHT = 25.0
+_MARGIN_TOP = 45.0
+_MARGIN_BOTTOM = 55.0
+
+
 @_record
 class ChartOptions:
     width: float = 900.0
@@ -273,11 +280,13 @@ class ChartOptions:
     title: str = ""
 
     def __post_init__(self) -> None:
-        for name in ("width", "height"):
-            size = _as_real(getattr(self, name), name, ConfigError)
-            if not (math.isfinite(size) and size > 0):
+        margins = {"width": _MARGIN_LEFT + _MARGIN_RIGHT, "height": _MARGIN_TOP + _MARGIN_BOTTOM}
+        for name, margin in margins.items():
+            size = _as_positive(getattr(self, name), name, ConfigError)
+            if size <= margin:
                 raise ConfigError(
-                    f"chart dimensions must be finite and positive, got {_shown(size)}"
+                    f"{name} must be > {margin:g} to leave a plot area inside the margins,"
+                    f" got {_shown(size)}"
                 )
         if not isinstance(self.title, str):
             raise ConfigError(f"title must be a string, got {_shown(self.title)}")
@@ -425,11 +434,6 @@ def parse_params(text: str) -> ModelParams:
 # ---------------------------------------------------------------------------
 # SVG charts
 # ---------------------------------------------------------------------------
-
-_MARGIN_LEFT = 70.0
-_MARGIN_RIGHT = 25.0
-_MARGIN_TOP = 45.0
-_MARGIN_BOTTOM = 55.0
 
 _PREDICTION_COLOR = "#1f77b4"  # blue curve
 _OBSERVATION_COLOR = "#d62728"  # red markers

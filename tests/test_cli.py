@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -145,7 +146,63 @@ class TestFit:
             "--config", str(config), "--out", str(tmp_path / "out"),
         ])
         assert code == EXIT_DATA
-        assert "chart dimensions must be finite and positive" in capsys.readouterr().err
+        assert "chart: width must be finite and > 0, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_chart_smaller_than_its_margins_is_data_error(self, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text(FAST_CONFIG + "chart:\n  width: 60\n  height: 40\n")
+        code = main([
+            "fit", "--load", str(DATA / "load.csv"), "--perf", str(DATA / "performance.csv"),
+            "--config", str(config), "--out", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.strip() == (
+            "error: chart: width must be > 95 to leave a plot area inside the margins, got 60.0"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_load_that_is_not_utf8_is_data_error(self, tmp_path, fast_config, capsys):
+        load = tmp_path / "load.csv"
+        load.write_bytes((DATA / "load.csv").read_bytes() + b"\xff\n")
+        code = main([
+            "fit", "--load", str(load), "--perf", str(DATA / "performance.csv"),
+            "--config", str(fast_config), "--out", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {load} is not valid UTF-8: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_no_converged_start_is_numerical_failure(self, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text(FAST_CONFIG.replace("starts: 3", "starts: 2")
+                          .replace("max_iterations: 800", "max_iterations: 1"))
+        code = main([
+            "fit", "--load", str(DATA / "load.csv"), "--perf", str(DATA / "performance.csv"),
+            "--config", str(config), "--out", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err.strip() == "error: no start converged within 1 iterations"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_objective_not_finite_at_any_start_is_numerical_failure(
+        self, tmp_path, fast_config, capsys, command
+    ):
+        # every residual near 1e200 squares past the double range
+        perf = tmp_path / "perf.csv"
+        rows = (DATA / "performance.csv").read_text().splitlines()
+        perf.write_text(rows[0] + "\n" + "".join(
+            f"{day},{float(value) * 1e200!r}\n" for day, value in (r.split(",") for r in rows[1:])
+        ))
+        code = main([
+            command, "--load", str(DATA / "load.csv"), "--perf", str(perf),
+            "--config", str(fast_config), "--out", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err.strip() == (
+            "error: fit failed: no usable start point: the objective is not finite at any start"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_seed_flag_overrides_config(self, tmp_path, fast_config):
@@ -309,6 +366,23 @@ class TestPredict:
         assert capsys.readouterr().err.strip() == f"error: {message}"
         assert not out.exists()
 
+    def test_one_day_horizon(self, tmp_path):
+        # one CSV row, and a chart whose x axis still spans a day
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({
+            "variant": "classical", "p0": 440.0, "k1": 0.1, "k2": 0.3,
+            "fitness": {"tau_decay": 40.0}, "fatigue": {"tau_decay": 9.0},
+        }))
+        out = tmp_path / "out"
+        assert main([
+            "predict", "--load", str(DATA / "load.csv"), "--params", str(params),
+            "--horizon", "1", "--out", str(out),
+        ]) == EXIT_OK
+        assert (out / "predictions.csv").read_text() == "day,load,predicted,observed\n0,0,440,\n"
+        svg = ET.fromstring((out / "prediction_chart.svg").read_text())
+        ticks = svg.find("{http://www.w3.org/2000/svg}g[@class='ticks']")
+        assert [tick.text for tick in ticks][:2] == ["0", "1"]
+
     def test_zero_horizon_is_usage_error(self, tmp_path, capsys):
         params = tmp_path / "params.json"
         params.write_text(json.dumps({
@@ -457,6 +531,15 @@ class TestSimulate:
         ])
         assert code == EXIT_USAGE
 
+    def test_invalid_tau_value_is_reported_before_the_load_is_read(self, tmp_path, capsys):
+        code = main([
+            "simulate", "--load", str(tmp_path / "missing.csv"), "--variant", "classical",
+            "--tau1", "-3", "--out", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.strip() == "error: invalid parameters: tau_decay must be finite and > 0, got -3.0"
+
     def test_nan_tau_flag_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main([
@@ -465,7 +548,7 @@ class TestSimulate:
         ])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.strip() == "error: argument --tau1: expected a finite number or 'inf', got 'nan'"
+        assert err.strip() == "error: invalid parameters: tau_decay must be finite and > 0, got nan"
         assert not out.exists()
 
     def test_unstable_params_are_numerical_failure(self, tmp_path, capsys):
@@ -502,6 +585,13 @@ def test_missing_command_is_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith("error: the following arguments are required: command\n")
+
+
+def test_package_metadata_names_this_version_and_entry_point():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+    assert project["version"] == ff.__version__
+    assert project["scripts"]["ffdelay"] == "ffdelay.cli:main"
 
 
 class TestArtifacts:

@@ -259,6 +259,14 @@ class TestRunConfig:
                 ChartOptions(width=value)
         assert type(ChartOptions(height=np.float64(480.0)).height) is np.float64
 
+    @given(st.sampled_from((("width", 95), ("height", 100))), st.data())
+    def test_chart_no_larger_than_its_margins_is_rejected(self, side, data):
+        # the plot area is the size less the margins: 70 + 25 across, 45 + 55 down
+        name, margin = side
+        size = data.draw(st.floats(0.0, margin, exclude_min=True) | st.integers(1, margin))
+        with pytest.raises(ConfigError, match=f"^{name} must be > {margin} to leave a plot area"):
+            ChartOptions(**{name: size})
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             load_config("variant: kernel\nturbo: true\n")
@@ -452,8 +460,8 @@ def config_docs(draw) -> tuple[dict, RunConfig]:
             "fix_p0": st.just((None, None)) | numbers(-1e3, 1e3),
         },
         "chart": {
-            "width": numbers(1.0, 5000.0),
-            "height": numbers(1.0, 5000.0),
+            "width": numbers(math.nextafter(95.0, math.inf), 5000.0),
+            "height": numbers(math.nextafter(100.0, math.inf), 5000.0),
             "title": st.text(st.characters(min_codepoint=32, max_codepoint=126)).map(
                 lambda t: (t, t)
             ),

@@ -13,8 +13,11 @@ import pytest
 import ffdelay as ff
 from ffdelay.dataio import (
     ChartOptions, PredictionRow, PredictionTable, RunConfig, build_prediction_table,
+    format_number, parse_prediction_csv,
 )
-from ffdelay.errors import ConfigError, ObservationError, ParameterError, SeriesLengthError
+from ffdelay.errors import (
+    ConfigError, CsvError, ObservationError, ParameterError, SeriesLengthError,
+)
 from ffdelay.models import _record
 from helpers import (
     performance,
@@ -255,6 +258,19 @@ class TestDomainTypes:
     # the oracle's records
     (lambda: ff.StepLoad(5), ParameterError, "daily must be a LoadSeries, got int"),
     (lambda: ff.GridSolution(1, ()), ParameterError, "grid solution must start at 0"),
+    # the remaining library checks
+    (lambda: format_number(math.inf), ParameterError, "cannot format non-finite value inf"),
+    (lambda: parse_prediction_csv("day,load,predicted,observed\n0,0,500,,1\n"), CsvError,
+     "line 2: expected 4 fields, got 5"),
+    (lambda: ff.ObservationSet(()), ObservationError, "observation set must not be empty"),
+    (lambda: ff.ParamBounds(p0=(0.0, math.inf)), ParameterError,
+     "bounds for p0 must be finite, got (0.0, inf)"),
+    (lambda: ff.r_squared([1.0, 2.0], ff.ObservationSet(((0, 1.0), (5, 2.0)))),
+     ObservationError, "observation day 5 outside the predicted horizon 2"),
+    (lambda: ff.nelder_mead(lambda x: 0.0, [], ff.FitConfig()), ParameterError,
+     "start vector must be non-empty"),
+    (lambda: ff.KernelParams(5.0, 0.1, (0.5, 0.5)), ParameterError,
+     "weights must be a triple (lag-1, lag-2, lag-3)"),
 ], ids=["str-load", "bool-load", "int-load", "str-state", "float-weights", "str-weight",
         "none-weight", "str-weights", "str-predicted", "str-observation", "bool-observation",
         "float-day", "float-horizon", "str-horizon", "int-title", "bytes-title",
@@ -267,7 +283,9 @@ class TestDomainTypes:
         "huge-digits-max-iterations", "huge-digits-day", "huge-digits-duplicate-day",
         "huge-digits-run-horizon", "huge-digits-forecast-horizon", "huge-digits-path-horizon",
         "huge-digits-oracle-days", "huge-digits-table-day", "huge-digits-observed-day",
-        "huge-digits-load", "huge-digits-fraction", "int-step-load", "empty-grid-solution"])
+        "huge-digits-load", "huge-digits-fraction", "int-step-load", "empty-grid-solution",
+        "non-finite-number", "five-field-prediction-row", "empty-observations",
+        "infinite-bound", "observation-beyond-prediction", "empty-start", "two-weights"])
 def test_each_record_rejects_a_wrong_value_with_its_own_error(make, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         make()
@@ -487,6 +505,10 @@ class TestClassical:
         w4 = ff.LoadSeries((0.0, 1.0, 0.0, 0.0))
         got4 = ff.eval_classical(w4, ff.FirstOrderParams(2.0), 4).values
         assert got4[3] == pytest.approx(0.36787944117144233, abs=1e-15)
+
+    def test_one_day_horizon_is_the_zero_start(self):
+        w = ff.LoadSeries((0.0, 1.0, 0.0))
+        assert ff.eval_classical(w, ff.FirstOrderParams(5.0), 1).values == (0.0,)
 
     def test_matches_direct_summation_oracle(self):
         rng = np.random.default_rng(101)
