@@ -3,14 +3,18 @@
 Library layout:
 
 * :mod:`ffdelay.models`     -- the four state-model variants, the variant table,
-                               ``ModelParams`` (one performance model) and
-                               ``predict_performance``, which runs it forward
-* :mod:`ffdelay.oracle`     -- fine-grid method-of-steps integrator (loaded
-                               on first use of one of its names)
-* :mod:`ffdelay.estimation` -- ``fit_variant`` and ``compare_variants``
-                               (Nelder-Mead, multi-start)
+                               ``ModelParams`` (one performance model),
+                               ``predict_performance``, which runs it forward,
+                               and the fit's inputs (``ObservationSet``,
+                               ``ParamBounds``, ``FitConfig``)
+* :mod:`ffdelay.oracle`     -- fine-grid method-of-steps integrator
+* :mod:`ffdelay.estimation` -- the fitter: ``fit_variant`` and
+                               ``compare_variants`` (Nelder-Mead, multi-start)
 * :mod:`ffdelay.dataio`     -- CSV/YAML/JSON ingestion and SVG charts
 * :mod:`ffdelay.cli`        -- the ``ffdelay`` command
+
+``import ffdelay`` loads ``errors`` and ``models``; ``oracle`` and
+``estimation`` load on first use (``ffdelay.fit_variant``, for one).
 """
 
 from __future__ import annotations
@@ -30,9 +34,12 @@ from .errors import (
 from .models import (
     INF,
     FirstOrderParams,
+    FitConfig,
     KernelParams,
     LoadSeries,
     ModelParams,
+    ObservationSet,
+    ParamBounds,
     SingleDelayParams,
     StateSeries,
     ThreeDelayParams,
@@ -44,17 +51,6 @@ from .models import (
     eval_three_delay_recursive,
     kernel_to_three_delay,
     predict_performance,
-)
-from .estimation import (
-    FitConfig,
-    ObservationSet,
-    ParamBounds,
-    VariantFit,
-    compare_variants,
-    fit_variant,
-    nelder_mead,
-    r_squared,
-    sse_objective,
 )
 
 __all__ = [
@@ -99,22 +95,23 @@ __all__ = [
     "sse_objective",
 ]
 
-_ORACLE_NAMES = (
-    "GridSolution",
-    "StepLoad",
-    "convergence_probe",
-    "integrate_single_delay",
-    "integrate_three_delay",
-)
+# The oracle is a check route, and running a model forward needs no fitter:
+# each of these modules loads on first use of it or of one of its names.
+_LAZY_NAMES = {
+    "oracle": ("GridSolution", "StepLoad", "convergence_probe", "integrate_single_delay",
+               "integrate_three_delay"),
+    "estimation": ("VariantFit", "compare_variants", "fit_variant", "nelder_mead", "r_squared",
+                   "sse_objective"),
+}
 
 
 def __getattr__(name: str):
-    # The oracle is a check route: it loads on first use, not with the package.
     # import_module, not "from . import oracle": that form would look the
     # name up on this package first and so call back into __getattr__.
-    if name == "oracle" or name in _ORACLE_NAMES:
-        from importlib import import_module
+    for module, names in _LAZY_NAMES.items():
+        if name == module or name in names:
+            from importlib import import_module
 
-        oracle = import_module(".oracle", __name__)
-        return oracle if name == "oracle" else getattr(oracle, name)
+            loaded = import_module(f".{module}", __name__)
+            return loaded if name == module else getattr(loaded, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -49,22 +49,19 @@ from .dataio import (
     render_load_chart,
 )
 from .errors import FfdelayError, SeriesLengthError
-from .estimation import (
-    FitConfig,
-    ObservationSet,
-    compare_variants,
-    fit_variant,
-    predict_performance,
-)
+from .estimation import compare_variants, fit_variant
 from .models import (
     VARIANTS,
+    FitConfig,
     LoadSeries,
+    ObservationSet,
     SingleDelayParams,
     _check_horizon,
     _field_dict,
     eval_kernel_recursive,
     eval_single_delay_recursive,
     eval_three_delay_recursive,
+    predict_performance,
     variant_row,
 )
 
@@ -85,9 +82,10 @@ class _Failure(Exception):
 
 
 def _parse(parse, path: str):
-    """``parse`` of the UTF-8 text in file ``path``; any fault is a data error."""
+    """``parse`` of the UTF-8 text in file ``path``, less a leading byte-order
+    mark (spreadsheets write one); any fault is a data error."""
     try:
-        return parse(Path(path).read_bytes().decode("utf-8"))
+        return parse(Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff"))
     except OSError as exc:
         message = f"cannot read {path}: {exc.strerror or exc}"
     except UnicodeDecodeError as exc:

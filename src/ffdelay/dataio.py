@@ -42,10 +42,9 @@ from itertools import repeat
 from typing import Iterator, NamedTuple
 
 from .errors import ConfigError, CsvError, DuplicateDayError, ParameterError
-from .estimation import FitConfig, ObservationSet, ParamBounds
 from .models import (
-    _REQUIRED, LoadSeries, ModelParams, _as_int, _as_positive, _as_reals, _field_dict, _record,
-    _shown, variant_row,
+    _REQUIRED, FitConfig, LoadSeries, ModelParams, ObservationSet, ParamBounds, _as_int,
+    _as_positive, _as_reals, _field_dict, _record, _shown, variant_row,
 )
 
 
@@ -290,6 +289,9 @@ class ChartOptions:
                 )
         if not isinstance(self.title, str):
             raise ConfigError(f"title must be a string, got {_shown(self.title)}")
+        for c in self.title:  # what XML 1.0's Char production leaves out, no SVG can carry
+            if c < " " and c not in "\t\n\r" or "\ud800" <= c <= "\udfff" or c in "\ufffe\uffff":
+                raise ConfigError(f"title must not contain U+{ord(c):04X}")
 
 
 @_record
@@ -467,8 +469,10 @@ class _Frame:
 
 
 def _text(attrs: str, text: str) -> str:
-    """A ``<text>`` element; its content escapes ``&``, ``<`` and ``>``."""
+    """A ``<text>`` element; its content escapes ``&``, ``<`` and ``>``, and CR,
+    which a parser would otherwise read back as LF."""
     text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    text = text.replace("\r", "&#13;")
     return f"<text {attrs}>{text}</text>" if text else f"<text {attrs} />"
 
 

@@ -1,4 +1,4 @@
-"""Least-squares parameter estimation for the performance model.
+"""The fitter: least-squares parameter estimation for the performance model.
 
 The objective sum of squared errors over sparse (day, performance)
 observations is minimized with a derivative-free Nelder-Mead simplex plus a
@@ -14,14 +14,16 @@ sequentially and the winner is the lowest objective value with the lowest
 start index as tie-break, so results are bit-reproducible for a given seed.
 
 ``fit_variant`` fits one variant and ``compare_variants`` fits all four with
-nested seeding. Both read the variant table in :mod:`ffdelay.models`. A fit
-is a driver over one private problem object, ``_FitProblem``, which holds the
-coordinates and the objective, and decodes and embeds search points; each
-start runs through ``_run_start``, the one caller of ``nelder_mead``. The
-objective runs the performance model of :mod:`ffdelay.models`, the same pass
-as ``predict_performance`` (defined there, and bound here for
-``sse_objective``). numpy is imported only where the optimizer runs: in
-``nelder_mead``, the Latin hypercube and ``fit_variant``.
+nested seeding. Both read the variant table in :mod:`ffdelay.models`, which
+also holds their input records (``ObservationSet``, ``ParamBounds``,
+``FitConfig``); this module holds only the fitter. A fit is a driver over one
+private problem object, ``_FitProblem``, which holds the coordinates and the
+objective, and decodes and embeds search points; each start runs through
+``_run_start``, the one caller of ``nelder_mead``. The objective runs the
+performance model of :mod:`ffdelay.models`, the same pass as
+``predict_performance`` (defined there, and bound here for ``sse_objective``).
+numpy is imported only where the optimizer runs: in ``nelder_mead``, the Latin
+hypercube and ``fit_variant``.
 """
 
 from __future__ import annotations
@@ -32,14 +34,13 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from .errors import MetricError, ObservationError, ParameterError
 from .models import (
     VARIANTS,
+    FitConfig,
     KernelParams,
     LoadSeries,
     ModelParams,
+    ObservationSet,
+    ParamBounds,
     Variant,
-    _as_finite,
-    _as_int,
-    _as_real,
-    _as_reals,
     _field_dict,
     _performance,
     _record,
@@ -62,112 +63,6 @@ _Z_SATURATED = 40.0
 _WARN_UNDERDETERMINED = "underdetermined"
 _WARN_ZERO_LOAD = "zero-load"
 _WARN_ZERO_VARIANCE = "zero-variance-observations"
-
-
-def _pairs(entries) -> list[tuple]:
-    """The entries as (day, value) pairs; a str or bytes is one value, never a pair."""
-    def items(x, n: int | None = None) -> tuple:
-        t = None if isinstance(x, (str, bytes)) or not hasattr(x, "__iter__") else tuple(x)
-        if t is None or n is not None and len(t) != n:
-            raise ObservationError(f"observations must be (day, value) pairs, got {_shown(x)}")
-        return t
-
-    return [items(entry, 2) for entry in items(entries)]
-
-
-@_record
-class ObservationSet:
-    """Sparse (day, performance) measurements, normalized to increasing day."""
-
-    entries: tuple[tuple[int, float], ...]
-
-    def __post_init__(self) -> None:
-        norm = []
-        for day, value in _pairs(self.entries):
-            d = _as_int(day, "observation day", ObservationError, least=0)
-            name = f"observation at day {_shown(d)}"
-            norm.append((d, float(_as_finite(value, name, ObservationError))))
-        norm.sort(key=lambda e: e[0])
-        if not norm:
-            raise ObservationError("observation set must not be empty")
-        for (d1, _), (d2, _) in zip(norm, norm[1:]):
-            if d1 == d2:
-                raise ObservationError(f"duplicate observation day {_shown(d1)}")
-        object.__setattr__(self, "entries", tuple(norm))
-
-    @property
-    def days(self) -> tuple[int, ...]:
-        return tuple(d for d, _ in self.entries)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def _check_bound_pair(name: str, pair, positive: bool) -> tuple[float, float]:
-    try:
-        lo, hi = _as_reals(pair, name)
-    except (ParameterError, ValueError):  # not two real numbers
-        message = f"bounds for {name} must be two numbers, got {_shown(pair)}"
-        raise ParameterError(message) from None
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ParameterError(f"bounds for {name} must be finite, got {_shown(pair)}")
-    if not lo < hi:
-        raise ParameterError(f"bounds for {name} must satisfy lower < upper, got {_shown(pair)}")
-    if positive and lo <= 0.0:
-        raise ParameterError(f"bounds for {name} must be strictly positive, got {_shown(pair)}")
-    return (lo, hi)
-
-
-@_record
-class ParamBounds:
-    """Box bounds for every fittable parameter.
-
-    tau1/tau3 bound the fitness/fatigue decay constants, tau2/tau4 their lag
-    constants (reused for all three lags of a three-delay side), tau5 the
-    signed kernel gain. Lag upper bounds default very high so that a fitted
-    delay term can shrink to numerical irrelevance, letting the richer
-    variants come within a lag rate of 1/hi of the classical model inside
-    the box; the exact reduction (rate 0) lies outside any finite box.
-    """
-
-    p0: tuple[float, float] = (0.0, 5000.0)
-    k1: tuple[float, float] = (1e-4, 10.0)
-    k2: tuple[float, float] = (1e-4, 10.0)
-    tau1: tuple[float, float] = (0.5, 500.0)
-    tau2: tuple[float, float] = (0.5, 1e12)
-    tau3: tuple[float, float] = (0.5, 500.0)
-    tau4: tuple[float, float] = (0.5, 1e12)
-    tau5: tuple[float, float] = (-1.0, 1.0)
-
-    def __post_init__(self) -> None:
-        for name in self._fields:  # every box but the baseline's and the signed gain's is positive
-            positive = name not in ("p0", "tau5")
-            object.__setattr__(self, name, _check_bound_pair(name, getattr(self, name), positive))
-
-
-@_record
-class FitConfig:
-    """Multi-start and termination settings for :func:`fit_variant`."""
-
-    starts: int = 20
-    max_iterations: int = 2500
-    tolerance: float = 1e-9
-    simplex_tolerance: float = 1e-7
-    seed: int = 0
-    fix_p0: float | None = None
-
-    def __post_init__(self) -> None:
-        for name, least in (("starts", 1), ("max_iterations", 1), ("seed", 0)):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name, least=least))
-        for name in ("tolerance", "simplex_tolerance"):  # > 0 admits +inf
-            if not _as_real(getattr(self, name), name) > 0.0:
-                raise ParameterError(f"{name} must be > 0, got {_shown(getattr(self, name), str)}")
-        if self.fix_p0 is not None:
-            _as_finite(self.fix_p0, "fix_p0")
 
 
 @_record

@@ -16,7 +16,9 @@ runs one of them at its own lag rates:
 ``VARIANT_TABLE`` names each variant's side-parameter class (the parameters
 of one state model, fitness or fatigue) and its ``ffdelay simulate`` flags;
 ``ModelParams`` is the performance model p = p0 + k1 g - k2 h of any variant,
-and ``predict_performance`` runs it forward.
+and ``predict_performance`` runs it forward. The fit's inputs are records here
+too: ``ObservationSet`` (measured performance), ``ParamBounds`` and
+``FitConfig``; only the fitter itself is in ``ffdelay.estimation``.
 
 Each shape has two kinds of kernel. A path kernel (``*_path``) returns one
 side's state trajectory; the public ``eval_*_recursive`` operations run them.
@@ -51,7 +53,7 @@ import warnings
 from itertools import chain, islice, repeat
 from numbers import Real
 
-from .errors import ParameterError, SeriesLengthError
+from .errors import ObservationError, ParameterError, SeriesLengthError
 
 INF = math.inf
 
@@ -422,6 +424,112 @@ def _check_horizon(w: LoadSeries, horizon: int, name: str = "horizon") -> int:
     if horizon > len(w):
         raise SeriesLengthError(f"{name} {_shown(horizon)} exceeds load series length {len(w)}")
     return horizon
+
+
+def _pairs(entries) -> list[tuple]:
+    """The entries as (day, value) pairs; a str or bytes is one value, never a pair."""
+    def items(x, n: int | None = None) -> tuple:
+        t = None if isinstance(x, (str, bytes)) or not hasattr(x, "__iter__") else tuple(x)
+        if t is None or n is not None and len(t) != n:
+            raise ObservationError(f"observations must be (day, value) pairs, got {_shown(x)}")
+        return t
+
+    return [items(entry, 2) for entry in items(entries)]
+
+
+@_record
+class ObservationSet:
+    """Sparse (day, performance) measurements, normalized to increasing day."""
+
+    entries: tuple[tuple[int, float], ...]
+
+    def __post_init__(self) -> None:
+        norm = []
+        for day, value in _pairs(self.entries):
+            d = _as_int(day, "observation day", ObservationError, least=0)
+            name = f"observation at day {_shown(d)}"
+            norm.append((d, float(_as_finite(value, name, ObservationError))))
+        norm.sort(key=lambda e: e[0])
+        if not norm:
+            raise ObservationError("observation set must not be empty")
+        for (d1, _), (d2, _) in zip(norm, norm[1:]):
+            if d1 == d2:
+                raise ObservationError(f"duplicate observation day {_shown(d1)}")
+        object.__setattr__(self, "entries", tuple(norm))
+
+    @property
+    def days(self) -> tuple[int, ...]:
+        return tuple(d for d, _ in self.entries)
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(v for _, v in self.entries)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+
+def _check_bound_pair(name: str, pair, positive: bool) -> tuple[float, float]:
+    try:
+        lo, hi = _as_reals(pair, name)
+    except (ParameterError, ValueError):  # not two real numbers
+        message = f"bounds for {name} must be two numbers, got {_shown(pair)}"
+        raise ParameterError(message) from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ParameterError(f"bounds for {name} must be finite, got {_shown(pair)}")
+    if not lo < hi:
+        raise ParameterError(f"bounds for {name} must satisfy lower < upper, got {_shown(pair)}")
+    if positive and lo <= 0.0:
+        raise ParameterError(f"bounds for {name} must be strictly positive, got {_shown(pair)}")
+    return (lo, hi)
+
+
+@_record
+class ParamBounds:
+    """Box bounds for every fittable parameter.
+
+    tau1/tau3 bound the fitness/fatigue decay constants, tau2/tau4 their lag
+    constants (reused for all three lags of a three-delay side), tau5 the
+    signed kernel gain. Lag upper bounds default very high so that a fitted
+    delay term can shrink to numerical irrelevance, letting the richer
+    variants come within a lag rate of 1/hi of the classical model inside
+    the box; the exact reduction (rate 0) lies outside any finite box.
+    """
+
+    p0: tuple[float, float] = (0.0, 5000.0)
+    k1: tuple[float, float] = (1e-4, 10.0)
+    k2: tuple[float, float] = (1e-4, 10.0)
+    tau1: tuple[float, float] = (0.5, 500.0)
+    tau2: tuple[float, float] = (0.5, 1e12)
+    tau3: tuple[float, float] = (0.5, 500.0)
+    tau4: tuple[float, float] = (0.5, 1e12)
+    tau5: tuple[float, float] = (-1.0, 1.0)
+
+    def __post_init__(self) -> None:
+        for name in self._fields:  # every box but the baseline's and the signed gain's is positive
+            positive = name not in ("p0", "tau5")
+            object.__setattr__(self, name, _check_bound_pair(name, getattr(self, name), positive))
+
+
+@_record
+class FitConfig:
+    """Multi-start and termination settings for :func:`fit_variant`."""
+
+    starts: int = 20
+    max_iterations: int = 2500
+    tolerance: float = 1e-9
+    simplex_tolerance: float = 1e-7
+    seed: int = 0
+    fix_p0: float | None = None
+
+    def __post_init__(self) -> None:
+        for name, least in (("starts", 1), ("max_iterations", 1), ("seed", 0)):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, least=least))
+        for name in ("tolerance", "simplex_tolerance"):  # > 0 admits +inf
+            if not _as_real(getattr(self, name), name) > 0.0:
+                raise ParameterError(f"{name} must be > 0, got {_shown(getattr(self, name), str)}")
+        if self.fix_p0 is not None:
+            _as_finite(self.fix_p0, "fix_p0")
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,18 @@ class TestFit:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("title, point", [(r"a\x01b", "U+0001"), (r"a\ud800b", "U+D800")])
+    def test_title_an_svg_cannot_carry_is_data_error(self, tmp_path, capsys, title, point):
+        config = tmp_path / "config.yaml"
+        config.write_text(FAST_CONFIG + f'chart:\n  title: "{title}"\n')
+        code = main([
+            "fit", "--load", str(DATA / "load.csv"), "--perf", str(DATA / "performance.csv"),
+            "--config", str(config), "--out", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.strip() == f"error: chart: title must not contain {point}"
+        assert not (tmp_path / "out").exists()
+
     def test_load_that_is_not_utf8_is_data_error(self, tmp_path, fast_config, capsys):
         load = tmp_path / "load.csv"
         load.write_bytes((DATA / "load.csv").read_bytes() + b"\xff\n")
@@ -172,6 +184,30 @@ class TestFit:
         assert code == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"error: {load} is not valid UTF-8: ")
         assert not (tmp_path / "out").exists()
+
+    def test_input_files_may_start_with_a_byte_order_mark(self, tmp_path, fast_config):
+        # spreadsheets' "CSV UTF-8" export writes one
+        boms = tmp_path / "inputs"
+        boms.mkdir()
+        for path in (DATA / "load.csv", DATA / "performance.csv", fast_config):
+            (boms / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        runs = {}
+        for name, load, perf, config in [
+            ("plain", DATA / "load.csv", DATA / "performance.csv", fast_config),
+            ("bom", boms / "load.csv", boms / "performance.csv", boms / "config.yaml"),
+        ]:
+            out = tmp_path / name
+            assert main(["fit", "--load", str(load), "--perf", str(perf),
+                         "--config", str(config), "--out", str(out / "fit")]) == EXIT_OK
+            params = out / "fit" / "params.json"
+            if name == "bom":
+                params = boms / "params.json"
+                params.write_bytes(b"\xef\xbb\xbf" + (out / "fit" / "params.json").read_bytes())
+            assert main(["predict", "--load", str(load), "--params", str(params),
+                         "--horizon", "90", "--out", str(out / "predict")]) == EXIT_OK
+            runs[name] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*.*")}
+        assert len(runs["plain"]) == 6
+        assert runs["bom"] == runs["plain"]
 
     def test_no_converged_start_is_numerical_failure(self, tmp_path, capsys):
         config = tmp_path / "config.yaml"
@@ -663,6 +699,12 @@ class TestArtifacts:
             "trajectory.csv": "0c51a0a3d435561b40056cf63fc7eb161fef2121b90f2c453b66d212af323b5d",
         }),
     }
+    GOLDEN_FIT = {
+        "fit_chart.svg": "dc92cd4a903395a152e4b9c09d8628ba8dcd13c051a930b58bbbc4c0da8f84aa",
+        "load_chart.svg": "dd1b08e1306b606eb691fa65730fc8b745d3df2d176a3ea4f0634e8f46cea563",
+        "params.json": "29026a9f4f9aa253f632ef9f1a406420f9f84f0679667202eeffbcbf4f0ff675",
+        "predictions.csv": "20cdd34b05434a29e80d638754b9c9d3cfbe3ab756debcfb4e5daab7068917e3",
+    }
     GOLDEN_PREDICT = {
         "prediction_chart.svg": "ce6422ad5d06f960737defd1ac57e9d80b6d1ce1cbaec6599ce09c21704d3039",
         "predictions.csv": "e39795ca2b6892d0cfce4687f0ad4c40c4de736feea98d150046d1c509fbaabb",
@@ -692,6 +734,18 @@ class TestArtifacts:
             "--horizon", "120", "--out", str(out),
         ]) == EXIT_OK
         assert self._digests(out) == self.GOLDEN_PREDICT
+
+    def test_fit_artifacts_are_byte_identical(self, tmp_path):
+        # the fitted parameters, the observed column, the observation markers
+        # and an escaped title in both charts
+        config = tmp_path / "config.yaml"
+        config.write_text(FAST_CONFIG + 'chart:\n  title: "Fit & <check>"\n')
+        out = tmp_path / "fit"
+        assert main([
+            "fit", "--load", str(DATA / "load.csv"), "--perf", str(DATA / "performance.csv"),
+            "--config", str(config), "--out", str(out),
+        ]) == EXIT_OK
+        assert self._digests(out) == self.GOLDEN_FIT
 
 
 class TestCompare:
@@ -841,6 +895,35 @@ class TestStartup:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False"
+
+    @pytest.mark.parametrize("first", ["ffdelay.fit_variant", "ffdelay.estimation.fit_variant"])
+    def test_fitter_loads_on_first_use(self, first):
+        # ffdelay.estimation as the first access goes through the package's
+        # __getattr__, as for the oracle below
+        script = (
+            "import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import ffdelay\n"
+            "from ffdelay import dataio, models\n"
+            "assert 'ffdelay.estimation' not in sys.modules\n"
+            f"fit = {first}\n"
+            "estimation = sys.modules['ffdelay.estimation']\n"
+            "assert fit is estimation.fit_variant and ffdelay.estimation is estimation\n"
+            "for name in ('ObservationSet', 'ParamBounds', 'FitConfig'):\n"
+            "    record = getattr(models, name)\n"
+            "    assert getattr(estimation, name) is record is getattr(ffdelay, name)\n"
+            "    assert getattr(dataio, name) is record\n"
+            "namespace = {}\n"
+            "exec('from ffdelay import *', namespace)\n"
+            "assert set(ffdelay.__all__) <= set(namespace)\n"
+            "assert namespace['compare_variants'] is estimation.compare_variants\n"
+            "print('ok')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(SRC)], capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["ok"]
 
     def test_oracle_module_attribute_loads_on_first_use(self):
         # ffdelay.oracle is the first oracle access, so it goes through the

@@ -676,6 +676,32 @@ class TestFitChart:
             ET.fromstring(doc)  # raises if malformed
 
 
+# Titles over every code point, lone surrogates too, and often the characters
+# at the edges of XML 1.0's Char production and the three escaped ones
+TITLE_CHARS = st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from("\x00\x01\x08\t\n\x0b\x0c\r\x1f\ud800\udfff\ufffd\ufffe\uffff&<>"),
+)
+
+
+class TestChartTitle:
+    @given(st.text(TITLE_CHARS, max_size=8))
+    def test_every_accepted_title_reads_back_from_both_charts(self, title):
+        try:
+            options = ChartOptions(title=title)
+        except ConfigError as exc:
+            first = next(c for c in title if not (
+                c in "\t\n\r" or " " <= c < "\ud800" or "\ue000" <= c < "\ufffe" or c > "\uffff"
+            ))
+            assert str(exc) == f"title must not contain U+{ord(first):04X}"
+            return
+        w = ff.LoadSeries((0.0, 5.0))
+        for doc in (render_load_chart(w, options),
+                    render_fit_chart(build_prediction_table(w, [500.0, 501.0]), options)):
+            titles = [t.text for t in svg_find(doc, "text") if t.get("class") == "title"]
+            assert titles == ([title] if title else [])
+
+
 class TestLoadChart:
     def test_golden_bytes(self):
         w = ff.LoadSeries((0.0, 10.0, 0.0))

@@ -173,6 +173,9 @@ class TestDomainTypes:
     (lambda: RunConfig(horizon="3"), ConfigError, "horizon must be an integer, got '3'"),
     (lambda: ChartOptions(title=5), ConfigError, "title must be a string, got 5"),
     (lambda: ChartOptions(title=b"x"), ConfigError, "title must be a string, got b'x'"),
+    # a character XML 1.0 cannot carry: the first one is named
+    (lambda: ChartOptions(title="a\x01b\x02"), ConfigError, "title must not contain U+0001"),
+    (lambda: ChartOptions(title="a\ud800b"), ConfigError, "title must not contain U+D800"),
     # a Python int beyond the double range is not a real number of any record
     (lambda: ff.LoadSeries((0, 10**400)), ParameterError,
      "load[1] must be a real number within the double range"),
@@ -274,6 +277,7 @@ class TestDomainTypes:
 ], ids=["str-load", "bool-load", "int-load", "str-state", "float-weights", "str-weight",
         "none-weight", "str-weights", "str-predicted", "str-observation", "bool-observation",
         "float-day", "float-horizon", "str-horizon", "int-title", "bytes-title",
+        "control-title", "surrogate-title",
         "huge-load", "huge-state", "huge-decay", "huge-lag", "huge-three-delay-lag",
         "huge-tau5", "huge-weight", "huge-p0", "huge-observation", "huge-digits-observation",
         "huge-bound", "huge-fix-p0", "huge-chart-width", "huge-predicted",
