@@ -49,7 +49,7 @@ from .dataio import (
     render_load_chart,
 )
 from .errors import FfdelayError, SeriesLengthError
-from .estimation import compare_variants, fit_variant
+from .estimation import _obs_horizon, _sst, compare_variants, fit_variant
 from .models import (
     VARIANTS,
     FitConfig,
@@ -142,6 +142,13 @@ def _write(out_dir: str, artifacts: dict[str, str]) -> list[Path]:
     return paths
 
 
+def _check_finite(values: Sequence[float], what: str) -> None:
+    """A numerical failure naming the first day of ``values`` that is not finite."""
+    if not all(map(math.isfinite, values)):
+        day = list(map(math.isfinite, values)).index(False)
+        raise _Failure(EXIT_NUMERIC, f"{what} is not finite from day {day}")
+
+
 def _load_fit_inputs(
     args: argparse.Namespace,
 ) -> tuple[LoadSeries, ObservationSet, RunConfig, FitConfig]:
@@ -153,18 +160,12 @@ def _load_fit_inputs(
     w = _parse(parse_load_csv, args.load)
     obs = _parse(parse_performance_csv, args.perf)
     config = _parse(load_config, args.config)
-    try:
+    try:  # the fitter's own rules, so a fit cannot meet them later
         horizon = _check_horizon(w, config.horizon or len(w))  # a config horizon is >= 1
-    except SeriesLengthError as exc:
+        _obs_horizon(horizon, obs)
+        _sst(obs)
+    except FfdelayError as exc:
         raise _Failure(EXIT_DATA, str(exc)) from exc
-    if len(obs) < 2:
-        raise _Failure(EXIT_DATA, "need at least 2 observations (R^2 is undefined otherwise)")
-    if len(set(obs.values)) == 1:
-        raise _Failure(EXIT_DATA, "observations have zero variance; R^2 is undefined")
-    if obs.days[-1] >= horizon:
-        raise _Failure(
-            EXIT_DATA, f"observation day {obs.days[-1]} is outside the horizon {horizon}"
-        )
     fit_config = config.fit
     if args.seed is not None:
         fit_config = FitConfig(**{**_field_dict(fit_config), "seed": args.seed})
@@ -184,6 +185,7 @@ def cmd_fit(args: argparse.Namespace) -> _Artifacts:
         raise _Failure(
             EXIT_NUMERIC, f"no start converged within {fit_config.max_iterations} iterations"
         )
+    _check_finite(result.predicted, "fit failed: predicted trajectory")  # unstable past the data
 
     table = build_prediction_table(w, result.predicted, obs)
     artifacts = {
@@ -216,9 +218,7 @@ def cmd_predict(args: argparse.Namespace) -> _Artifacts:
         )
     except SeriesLengthError as exc:  # params are a checked ModelParams; only the horizon fails
         raise _Failure(EXIT_DATA, str(exc)) from exc
-    if not all(map(math.isfinite, predicted)):  # valid but unstable parameters
-        day = list(map(math.isfinite, predicted)).index(False)
-        raise _Failure(EXIT_NUMERIC, f"prediction failed: forecast is not finite from day {day}")
+    _check_finite(predicted, "prediction failed: forecast")  # valid but unstable parameters
 
     table = build_prediction_table(w, predicted)
     artifacts = {
@@ -303,7 +303,7 @@ def cmd_compare(args: argparse.Namespace) -> _Artifacts:
     for r in results:
         lines.append(
             f"{r.variant},{r.n_free},{format_number(r.sse)},"
-            f"{format_number(r.r2)},{r.starts_converged}"
+            f"{format_number(r.r2) if math.isfinite(r.r2) else r.r2},{r.starts_converged}"
         )
     artifacts = {"comparison.csv": "\n".join(lines) + "\n"}
     summary = [f"compared {len(results)} variants over {len(w)} days, {len(obs)} observations"]

@@ -4,9 +4,10 @@ The objective sum of squared errors over sparse (day, performance)
 observations is minimized with a derivative-free Nelder-Mead simplex plus a
 seeded multi-start strategy. The search runs in a transformed space: every
 positive-constrained parameter (gains and time constants) lives on a
-log-scaled box and the baseline on a linear box, each reached through a
-logistic squash, so every candidate the optimizer can express is feasible and
-the returned parameters respect their bounds by construction.
+log-scaled box and the baseline and the signed kernel gain tau5 on a linear
+box, each reached through a logistic squash, so every candidate the
+optimizer can express is feasible and the returned parameters respect their
+bounds by construction.
 
 Multi-start points are a stratified (Latin hypercube) sample of the
 transformed unit box drawn from a seeded generator; starts are evaluated
@@ -89,21 +90,29 @@ class VariantFit(ModelParams):
 # ---------------------------------------------------------------------------
 
 
-def _sse(p: Sequence[float], entries: tuple[tuple[int, float], ...]) -> float:
+def _sse(p: Sequence[float] | dict[int, float], entries: tuple[tuple[int, float], ...]) -> float:
     try:
         return sum((p[d] - y) ** 2 for d, y in entries)
     except OverflowError:  # a finite residual whose square exceeds a double
         return math.inf
 
 
-def _obs_horizon(w: LoadSeries, obs: ObservationSet) -> int:
-    """The days a model pass must cover to reach the last observation."""
+def _obs_horizon(days: int, obs: ObservationSet) -> int:
+    """The days a model pass must cover to reach the last observation, a day before ``days``."""
     last = obs.entries[-1][0]
-    if last >= len(w):
-        raise ObservationError(
-            f"observation day {_shown(last)} outside the load horizon {len(w)}"
-        )
+    if last >= days:
+        raise ObservationError(f"observation day {_shown(last)} is outside the horizon {days}")
     return last + 1
+
+
+def _sst(obs: ObservationSet) -> float:
+    """R^2's denominator: squares about the mean by ``_sse``'s rule; MetricError if it has none."""
+    if len(obs) < 2:
+        raise MetricError("need at least 2 observations (R^2 is undefined otherwise)")
+    sst = _sse(dict.fromkeys(obs.days, sum(obs.values) / len(obs)), obs.entries)
+    if sst == 0.0:
+        raise MetricError("observations have zero variance; R^2 is undefined")
+    return sst
 
 
 def sse_objective(params: ModelParams, w: LoadSeries, obs: ObservationSet) -> float:
@@ -114,7 +123,7 @@ def sse_objective(params: ModelParams, w: LoadSeries, obs: ObservationSet) -> fl
     """
     p = predict_performance(
         params.variant, params.p0, params.k1, params.k2,
-        params.fitness, params.fatigue, w, _obs_horizon(w, obs),
+        params.fitness, params.fatigue, w, _obs_horizon(len(w), obs),
     )
     return _sse(p, obs.entries)
 
@@ -123,23 +132,13 @@ def r_squared(predicted: Sequence[float], obs: ObservationSet) -> float:
     """Coefficient of determination 1 - SSE/SST, SST about the observation mean.
 
     1 for a perfect fit, 0 for the mean predictor, negative when worse than
-    the mean, ``-inf`` when an error's square exceeds a double. Undefined
-    (MetricError) for fewer than two observations or zero observation
-    variance.
+    the mean. SSE and SST read ``inf`` when a square exceeds a double, so R^2
+    is ``-inf``, 1 or NaN when SSE, SST or both overflow. ObservationError for
+    a day past ``predicted``; MetricError (undefined) for fewer than two
+    observations or an SST of exactly 0.0, as distinct values 0 and 1e-166 give.
     """
-    if len(obs) < 2:
-        raise MetricError("r_squared needs at least two observations")
-    if obs.days[-1] >= len(predicted):
-        raise ObservationError(
-            f"observation day {_shown(obs.days[-1])} outside the predicted horizon"
-            f" {len(predicted)}"
-        )
-    values = obs.values
-    mean = sum(values) / len(values)
-    sst = sum((y - mean) ** 2 for y in values)
-    if sst == 0.0:
-        raise MetricError("r_squared undefined: observations have zero variance")
-    return 1.0 - _sse(predicted, obs.entries) / sst
+    _obs_horizon(len(predicted), obs)
+    return 1.0 - _sse(predicted, obs.entries) / _sst(obs)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +299,7 @@ class _FitProblem:
 
     def __init__(self, row: Variant, w: LoadSeries, obs: ObservationSet,
                  bounds: ParamBounds, fix_p0: float | None) -> None:
-        self.horizon = _obs_horizon(w, obs)
+        self.horizon = _obs_horizon(len(w), obs)
         self.row, self.variant, self.fix_p0 = row, row.name, fix_p0
         self.wv, self.entries = w.values, obs.entries
         self.fitted, self.fixed = row.fitted, row.fixed
@@ -396,9 +395,8 @@ def _run_start(problem: _FitProblem, index: int, z0, config: FitConfig) -> _Star
     budget = config.max_iterations - iterations
     if budget > 0:
         polish_config = FitConfig(**{**_field_dict(config), "max_iterations": budget})
-        z2, sse2, iterations2, converged2 = nelder_mead(problem.sse, z, polish_config, step=0.02)
-        if sse2 <= sse:
-            z, sse = z2, sse2
+        # taken as is: it starts at z, worth sse, and the simplex never ends worse
+        z, sse, iterations2, converged2 = nelder_mead(problem.sse, z, polish_config, step=0.02)
         iterations += iterations2
         converged = converged or converged2
     return _StartRecord(index, z, sse, iterations, converged)

@@ -59,6 +59,13 @@ def write_zero_load(path: Path, days: int = 30) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def write_alternating_perf(path: Path, value: str) -> None:
+    """The bundled observation days, their values alternating 0 and ``value``."""
+    days = [row.split(",")[0] for row in (DATA / "performance.csv").read_text().splitlines()[1:]]
+    path.write_text("day,performance\n" + "".join(
+        f"{day},{value if i % 2 else 0}\n" for i, day in enumerate(days)))
+
+
 class TestFit:
     def test_bundled_dataset_recovers(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -238,6 +245,29 @@ class TestFit:
         assert code == EXIT_NUMERIC
         assert capsys.readouterr().err.strip() == (
             "error: fit failed: no usable start point: the objective is not finite at any start"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_trajectory_not_finite_after_the_last_observation_is_numerical_failure(
+        self, tmp_path, capsys
+    ):
+        # lags of 0.01 days grow the fitted trajectory past the double range on
+        # day 313, after the last observation (day 119), where the SSE cannot see it
+        rows = (DATA / "load.csv").read_text().splitlines()[1:]
+        loads = dict(row.split(",") for row in rows)
+        load = tmp_path / "load.csv"
+        load.write_text("day,load\n" + "".join(f"{d},{loads[str(d % 120)]}\n" for d in range(400)))
+        config = tmp_path / "config.yaml"
+        config.write_text(
+            "variant: single_delay\n"
+            "fit: {starts: 1, max_iterations: 50, tolerance: .inf}\n"
+            "bounds: {tau2: [0.01, 0.011], tau4: [0.01, 0.011]}\n"
+        )
+        code = main(["fit", "--load", str(load), "--perf", str(DATA / "performance.csv"),
+                     "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err.strip() == (
+            "error: fit failed: predicted trajectory is not finite from day 313"
         )
         assert not (tmp_path / "out").exists()
 
@@ -820,6 +850,40 @@ class TestCompare:
         ])
         assert code == EXIT_DATA
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_variance_that_rounds_to_zero_is_data_error(
+        self, tmp_path, fast_config, capsys, command
+    ):
+        # 0 and 1e-166 differ, but their squared spread about the mean is 0.0 in doubles
+        perf = tmp_path / "perf.csv"
+        write_alternating_perf(perf, "1e-166")
+        code = main([command, "--load", str(DATA / "load.csv"), "--perf", str(perf),
+                     "--config", str(fast_config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.strip() == (
+            "error: observations have zero variance; R^2 is undefined"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_r2_is_written_as_minus_inf(self, tmp_path, capsys):
+        # residuals near 1e-7 square to about 1e-14, the spread of 0 and 5e-162
+        # squares to about 1e-322, so SSE/SST overflows and R^2 is -inf
+        perf = tmp_path / "perf.csv"
+        write_alternating_perf(perf, "5e-162")
+        config = tmp_path / "config.yaml"
+        config.write_text(
+            "variant: classical\n"
+            "fit: {starts: 2, max_iterations: 300, seed: 1}\n"
+            "bounds: {p0: [1.0e-7, 2.0e-7], k1: [1.0e-14, 1.0e-13], k2: [1.0e-14, 1.0e-13]}\n"
+        )
+        out = tmp_path / "out"
+        code = main(["compare", "--load", str(DATA / "load.csv"), "--perf", str(perf),
+                     "--config", str(config), "--out", str(out)])
+        assert code == EXIT_OK
+        rows = (out / "comparison.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == ["-inf"] * 4
+        assert capsys.readouterr().out.count("R^2=-inf") == 4
 
     def test_internal_error_exits_3_without_artifacts(
         self, tmp_path, fast_config, capsys, monkeypatch

@@ -177,6 +177,11 @@ class TestRSquared:
         # SSE = 1, SST = 2
         assert ff.r_squared([0.0, 1.0, 2.0, 4.0], obs) == pytest.approx(0.5, abs=1e-15)
 
+    def test_overflowing_sum_of_squares_is_not_an_error(self):
+        # SST squares a spread of about 1.7e160 past the double range; SSE is 0
+        obs = ff.ObservationSet(((1, 1e160), (2, 3e160)))
+        assert ff.r_squared([0.0, 1e160, 3e160], obs) == 1.0
+
     def test_zero_variance_undefined(self):
         obs = ff.ObservationSet(((1, 5.0), (2, 5.0)))
         with pytest.raises(MetricError):

@@ -252,7 +252,7 @@ class TestDomainTypes:
     (lambda: ff.sse_objective(
         ff.ModelParams("classical", 500.0, 0.1, 0.12, FO_SIDE, FO_SIDE),
         ff.LoadSeries((0.0, 1.0)), ff.ObservationSet(((10**5000, 1.0),))), ObservationError,
-     "observation day <int too large to print> outside the load horizon 2"),
+     "observation day <int too large to print> is outside the horizon 2"),
     (lambda: ff.LoadSeries(10**5000), ParameterError,
      "load must be a sequence of real numbers, got <int too large to print>"),
     # a real a double holds, whose terms are too long to print
@@ -269,7 +269,7 @@ class TestDomainTypes:
     (lambda: ff.ParamBounds(p0=(0.0, math.inf)), ParameterError,
      "bounds for p0 must be finite, got (0.0, inf)"),
     (lambda: ff.r_squared([1.0, 2.0], ff.ObservationSet(((0, 1.0), (5, 2.0)))),
-     ObservationError, "observation day 5 outside the predicted horizon 2"),
+     ObservationError, "observation day 5 is outside the horizon 2"),
     (lambda: ff.nelder_mead(lambda x: 0.0, [], ff.FitConfig()), ParameterError,
      "start vector must be non-empty"),
     (lambda: ff.KernelParams(5.0, 0.1, (0.5, 0.5)), ParameterError,
