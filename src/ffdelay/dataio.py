@@ -38,13 +38,14 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from itertools import repeat
 from typing import Iterator, NamedTuple
 
 from .errors import ConfigError, CsvError, DuplicateDayError, ParameterError
 from .models import (
     _REQUIRED, FitConfig, LoadSeries, ModelParams, ObservationSet, ParamBounds, _as_int,
-    _as_positive, _as_reals, _field_dict, _record, _shown, variant_row,
+    _as_positive, _as_reals, _field_dict, _Record, _shown, variant_row,
 )
 
 
@@ -194,8 +195,7 @@ class PredictionRow(NamedTuple):
     observed: float | None
 
 
-@_record
-class PredictionTable:
+class PredictionTable(_Record):
     """One row per day from day 0: load, model prediction, optional observation."""
 
     rows: tuple[PredictionRow, ...]
@@ -272,8 +272,7 @@ _MARGIN_TOP = 45.0
 _MARGIN_BOTTOM = 55.0
 
 
-@_record
-class ChartOptions:
+class ChartOptions(_Record):
     width: float = 900.0
     height: float = 600.0
     title: str = ""
@@ -294,8 +293,7 @@ class ChartOptions:
                 raise ConfigError(f"title must not contain U+{ord(c):04X}")
 
 
-@_record
-class RunConfig:
+class RunConfig(_Record):
     variant: str = "single_delay"
     horizon: int | None = None  # None: use the full load series
     bounds: ParamBounds = ParamBounds()
@@ -383,7 +381,7 @@ def load_config(text: str) -> RunConfig:
     _reject_unknown(data, RunConfig._fields, "configuration")
     try:
         # variant and horizon first: they precede the sections in field order
-        head = RunConfig(data.get("variant", "single_delay"), data.get("horizon"))
+        head = RunConfig(**{name: data[name] for name in ("variant", "horizon") if name in data})
         sections = {  # bounds, fit and chart: the fields whose default is a record
             name: _record_from_doc(type(default), data[name], name)
             for name, default in RunConfig._fields.items()
@@ -465,7 +463,12 @@ class _Frame:
         return _MARGIN_LEFT + (v - self.x0) / (self.x1 - self.x0) * self.plot_w
 
     def y(self, v: float) -> float:
-        return _MARGIN_TOP + (1.0 - (v - self.y0) / (self.y1 - self.y0)) * self.plot_h
+        span = self.y1 - self.y0
+        if span == math.inf:  # a finite range wider than a double: taken in halves
+            frac = (v / 2 - self.y0 / 2) / (self.y1 / 2 - self.y0 / 2)
+        else:
+            frac = (v - self.y0) / span
+        return _MARGIN_TOP + (1.0 - frac) * self.plot_h
 
 
 def _text(attrs: str, text: str) -> str:
@@ -531,8 +534,11 @@ def render_fit_chart(table: PredictionTable, options: ChartOptions | None = None
     observed = [(row.day, row.observed) for row in rows if row.observed is not None]
     all_y = [row.predicted for row in rows] + [v for _, v in observed]
     y_lo, y_hi = min(all_y), max(all_y)
-    pad = 0.05 * (y_hi - y_lo) if y_hi > y_lo else 1.0
-    frame = _Frame(options, (rows[0].day, rows[-1].day), (y_lo - pad, y_hi + pad))
+    # a flat trajectory pads by 1, or by one ulp where 1 is below it
+    pad = 0.05 * (y_hi - y_lo) if y_hi > y_lo else max(1.0, math.ulp(y_lo))
+    top = sys.float_info.max  # the padded range is clamped to finite bounds
+    frame = _Frame(options, (rows[0].day, rows[-1].day),
+                   (max(y_lo - pad, -top), min(y_hi + pad, top)))
 
     points = " ".join([f"{frame.x(day):.2f},{frame.y(p):.2f}" for day, _, p, _ in rows])
     body = (

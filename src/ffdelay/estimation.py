@@ -44,7 +44,7 @@ from .models import (
     Variant,
     _field_dict,
     _performance,
-    _record,
+    _Record,
     _shown,
     kernel_to_three_delay,
     predict_performance,
@@ -66,7 +66,6 @@ _WARN_ZERO_LOAD = "zero-load"
 _WARN_ZERO_VARIANCE = "zero-variance-observations"
 
 
-@_record
 class VariantFit(ModelParams):
     """A fitted performance model of any state-model variant.
 
@@ -260,8 +259,7 @@ def _logit(u: float) -> float:
     return math.log(u / (1.0 - u))
 
 
-@_record
-class _Coord:
+class _Coord(_Record):
     """One search coordinate: a bounded box reached via a logistic squash."""
 
     lo: float
@@ -375,8 +373,7 @@ def _latin_hypercube(rng: np.random.Generator, n_starts: int, dims: int) -> np.n
     return u
 
 
-@_record
-class _StartRecord:
+class _StartRecord(_Record):
     """One start's outcome: its place in the start list, best point and SSE."""
 
     index: int

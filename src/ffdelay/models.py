@@ -146,46 +146,59 @@ def _lag_rate(tau: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Frozen records: the value types of every ffdelay module. Plain closures and
-# functions, so defining a class costs no generated source.
+# Frozen records: the value types of every ffdelay module. One plain base
+# class, so defining a record costs no generated source.
 # ---------------------------------------------------------------------------
 
 _REQUIRED = object()  # the default of a field that has none
 
 
-def _record(cls: type) -> type:
-    """Make ``cls`` an immutable value type over its annotated fields.
+class _Record:
+    """An immutable value type over the annotated fields of its subclasses.
 
-    The fields are the annotated names of the class body, a base record's
-    first; a field's class-level value is its default. ``cls._fields`` maps
-    each field name, in order, to its default (``_REQUIRED`` if it has none).
-    The class gets an ``__init__`` taking the fields positionally or by
-    keyword, which stores them and then runs ``__post_init__`` if the class
-    has one; equality and hashing by class and field values; the repr
-    ``Name(field=value, ...)``; and attribute assignment and deletion that
-    raise AttributeError. A ``__post_init__`` that normalizes a field stores
-    it with ``object.__setattr__``.
+    A subclass's fields are the annotated names of its class body, a base
+    record's first; a field's class-level value is its default.
+    ``cls._fields`` maps each field name, in order, to its default
+    (``_REQUIRED`` if it has none). A record is constructed from its fields
+    positionally or by keyword, stores them and then runs ``__post_init__``;
+    it is equal to and hashes as a record of its own class with the same
+    field values; its repr is ``Name(field=value, ...)``; and assigning or
+    deleting an attribute raises AttributeError. A ``__post_init__`` that
+    normalizes a field stores it with ``object.__setattr__``.
     """
-    table = dict(getattr(cls, "_fields", {}))
-    for name in cls.__annotations__:
-        table[name] = cls.__dict__.get(name, _REQUIRED)
-    names = tuple(table)
-    post_init = getattr(cls, "__post_init__", None)
 
-    def __init__(self, *args, **kwargs):
-        self.__dict__.update(zip(names, _bind(cls, args, kwargs)))
-        if post_init is not None:
-            post_init(self)
+    _fields = {}
 
-    __init__.__qualname__ = f"{cls.__qualname__}.__init__"
-    cls._fields = table
-    cls.__init__ = __init__
-    cls.__eq__ = _record_eq
-    cls.__hash__ = _record_hash
-    cls.__repr__ = _record_repr
-    cls.__setattr__ = _record_setattr
-    cls.__delattr__ = _record_delattr
-    return cls
+    def __init_subclass__(cls) -> None:
+        table = dict(cls._fields)
+        for name in cls.__annotations__:  # the class's own annotations only
+            table[name] = cls.__dict__.get(name, _REQUIRED)
+        cls._fields = table
+
+    def __init__(self, *args, **kwargs) -> None:
+        self.__dict__.update(zip(self._fields, _bind(type(self), args, kwargs)))
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return _field_values(self) == _field_values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(_field_values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={_shown(getattr(self, name))}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _bind(cls: type, args: tuple, kwargs: dict) -> list:
@@ -220,31 +233,7 @@ def _field_dict(record) -> dict:
     return {name: getattr(record, name) for name in record._fields}
 
 
-def _record_eq(self, other):
-    if other.__class__ is self.__class__:
-        return _field_values(self) == _field_values(other)
-    return NotImplemented
-
-
-def _record_hash(self) -> int:
-    return hash(_field_values(self))
-
-
-def _record_repr(self) -> str:
-    fields = ", ".join(f"{name}={_shown(getattr(self, name))}" for name in self._fields)
-    return f"{type(self).__qualname__}({fields})"
-
-
-def _record_setattr(self, name: str, value) -> None:
-    raise AttributeError(f"cannot assign to field {name!r}")
-
-
-def _record_delattr(self, name: str) -> None:
-    raise AttributeError(f"cannot delete field {name!r}")
-
-
-@_record
-class LoadSeries:
+class LoadSeries(_Record):
     """Daily training-load impulses w(0..N-1), day 0 first.
 
     Values are unit-agnostic (TRIMP, kJ, ...). Construction enforces the
@@ -264,8 +253,7 @@ class LoadSeries:
         return len(self.values)
 
 
-@_record
-class StateSeries:
+class StateSeries(_Record):
     """A fitness/fatigue state trajectory g(0..N-1)."""
 
     values: tuple[float, ...]
@@ -277,8 +265,7 @@ class StateSeries:
         return len(self.values)
 
 
-@_record
-class FirstOrderParams:
+class FirstOrderParams(_Record):
     """Classical model parameter: decay time constant in days."""
 
     tau_decay: float
@@ -287,8 +274,7 @@ class FirstOrderParams:
         _as_positive(self.tau_decay, "tau_decay")
 
 
-@_record
-class SingleDelayParams:
+class SingleDelayParams(_Record):
     """Decay constant plus a 1-day lag constant (+inf disables the lag term)."""
 
     tau_decay: float
@@ -299,8 +285,7 @@ class SingleDelayParams:
         _check_lag(self.tau_lag1, "tau_lag1")
 
 
-@_record
-class ThreeDelayParams:
+class ThreeDelayParams(_Record):
     """Decay constant plus lag constants for delays of 1, 2 and 3 days.
 
     Lag constants are normally positive or +inf, but any nonzero finite value
@@ -320,8 +305,7 @@ class ThreeDelayParams:
         _check_lag(self.tau_lag3, "tau_lag3", allow_negative=True)
 
 
-@_record
-class KernelParams:
+class KernelParams(_Record):
     """Weighted-memory variant: signed gain ``tau5`` (1/day^2) and 3 lag weights."""
 
     tau_decay: float
@@ -342,8 +326,7 @@ class KernelParams:
             raise ParameterError(f"kernel weights must sum to 1, got {sum(w)!r}")
 
 
-@_record
-class Variant:
+class Variant(_Record):
     """One row of the variant table.
 
     ``side`` is the variant's side-parameter class; its fields, in order,
@@ -388,8 +371,7 @@ def variant_row(name: str) -> Variant:
     return VARIANT_TABLE[name]
 
 
-@_record
-class ModelParams:
+class ModelParams(_Record):
     """Performance model of any variant: p(n) = p0 + k1 * g(n) - k2 * h(n).
 
     ``fitness`` drives g and ``fatigue`` drives h; both are instances of the
@@ -437,8 +419,7 @@ def _pairs(entries) -> list[tuple]:
     return [items(entry, 2) for entry in items(entries)]
 
 
-@_record
-class ObservationSet:
+class ObservationSet(_Record):
     """Sparse (day, performance) measurements, normalized to increasing day."""
 
     entries: tuple[tuple[int, float], ...]
@@ -484,8 +465,7 @@ def _check_bound_pair(name: str, pair, positive: bool) -> tuple[float, float]:
     return (lo, hi)
 
 
-@_record
-class ParamBounds:
+class ParamBounds(_Record):
     """Box bounds for every fittable parameter.
 
     tau1/tau3 bound the fitness/fatigue decay constants, tau2/tau4 their lag
@@ -511,8 +491,7 @@ class ParamBounds:
             object.__setattr__(self, name, _check_bound_pair(name, getattr(self, name), positive))
 
 
-@_record
-class FitConfig:
+class FitConfig(_Record):
     """Multi-start and termination settings for :func:`fit_variant`."""
 
     starts: int = 20
@@ -549,7 +528,8 @@ def classical_path(w, tau_decay: float, horizon: int) -> list[float]:
     if horizon == 1:
         return [0.0]
     wv = np.asarray(w[: horizon - 1], dtype=float)
-    decay = np.exp(-np.arange(1, horizon, dtype=float) / tau_decay)
+    with np.errstate(over="ignore"):  # d / tau beyond a double: e^{-inf} is exactly 0
+        decay = np.exp(-np.arange(1, horizon, dtype=float) / tau_decay)
     conv = np.convolve(wv, decay)
     out = [0.0] * horizon
     for n in range(1, horizon):
@@ -751,7 +731,8 @@ def eval_single_delay_convolution(
     tau = params.tau_decay
     rate = _lag_rate(params.tau_lag1)
     wv = w.values
-    decay = np.exp(-np.arange(horizon, dtype=float) / tau)  # decay[d] = e^{-d/tau}
+    with np.errstate(over="ignore"):  # d / tau beyond a double: e^{-inf} is exactly 0
+        decay = np.exp(-np.arange(horizon, dtype=float) / tau)  # decay[d] = e^{-d/tau}
     g = np.zeros(horizon)
     c = np.zeros(horizon)  # c[i] = w(i) - rate * g(i-1), defined for i >= 1
     for n in range(2, horizon):
@@ -776,11 +757,13 @@ def eval_three_delay_convolution(
     plus separated boundary terms in g(n-3) and g(n-2):
 
         g(n) = sum_{i=1}^{n-1} w(i) e^{-(n-i)/tau}
-             - sum_{i=1}^{n-3} g(i-1) [r1 + r2 e^{1/tau} + r3 e^{2/tau}] e^{-(n-i)/tau}
+             - sum_{i=1}^{n-3} g(i-1) [r1 e^{-d/tau} + r2 e^{-(d-1)/tau} + r3 e^{-(d-2)/tau}]
              - g(n-3) [r1 e^{-2/tau} + r2 e^{-1/tau}]
              - g(n-2) r1 e^{-1/tau}
 
-    with r_j the lag rates 1/tau_lag_j. Kept deliberately in this shape as an
+    with d = n - i and r_j the lag rates 1/tau_lag_j. Every weight is read off
+    the decay array e^{-d/tau}, so no growing exponential is computed and a
+    tiny tau cannot overflow. Kept deliberately in this shape as an
     independent check on the recursion.
     """
     import numpy as np
@@ -792,13 +775,14 @@ def eval_three_delay_convolution(
     r2 = _lag_rate(params.tau_lag2)
     r3 = _lag_rate(params.tau_lag3)
     wv = np.asarray(w.values[:horizon], dtype=float)
-    decay = np.exp(-np.arange(horizon, dtype=float) / tau)
-    grouped = r1 + r2 * math.exp(1.0 / tau) + r3 * math.exp(2.0 / tau)
+    with np.errstate(over="ignore"):  # d / tau beyond a double: e^{-inf} is exactly 0
+        decay = np.exp(-np.arange(horizon, dtype=float) / tau)
+    lagged = r1 * decay[3:] + r2 * decay[2:-1] + r3 * decay[1:-2]  # lagged[d - 3], d >= 3
     g = np.zeros(horizon)
     for n in range(2, horizon):
         total = float(np.dot(wv[1:n], decay[n - 1:0:-1]))
         if n >= 4:
-            total -= grouped * float(np.dot(g[0 : n - 3], decay[n - 1:2:-1]))
+            total -= float(np.dot(g[0 : n - 3], lagged[n - 4::-1]))
         if n >= 3:
             total -= g[n - 3] * (r1 * decay[2] + r2 * decay[1])
         total -= g[n - 2] * (r1 * decay[1])

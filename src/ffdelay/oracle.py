@@ -24,12 +24,11 @@ from typing import Sequence
 from .errors import ParameterError
 from .models import (
     LoadSeries, SingleDelayParams, ThreeDelayParams, _as_int, _check_horizon, _check_side,
-    _lag_rate, _record, _shown,
+    _lag_rate, _Record, _shown,
 )
 
 
-@_record
-class StepLoad:
+class StepLoad(_Record):
     """A daily load series read as the piecewise-constant function w(t) = w(floor t)."""
 
     daily: LoadSeries
@@ -42,8 +41,7 @@ class StepLoad:
         return len(self.daily)
 
 
-@_record
-class GridSolution:
+class GridSolution(_Record):
     """State values on the subgrid t = j/m, j = 0..days*m."""
 
     substeps_per_day: int

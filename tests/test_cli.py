@@ -511,6 +511,26 @@ class TestPredict:
         assert err.strip() == "error: prediction failed: forecast is not finite from day 1204"
         assert not (tmp_path / "out").exists()
 
+    def test_finite_forecast_wider_than_a_double_when_padded_is_charted(self, tmp_path, capsys):
+        # a fitness lag of ~1.3e-6 days swings the finite forecast across the
+        # double range; the chart's padded range overflowed and exited 3
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({
+            "variant": "single_delay", "p0": 500.0, "k1": 1.0, "k2": 0.1,
+            "fitness": {"tau_decay": 50.0, "tau_lag1": 1.2589254117941661e-06},
+            "fatigue": {"tau_decay": 10.0, "tau_lag1": 20.0},
+        }))
+        out = tmp_path / "out"
+        assert main([
+            "predict", "--load", str(DATA / "load.csv"), "--params", str(params),
+            "--horizon", "107", "--out", str(out),
+        ]) == EXIT_OK
+        assert "error" not in capsys.readouterr().err
+        assert len(parse_prediction_csv((out / "predictions.csv").read_text()).rows) == 107
+        chart = (out / "prediction_chart.svg").read_text()
+        ET.fromstring(chart)
+        assert "inf" not in chart and "nan" not in chart
+
     def test_matches_fit_predictions_over_shared_horizon(self, tmp_path, fast_config):
         fit_out = tmp_path / "fit"
         assert main([

@@ -675,6 +675,19 @@ class TestFitChart:
             doc = render_fit_chart(build_prediction_table(w, predicted, obs))
             ET.fromstring(doc)  # raises if malformed
 
+    @pytest.mark.parametrize("predicted", [
+        (0.0, -1e308, 1e308),
+        (0.0, -1.7e308, 1.7e308),
+        (1e17, 1e17, 1e17),
+        (1.7e308, 1.7e308, 1.7e308),
+    ], ids=["1e308", "1.7e308", "flat-1e17", "flat-1.7e308"])
+    def test_finite_trajectory_beyond_the_double_range_when_padded(self, predicted):
+        # the padding of a finite range, or of a flat one above 2**53, left the
+        # frame infinite or empty and the tick labels failed to format
+        doc = render_fit_chart(build_prediction_table(ff.LoadSeries((0.0, 1.0, 2.0)), predicted))
+        ET.fromstring(doc)
+        assert "inf" not in doc and "nan" not in doc
+
 
 # Titles over every code point, lone surrogates too, and often the characters
 # at the edges of XML 1.0's Char production and the three escaped ones

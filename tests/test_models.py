@@ -18,7 +18,7 @@ from ffdelay.dataio import (
 from ffdelay.errors import (
     ConfigError, CsvError, ObservationError, ParameterError, SeriesLengthError,
 )
-from ffdelay.models import _record
+from ffdelay.models import _Record, _field_dict, _field_values
 from helpers import (
     performance,
     random_kernel,
@@ -430,12 +430,10 @@ class TestValueTypes:
         assert _variant_fit() != _variant_fit(warnings=("zero-load",))
 
     def test_equal_values_of_different_classes_unequal(self):
-        @_record
-        class Left:
+        class Left(_Record):
             x: float
 
-        @_record
-        class Right:
+        class Right(_Record):
             x: float
 
         # same field names and values; only the class differs
@@ -472,6 +470,11 @@ class TestValueTypes:
         fit = _variant_fit()
         assert fit == ff.VariantFit(*(getattr(fit, name) for name in ff.VariantFit._fields))
         assert tuple(ff.VariantFit._fields)[:6] == tuple(ff.ModelParams._fields)
+        # every record kind binds its fields positionally and by keyword
+        for make in MAKERS:
+            r = make()
+            assert type(r)(*_field_values(r)) == r
+            assert type(r)(**_field_dict(r)) == r
 
     def test_post_init_runs_for_keyword_construction(self):
         with pytest.raises(ParameterError):
@@ -854,6 +857,24 @@ class TestInvariants:
         ker = ff.eval_kernel_recursive(w, ff.KernelParams(tau, 0.0), 100).values
         for other in (sd, td, ker):
             assert sup_rel_diff(cls, other) <= 1e-12
+
+    @pytest.mark.parametrize("tau", [0.0025, 0.001, 1e-200, 1e-320])
+    def test_convolution_forms_agree_at_tiny_decay_constants(self, tau):
+        # e^{2/tau} overflowed the three-delay form below tau ~ 0.00282, and
+        # d / tau overflowed numpy's divide at tau = 1e-320 in all three forms
+        w = ff.LoadSeries((0.0, 1.0, 2.0, 3.0, 1.0, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pairs = [
+                (ff.eval_classical(w, ff.FirstOrderParams(tau), 6),
+                 ff.eval_single_delay_recursive(w, ff.SingleDelayParams(tau), 6)),
+                (ff.eval_single_delay_convolution(w, ff.SingleDelayParams(tau, 5.0), 6),
+                 ff.eval_single_delay_recursive(w, ff.SingleDelayParams(tau, 5.0), 6)),
+                (ff.eval_three_delay_convolution(w, ff.ThreeDelayParams(tau, 5.0, 6.0, 7.0), 6),
+                 ff.eval_three_delay_recursive(w, ff.ThreeDelayParams(tau, 5.0, 6.0, 7.0), 6)),
+            ]
+        for conv, rec in pairs:
+            assert sup_rel_diff(conv.values, rec.values) <= 1e-9
 
     def test_repeat_evaluation_is_identical(self):
         rng = np.random.default_rng(707)
