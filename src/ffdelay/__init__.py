@@ -92,7 +92,6 @@ __all__ = [
     "nelder_mead",
     "predict_performance",
     "r_squared",
-    "sse_objective",
 ]
 
 # The oracle is a check route, and running a model forward needs no fitter:
@@ -100,8 +99,7 @@ __all__ = [
 _LAZY_NAMES = {
     "oracle": ("GridSolution", "StepLoad", "convergence_probe", "integrate_single_delay",
                "integrate_three_delay"),
-    "estimation": ("VariantFit", "compare_variants", "fit_variant", "nelder_mead", "r_squared",
-                   "sse_objective"),
+    "estimation": ("VariantFit", "compare_variants", "fit_variant", "nelder_mead", "r_squared"),
 }
 
 

@@ -22,7 +22,7 @@ private problem object, ``_FitProblem``, which holds the coordinates and the
 objective, and decodes and embeds search points; each start runs through
 ``_run_start``, the one caller of ``nelder_mead``. The objective runs the
 performance model of :mod:`ffdelay.models`, the same pass as
-``predict_performance`` (defined there, and bound here for ``sse_objective``).
+``predict_performance``.
 numpy is imported only where the optimizer runs: in ``nelder_mead``, the Latin
 hypercube and ``fit_variant``.
 """
@@ -47,12 +47,13 @@ from .models import (
     _Record,
     _shown,
     kernel_to_three_delay,
-    predict_performance,
     variant_row,
 )
 
 # Not called here: perfbench/spans.py looks these names up on this module.
-from .models import kernel_path, single_delay_path, three_delay_path  # noqa: F401
+from .models import (  # noqa: F401
+    kernel_path, predict_performance, single_delay_path, three_delay_path,
+)
 
 if TYPE_CHECKING:  # annotations only; numpy is imported where it runs
     import numpy as np
@@ -112,19 +113,6 @@ def _sst(obs: ObservationSet) -> float:
     if sst == 0.0:
         raise MetricError("observations have zero variance; R^2 is undefined")
     return sst
-
-
-def sse_objective(params: ModelParams, w: LoadSeries, obs: ObservationSet) -> float:
-    """Sum of squared model-vs-observation errors at the observed days.
-
-    ``inf`` when an error's square exceeds a double, as it can for valid but
-    unstable parameters.
-    """
-    p = predict_performance(
-        params.variant, params.p0, params.k1, params.k2,
-        params.fitness, params.fatigue, w, _obs_horizon(len(w), obs),
-    )
-    return _sse(p, obs.entries)
 
 
 def r_squared(predicted: Sequence[float], obs: ObservationSet) -> float:

@@ -35,15 +35,18 @@ floating-point operations in the same order. One private rule,
 ``_side_args``, maps a side to its shape's arguments (the rates above) for
 every one of these callers.
 
-The delayed variants come in two algebraically equivalent forms: a one-step
-recursion and an explicit exponentially-weighted history sum ("convolution"
-form). Both are exposed; equality is a tested invariant, not an assumption.
+Every variant also has an algebraically equivalent second form, the explicit
+exponentially weighted history sum ("convolution" form)
+g(n) = sum_{i<n} c(i) e^{-(n-i)/tau_decay} with c(i) = w(i) - sum_j r_j g(i-j).
+It is one function, ``_convolution``, at the rates ``_side_args`` gives;
+``eval_classical`` and the ``eval_*_convolution`` check routes run it. Its
+equality with the recursion is a tested invariant, not an assumption.
 
 Lag time constants use ``math.inf`` as the exact "no lag term" sentinel
 (1/inf == 0.0), so reductions between variants are exact rather than
 approximate. All functions here are pure and safe to call concurrently.
-numpy is imported only inside the convolution check routes, so simulating a
-variant never loads it.
+numpy is imported only inside ``_convolution``, so simulating a variant never
+loads it.
 """
 
 from __future__ import annotations
@@ -138,6 +141,10 @@ def _check_lag(tau: float, name: str, allow_negative: bool = False) -> None:
         raise ParameterError(f"{name} must be nonzero and not NaN (or +inf), got {_shown(tau)}")
     if not allow_negative and tau < 0.0:
         raise ParameterError(f"{name} must be > 0 or +inf, got {_shown(tau)}")
+    x = float(tau)  # a ratio such as a Fraction can round to 0.0
+    if x == 0.0 or math.isinf(1.0 / x):
+        raise ParameterError(f"{name} is too small: its lag rate 1/{name} overflows, "
+                             f"got {_shown(tau)}")
 
 
 def _lag_rate(tau: float) -> float:
@@ -289,7 +296,8 @@ class ThreeDelayParams(_Record):
     """Decay constant plus lag constants for delays of 1, 2 and 3 days.
 
     Lag constants are normally positive or +inf, but any nonzero finite value
-    is accepted: ``kernel_to_three_delay`` with a positive kernel gain maps to
+    whose rate 1/tau is a finite double (|tau| above about 5.6e-309) is
+    accepted: ``kernel_to_three_delay`` with a positive kernel gain maps to
     negative lag constants, and the recursion stays perfectly well defined.
     """
 
@@ -516,25 +524,11 @@ class FitConfig(_Record):
 # not LoadSeries or side objects. The per-side path kernels power the public
 # operations below; the performance kernels after them advance both sides of
 # a variant and combine them in one pass, for forecasts and fit objectives.
+# The history sum has no kernel here: ``_convolution``, beside ``_recursive``,
+# runs it for every variant at the rates ``_side_args`` gives.
 # Arithmetic ordering inside the recursions is mirrored by the fine-grid
 # integrator so that its m=1 reduction is bit-identical.
 # ---------------------------------------------------------------------------
-
-
-def classical_path(w, tau_decay: float, horizon: int) -> list[float]:
-    """Literal load-history sum g(n) = sum_{i<n} w(i) e^{-(n-i)/tau}."""
-    import numpy as np
-
-    if horizon == 1:
-        return [0.0]
-    wv = np.asarray(w[: horizon - 1], dtype=float)
-    with np.errstate(over="ignore"):  # d / tau beyond a double: e^{-inf} is exactly 0
-        decay = np.exp(-np.arange(1, horizon, dtype=float) / tau_decay)
-    conv = np.convolve(wv, decay)
-    out = [0.0] * horizon
-    for n in range(1, horizon):
-        out[n] = float(conv[n - 1])
-    return out
 
 
 # Loop shape: per-day indexing dominated these kernels' cost, so they stream w
@@ -700,11 +694,34 @@ def _recursive(variant: str, w: LoadSeries, params, horizon: int) -> StateSeries
     return StateSeries(path(w.values, *args, horizon))
 
 
-def eval_classical(w: LoadSeries, params: FirstOrderParams, horizon: int) -> StateSeries:
-    """Evaluate the classical first-order model as the explicit history sum."""
-    _check_side("classical", params, "params")
+def _convolution(variant: str, w: LoadSeries, params, horizon: int) -> StateSeries:
+    """A side's state path as the explicit history sum of its shape at the
+    rates ``_side_args`` gives: g(n) = sum_{i=1}^{n-1} c(i) e^{-(n-i)/tau} with
+    c(i) = w(i) - sum_j r_j g(i-j) and zero history before day 0. It reaches the
+    step recursion's states by other arithmetic, so it is a check route for it."""
+    import numpy as np
+
+    _check_side(variant, params, "params")
     horizon = _check_horizon(w, horizon)
-    return StateSeries(classical_path(w.values, params.tau_decay, horizon))
+    tau, *rates = _side_args(variant, _field_values(params))
+    wv = w.values
+    with np.errstate(over="ignore"):  # d / tau beyond a double: e^{-inf} is exactly 0
+        decay = np.exp(-np.arange(horizon, dtype=float) / tau)  # decay[d] = e^{-d/tau}
+    g = [0.0] * horizon
+    c = np.zeros(horizon)  # c[i], defined for i >= 1
+    for i in range(1, horizon - 1):
+        ci = wv[i]
+        for j, r in enumerate(rates[:i], 1):  # lag 1 first; lags before day 0 add nothing
+            ci -= r * g[i - j]
+        c[i] = ci
+        g[i + 1] = float(np.dot(c[1:i + 1], decay[i:0:-1]))
+    return StateSeries(g)
+
+
+def eval_classical(w: LoadSeries, params: FirstOrderParams, horizon: int) -> StateSeries:
+    """Evaluate the classical first-order model as the explicit history sum
+    g(n) = sum_{i=1}^{n-1} w(i) e^{-(n-i)/tau} (the history sum at rate 0.0)."""
+    return _convolution("classical", w, params, horizon)
 
 
 def eval_single_delay_recursive(
@@ -724,21 +741,7 @@ def eval_single_delay_convolution(
     An independent arithmetic route to the same trajectory; the two must agree
     to 1e-9 relative (tested invariant).
     """
-    import numpy as np
-
-    _check_side("single_delay", params, "params")
-    horizon = _check_horizon(w, horizon)
-    tau = params.tau_decay
-    rate = _lag_rate(params.tau_lag1)
-    wv = w.values
-    with np.errstate(over="ignore"):  # d / tau beyond a double: e^{-inf} is exactly 0
-        decay = np.exp(-np.arange(horizon, dtype=float) / tau)  # decay[d] = e^{-d/tau}
-    g = np.zeros(horizon)
-    c = np.zeros(horizon)  # c[i] = w(i) - rate * g(i-1), defined for i >= 1
-    for n in range(2, horizon):
-        c[n - 1] = wv[n - 1] - rate * g[n - 2]
-        g[n] = float(np.dot(c[1:n], decay[n - 1:0:-1]))
-    return StateSeries(g.tolist())
+    return _convolution("single_delay", w, params, horizon)
 
 
 def eval_three_delay_recursive(
@@ -751,43 +754,13 @@ def eval_three_delay_recursive(
 def eval_three_delay_convolution(
     w: LoadSeries, params: ThreeDelayParams, horizon: int
 ) -> StateSeries:
-    """Three-lag model as the expanded, grouped history sum.
+    """Same model as :func:`eval_three_delay_recursive`, evaluated as the
+    explicit history sum g(n) = sum_{i=1}^{n-1} [w(i) - sum_j (1/tau_lag_j) g(i-j)] e^{-(n-i)/tau}.
 
-    The grouped form folds the three lag sums into one weighted history sum
-    plus separated boundary terms in g(n-3) and g(n-2):
-
-        g(n) = sum_{i=1}^{n-1} w(i) e^{-(n-i)/tau}
-             - sum_{i=1}^{n-3} g(i-1) [r1 e^{-d/tau} + r2 e^{-(d-1)/tau} + r3 e^{-(d-2)/tau}]
-             - g(n-3) [r1 e^{-2/tau} + r2 e^{-1/tau}]
-             - g(n-2) r1 e^{-1/tau}
-
-    with d = n - i and r_j the lag rates 1/tau_lag_j. Every weight is read off
-    the decay array e^{-d/tau}, so no growing exponential is computed and a
-    tiny tau cannot overflow. Kept deliberately in this shape as an
-    independent check on the recursion.
+    An independent arithmetic route to the same trajectory; the two must agree
+    to 1e-9 relative (tested invariant).
     """
-    import numpy as np
-
-    _check_side("three_delay", params, "params")
-    horizon = _check_horizon(w, horizon)
-    tau = params.tau_decay
-    r1 = _lag_rate(params.tau_lag1)
-    r2 = _lag_rate(params.tau_lag2)
-    r3 = _lag_rate(params.tau_lag3)
-    wv = np.asarray(w.values[:horizon], dtype=float)
-    with np.errstate(over="ignore"):  # d / tau beyond a double: e^{-inf} is exactly 0
-        decay = np.exp(-np.arange(horizon, dtype=float) / tau)
-    lagged = r1 * decay[3:] + r2 * decay[2:-1] + r3 * decay[1:-2]  # lagged[d - 3], d >= 3
-    g = np.zeros(horizon)
-    for n in range(2, horizon):
-        total = float(np.dot(wv[1:n], decay[n - 1:0:-1]))
-        if n >= 4:
-            total -= float(np.dot(g[0 : n - 3], lagged[n - 4::-1]))
-        if n >= 3:
-            total -= g[n - 3] * (r1 * decay[2] + r2 * decay[1])
-        total -= g[n - 2] * (r1 * decay[1])
-        g[n] = total
-    return StateSeries(g.tolist())
+    return _convolution("three_delay", w, params, horizon)
 
 
 def eval_kernel_recursive(w: LoadSeries, params: KernelParams, horizon: int) -> StateSeries:

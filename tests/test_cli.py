@@ -511,6 +511,25 @@ class TestPredict:
         assert err.strip() == "error: prediction failed: forecast is not finite from day 1204"
         assert not (tmp_path / "out").exists()
 
+    def test_lag_whose_rate_overflows_is_data_error(self, tmp_path, capsys):
+        # a lag constant of 5e-324 days has no finite rate 1/tau_lag1; the
+        # forecast was NaN from day 1 and exited 3
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({
+            "variant": "single_delay", "p0": 500.0, "k1": 0.1, "k2": 0.1,
+            "fitness": {"tau_decay": 5.0, "tau_lag1": 5e-324},
+            "fatigue": {"tau_decay": 5.0},
+        }))
+        out = tmp_path / "out"
+        code = main([
+            "predict", "--load", str(DATA / "load.csv"), "--params", str(params),
+            "--horizon", "6", "--out", str(out),
+        ])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "tau_lag1 is too small: its lag rate 1/tau_lag1 overflows" in err
+        assert not out.exists()
+
     def test_finite_forecast_wider_than_a_double_when_padded_is_charted(self, tmp_path, capsys):
         # a fitness lag of ~1.3e-6 days swings the finite forecast across the
         # double range; the chart's padded range overflowed and exited 3

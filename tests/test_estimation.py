@@ -119,36 +119,30 @@ class TestBoundsAndConfig:
         assert type(config.tolerance) is np.float32 and type(config.fix_p0) is np.float64
 
 
-class TestSseObjective:
-    def test_self_consistency_zero(self, load_120, true_params, clean_observations):
-        sse = ff.sse_objective(true_params, load_120, clean_observations)
-        assert sse <= 1e-18
+class TestFitObjective:
+    """The objective every start minimizes: ``_FitProblem.sse`` at a search point."""
 
-    def test_single_observation_off_by_two(self):
-        w = ff.LoadSeries((0.0,) * 10)
-        params = fixture_params()  # zero load -> constant p0 = 500
-        obs = ff.ObservationSet(((4, 502.0),))
-        assert ff.sse_objective(params, w, obs) == pytest.approx(4.0, abs=1e-12)
-
-    def test_matches_two_pass_reference(self, load_120, true_trajectory):
+    def test_matches_two_pass_reference(self, load_120):
         rng = np.random.default_rng(88)
-        params = ff.ModelParams(
-            "single_delay", 480.0, 0.2, 0.15,
-            ff.SingleDelayParams(30.0, 12.0), ff.SingleDelayParams(9.0, 6.0),
-        )
         days = sorted(rng.choice(np.arange(1, 120), size=15, replace=False).tolist())
         obs = ff.ObservationSet(tuple((int(d), float(rng.uniform(400, 600))) for d in days))
-        got = ff.sse_objective(params, load_120, obs)
-        # independent two-pass reference: full trajectory, then residual pass
+        row = models.variant_row("single_delay")
+        problem = estimation._FitProblem(row, load_120, obs, ff.ParamBounds(), None)
+        z = problem.embed(ff.ModelParams(
+            "single_delay", 480.0, 0.2, 0.15,
+            ff.SingleDelayParams(30.0, 12.0), ff.SingleDelayParams(9.0, 6.0),
+        ))
+        got = problem.sse(z)
+        # independent two-pass reference at the decoded parameters: full
+        # trajectory, then residual pass
+        p0, k1, k2, fitness, fatigue = problem.decode(z)
+        params = ff.ModelParams(
+            "single_delay", p0, k1, k2, row.side(*fitness), row.side(*fatigue)
+        )
         p = performance(load_120, params, 120)
         residuals = [p[d] - y for d, y in obs.entries]
         expected = float(np.dot(residuals, residuals))
         assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_out_of_range_day(self, load_120, true_params):
-        obs = ff.ObservationSet(((120, 500.0),))
-        with pytest.raises(ObservationError):
-            ff.sse_objective(true_params, load_120, obs)
 
     def test_overflowing_error_scores_inf(self):
         # valid but unstable parameters: p is about -3.4e160 at day 628, so a
@@ -159,7 +153,9 @@ class TestSseObjective:
             ff.ThreeDelayParams(45.0, 0.5, 0.5, 0.5), ff.ThreeDelayParams(15.0),
         )
         obs = ff.ObservationSet(((628, 500.0), (629, 501.0)))
-        assert ff.sse_objective(params, w, obs) == math.inf
+        row = models.variant_row("three_delay")
+        problem = estimation._FitProblem(row, w, obs, ff.ParamBounds(), None)
+        assert problem.sse(problem.embed(params)) == math.inf
         assert ff.r_squared(performance(w, params, 630), obs) == -math.inf
 
 
@@ -191,6 +187,12 @@ class TestRSquared:
         obs = ff.ObservationSet(((1, 5.0),))
         with pytest.raises(MetricError):
             ff.r_squared([0.0, 5.0], obs)
+
+    def test_out_of_range_day(self, true_trajectory):
+        obs = ff.ObservationSet(((100, 500.0), (120, 500.0)))
+        message = "^observation day 120 is outside the horizon 120$"
+        with pytest.raises(ObservationError, match=message):
+            ff.r_squared(true_trajectory, obs)
 
 
 class TestNelderMead:

@@ -249,10 +249,8 @@ class TestDomainTypes:
      SeriesLengthError, "days <int too large to print> exceeds load series length 2"),
     (lambda: PredictionTable((PredictionRow(10**5000, 0.0, 0.0, None),)), ParameterError,
      "days must be contiguous from 0; row 0 has day <int too large to print>"),
-    (lambda: ff.sse_objective(
-        ff.ModelParams("classical", 500.0, 0.1, 0.12, FO_SIDE, FO_SIDE),
-        ff.LoadSeries((0.0, 1.0)), ff.ObservationSet(((10**5000, 1.0),))), ObservationError,
-     "observation day <int too large to print> is outside the horizon 2"),
+    (lambda: ff.r_squared([500.0, 501.0], ff.ObservationSet(((10**5000, 1.0),))),
+     ObservationError, "observation day <int too large to print> is outside the horizon 2"),
     (lambda: ff.LoadSeries(10**5000), ParameterError,
      "load must be a sequence of real numbers, got <int too large to print>"),
     # a real a double holds, whose terms are too long to print
@@ -274,6 +272,13 @@ class TestDomainTypes:
      "start vector must be non-empty"),
     (lambda: ff.KernelParams(5.0, 0.1, (0.5, 0.5)), ParameterError,
      "weights must be a triple (lag-1, lag-2, lag-3)"),
+    # a lag constant whose rate 1/tau is beyond a double
+    (lambda: ff.SingleDelayParams(5.0, 5e-324), ParameterError,
+     "tau_lag1 is too small: its lag rate 1/tau_lag1 overflows, got 5e-324"),
+    (lambda: ff.ThreeDelayParams(5.0, 6.0, -5e-324, 7.0), ParameterError,
+     "tau_lag2 is too small: its lag rate 1/tau_lag2 overflows, got -5e-324"),
+    (lambda: ff.SingleDelayParams(5.0, Fraction(1, 2**1100)), ParameterError,
+     f"tau_lag1 is too small: its lag rate 1/tau_lag1 overflows, got {Fraction(1, 2**1100)!r}"),
 ], ids=["str-load", "bool-load", "int-load", "str-state", "float-weights", "str-weight",
         "none-weight", "str-weights", "str-predicted", "str-observation", "bool-observation",
         "float-day", "float-horizon", "str-horizon", "int-title", "bytes-title",
@@ -289,7 +294,8 @@ class TestDomainTypes:
         "huge-digits-oracle-days", "huge-digits-table-day", "huge-digits-observed-day",
         "huge-digits-load", "huge-digits-fraction", "int-step-load", "empty-grid-solution",
         "non-finite-number", "five-field-prediction-row", "empty-observations",
-        "infinite-bound", "observation-beyond-prediction", "empty-start", "two-weights"])
+        "infinite-bound", "observation-beyond-prediction", "empty-start", "two-weights",
+        "overflowing-lag-rate", "overflowing-negative-lag-rate", "lag-fraction-rounding-to-zero"])
 def test_each_record_rejects_a_wrong_value_with_its_own_error(make, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         make()

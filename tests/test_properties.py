@@ -12,10 +12,13 @@ that combine of its two sides' public ``eval_*_recursive`` paths. The
 reductions to the classical model (kernel gain 0, all three lags +inf) must
 be the one-lag recursion at rate 0.0 bit for bit, and a forecast of every
 lag-free model must run the no-lag pass and equal its classical forecast
-bit for bit. One more property round-trips generated parameters of every variant
-through a params document, another stores a load of Python and numpy
-reals as their floats, bit for bit, and a last one checks the range rules
-of ``ffdelay.models`` on finite reals of every type.
+bit for bit. The history-sum routes (``eval_classical`` and both convolution
+forms) must agree with their recursions to 1e-9 of the largest state so far,
+up to the first day the recursion reaches 1e200. One more property
+round-trips generated parameters of every variant through a params
+document, another stores a load of Python and numpy reals as their floats,
+bit for bit, and a last one checks the range rules of ``ffdelay.models`` on
+finite reals of every type.
 """
 
 from __future__ import annotations
@@ -268,6 +271,46 @@ def test_forecast_is_the_combine_of_recursive_paths(w, data):
         want = [p0 + (k1 * x - k2 * y) for x, y in zip(g, h)]
         got = ff.predict_performance(variant, p0, k1, k2, fitness, fatigue, w, horizon)
         assert _bits(got) == _bits(want), (variant, horizon)
+
+
+# Each history-sum route, one side of its variant, and the step recursion it
+# checks as a path kernel at lag rates computed here (classical: the one-lag
+# recursion with its lag off).
+CONVOLUTIONS = {
+    "classical": (
+        ff.eval_classical, st.builds(ff.FirstOrderParams, taus),
+        lambda wv, s, h: single_delay_path(wv, s.tau_decay, 0.0, h),
+    ),
+    "single_delay": (
+        ff.eval_single_delay_convolution, st.builds(ff.SingleDelayParams, taus, positive_lags),
+        lambda wv, s, h: single_delay_path(wv, s.tau_decay, _lag_rate(s.tau_lag1), h),
+    ),
+    "three_delay": (
+        ff.eval_three_delay_convolution,
+        st.builds(ff.ThreeDelayParams, taus, positive_lags, positive_lags, positive_lags),
+        lambda wv, s, h: three_delay_path(
+            wv, s.tau_decay, *map(_lag_rate, (s.tau_lag1, s.tau_lag2, s.tau_lag3)), h
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(CONVOLUTIONS))
+@given(w=loads(), data=st.data())
+def test_history_sum_matches_the_recursion(variant, w, data):
+    convolution, sides, recursion = CONVOLUTIONS[variant]
+    side = data.draw(sides)
+    want = recursion(w.values, side, data.draw(st.integers(1, len(w))))
+    # up to the recursion's first day at 1e200, far from overflow (an
+    # unstable lag drives the state out of the double range)
+    horizon = next((n for n, y in enumerate(want) if not abs(y) < 1e200), len(want))
+    got = convolution(w, side, horizon).values
+    assert len(got) == horizon
+    # relative to the largest magnitude so far, as for the kernel mapping
+    scale = 1.0
+    for n, (x, y) in enumerate(zip(got, want)):
+        scale = max(scale, abs(y))
+        assert abs(x - y) <= 1e-9 * scale, (n, x, y)
 
 
 # non-negative finite reals of Python and numpy types; a load starts with a zero
