@@ -3,12 +3,12 @@ documents (JSON) and standalone SVG charts.
 
 Schemas
 -------
-Load CSV          header ``day,load``; day a non-negative base-10 integer,
-                  load a non-negative decimal; missing days are rest days
-                  (load 0); day 0 must carry load 0.
-Performance CSV   header ``day,performance``; rows in any order, one per day.
+Load CSV          header ``day,load``; load a non-negative decimal; missing
+                  days are rest days (load 0); day 0 must carry load 0.
+Performance CSV   header ``day,performance``; rows in any order.
 Prediction CSV    header ``day,load,predicted,observed``; one row per day from
-                  day 0; ``observed`` empty when the day was not measured.
+                  day 0; ``observed`` empty, or its cell dropped, when the day
+                  was not measured.
 Run config        YAML mapping with keys ``variant``, ``horizon``,
                   ``bounds.*``, ``fit.*``, ``chart.*``; unknown keys are
                   errors. Every omitted key takes the documented default.
@@ -23,10 +23,13 @@ Sections are read in field order. Within one, the first value of the wrong
 kind (not a number or an integer, or a list of the wrong length) is reported;
 a record's range checks run only after its whole section has been read.
 
-In every CSV document a cell may carry surrounding whitespace, blank and
-whitespace-only rows are skipped, and the header may be in any case. Each
-document is read in one pass, so the first error in file order is the one
-reported, with its line.
+The three CSV documents are day tables, which share these rules, checked in
+one place, ``_day_rows``: the first non-blank row is the header, in any case;
+blank and whitespace-only rows are skipped; a cell may carry surrounding
+whitespace; a data row has the header's width; its day is a non-negative
+base-10 integer that no earlier row holds; and there is at least one data
+row. Each document is read in one pass, so the first fault in file order is
+the one reported, with its line.
 
 Numbers in emitted CSV use the shortest decimal form that round-trips, so
 emit/parse is an exact identity. Charts are written as plain SVG text with no
@@ -69,14 +72,18 @@ def format_number(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _csv_rows(text: str, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
-    """(line-number, cells) of each data row, in file order, after the header.
+def _day_rows(
+    text: str, header: tuple[str, ...], table: dict, optional: int = 0
+) -> Iterator[tuple[int, int, list[str]]]:
+    """(line, day, cells) of each data row of a CSV day table, in file order.
 
-    The first non-blank row must be ``header`` (any case); blank rows are
-    skipped. A row of the header's width whose first cell is not blank is
-    yielded as read, its cells possibly padded with whitespace; every other
-    row is yielded stripped, so a caller checks its width. Malformed CSV
-    raises CsvError at the row where the reader fails.
+    The one place that checks the day-table rules of the module docstring. A
+    row may lack at most ``optional`` trailing cells, which read as blank.
+    ``table`` is the caller's container of the rows read so far, keyed by day:
+    a day it holds is a duplicate, and an empty one at the end means "no data
+    rows". A full-width row whose first cell is not blank is yielded as read,
+    its cells possibly padded with whitespace; every other row is stripped.
+    Malformed CSV raises CsvError at the row where the reader fails.
     """
     reader = csv.reader(io.StringIO(text))
     rows = enumerate(reader, start=1)
@@ -94,14 +101,24 @@ def _csv_rows(text: str, header: tuple[str, ...]) -> Iterator[tuple[int, list[st
         else:
             raise CsvError(f"empty document, expected header {','.join(header)!r}")
         for line, cells in rows:
-            if len(cells) == width and cells[0] and not cells[0].isspace():
-                yield line, cells
-                continue
-            cells = [c.strip() for c in cells]
-            if any(cells):
-                yield line, cells
+            if len(cells) != width or not cells[0] or cells[0].isspace():
+                cells = [c.strip() for c in cells]
+                if not any(cells):
+                    continue
+                if not width - optional <= len(cells) <= width:
+                    raise CsvError(
+                        f"expected {width} fields ({','.join(header)}), got {len(cells)}",
+                        line=line,
+                    )
+                cells += [""] * (width - len(cells))
+            day = _parse_day(cells[0], line)
+            if day in table:
+                raise DuplicateDayError(f"duplicate day {day}", line=line)
+            yield line, day, cells
     except csv.Error as exc:
         raise CsvError(f"malformed CSV: {exc}", line=reader.line_num) from exc
+    if not table:
+        raise CsvError("no data rows")
 
 
 # int() and float() ignore the whitespace around a cell, except the separators
@@ -142,45 +159,26 @@ def parse_load_csv(text: str) -> LoadSeries:
     non-zero load on day 0 are rejected.
     """
     by_day: dict[int, float] = {}
-    for line, cells in _csv_rows(text, ("day", "load")):
-        if len(cells) != 2:
-            raise CsvError(f"expected 2 fields (day,load), got {len(cells)}", line=line)
-        day = _parse_day(cells[0], line)
+    for line, day, cells in _day_rows(text, ("day", "load"), by_day):
         load = _parse_value(cells[1], "load", line)
         if load < 0.0:
             raise CsvError(f"load must be non-negative, got {load!r}", line=line)
-        if day in by_day:
-            raise DuplicateDayError(f"duplicate day {day}", line=line)
         if day == 0 and load != 0.0:
             raise CsvError(
                 f"load at day 0 must be 0 (the model assumes w(0) = 0), got {load!r}",
                 line=line,
             )
         by_day[day] = load
-    if not by_day:
-        raise CsvError("no data rows")
     horizon = max(by_day) + 1
     return LoadSeries(tuple(map(by_day.get, range(horizon), repeat(0.0))))
 
 
 def parse_performance_csv(text: str) -> ObservationSet:
     """Parse a ``day,performance`` document; rows may arrive in any order."""
-    entries: list[tuple[int, float]] = []
-    seen: set[int] = set()
-    for line, cells in _csv_rows(text, ("day", "performance")):
-        if len(cells) != 2:
-            raise CsvError(
-                f"expected 2 fields (day,performance), got {len(cells)}", line=line
-            )
-        day = _parse_day(cells[0], line)
-        value = _parse_value(cells[1], "performance", line)
-        if day in seen:
-            raise DuplicateDayError(f"duplicate day {day}", line=line)
-        seen.add(day)
-        entries.append((day, value))
-    if not entries:
-        raise CsvError("no data rows")
-    return ObservationSet(tuple(entries))
+    by_day: dict[int, float] = {}
+    for line, day, cells in _day_rows(text, ("day", "performance"), by_day):
+        by_day[day] = _parse_value(cells[1], "performance", line)
+    return ObservationSet(tuple(by_day.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -239,25 +237,17 @@ def emit_prediction_csv(table: PredictionTable) -> str:
 
 
 def parse_prediction_csv(text: str) -> PredictionTable:
-    out: list[PredictionRow] = []
-    for line, cells in _csv_rows(text, ("day", "load", "predicted", "observed")):
-        # A trailing empty observed field may be dropped by lenient editors.
-        if len(cells) == 3:
-            cells.append("")
-        if len(cells) != 4:
-            raise CsvError(f"expected 4 fields, got {len(cells)}", line=line)
-        day = _parse_day(cells[0], line)
+    header = ("day", "load", "predicted", "observed")
+    by_day: dict[int, PredictionRow] = {}
+    # optional=1: lenient editors may drop a trailing empty observed cell
+    for line, day, cells in _day_rows(text, header, by_day, optional=1):
+        if day > len(by_day):  # the rows before this one hold days 0..len(by_day)-1
+            raise CsvError(f"day {day} skips day {len(by_day)}", line=line)
         load = _parse_value(cells[1], "load", line)
         predicted = _parse_value(cells[2], "predicted", line)
         observed = _parse_value(cells[3], "observed", line) if cells[3].strip() else None
-        if day < len(out):  # the rows before this one hold days 0..len(out)-1
-            raise DuplicateDayError(f"duplicate day {day}", line=line)
-        if day > len(out):
-            raise CsvError(f"day {day} skips day {len(out)}", line=line)
-        out.append(PredictionRow(day, load, predicted, observed))
-    if not out:
-        raise CsvError("no data rows")
-    return PredictionTable(tuple(out))
+        by_day[day] = PredictionRow(day, load, predicted, observed)
+    return PredictionTable(tuple(by_day.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -705,16 +705,18 @@ def _convolution(variant: str, w: LoadSeries, params, horizon: int) -> StateSeri
     horizon = _check_horizon(w, horizon)
     tau, *rates = _side_args(variant, _field_values(params))
     wv = w.values
-    with np.errstate(over="ignore"):  # d / tau beyond a double: e^{-inf} is exactly 0
-        decay = np.exp(-np.arange(horizon, dtype=float) / tau)  # decay[d] = e^{-d/tau}
     g = [0.0] * horizon
     c = np.zeros(horizon)  # c[i], defined for i >= 1
-    for i in range(1, horizon - 1):
-        ci = wv[i]
-        for j, r in enumerate(rates[:i], 1):  # lag 1 first; lags before day 0 add nothing
-            ci -= r * g[i - j]
-        c[i] = ci
-        g[i + 1] = float(np.dot(c[1:i + 1], decay[i:0:-1]))
+    # d / tau beyond a double makes e^{-inf}, exactly 0; a state beyond a double
+    # is left to StateSeries, which refuses it as the recursion routes do
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay = np.exp(-np.arange(horizon, dtype=float) / tau)  # decay[d] = e^{-d/tau}
+        for i in range(1, horizon - 1):
+            ci = wv[i]
+            for j, r in enumerate(rates[:i], 1):  # lag 1 first; lags before day 0 add nothing
+                ci -= r * g[i - j]
+            c[i] = ci
+            g[i + 1] = float(np.dot(c[1:i + 1], decay[i:0:-1]))
     return StateSeries(g)
 
 

@@ -24,7 +24,7 @@ from typing import Sequence
 from .errors import ParameterError
 from .models import (
     LoadSeries, SingleDelayParams, ThreeDelayParams, _as_int, _check_horizon, _check_side,
-    _lag_rate, _Record, _shown,
+    _field_values, _Record, _shown, _side_args,
 )
 
 
@@ -60,14 +60,14 @@ class GridSolution(_Record):
         return self.values[:: self.substeps_per_day]
 
 
-def _integrate(
-    w: StepLoad, tau_decay: float, rates: tuple[float, ...], days: int, substeps: int
-) -> GridSolution:
-    """Both equations' loop: lag d reads g d days back at rate ``rates[d - 1]``, 0.0 before
-    day d. Its terms are subtracted in turn, in the order of each day recursion at m = 1."""
-    days = _as_int(days, "days")
-    m = _as_int(substeps, "substeps", least=1)
+def _integrate(variant: str, w: StepLoad, params, days: int, substeps: int) -> GridSolution:
+    """Both equations' loop at the rates ``_side_args`` gives: lag d reads g d days
+    back at rate ``rates[d - 1]``, 0.0 before day d. Its terms are subtracted in
+    turn, in the order of each day recursion at m = 1."""
+    _check_side(variant, params, "params")
+    tau_decay, *rates = _side_args(variant, _field_values(params))
     days = _check_horizon(w, days, "days")
+    m = _as_int(substeps, "substeps", least=1)
     h = 1.0 / m
     a = exp(-h / tau_decay)
     lags = [(d * m, h * r) for d, r in enumerate(rates, 1)]
@@ -85,17 +85,14 @@ def integrate_single_delay(
     w: StepLoad, params: SingleDelayParams, days: int, substeps: int
 ) -> GridSolution:
     """Integrate the single-delay equation over [0, days] with m substeps/day."""
-    _check_side("single_delay", params, "params")
-    return _integrate(w, params.tau_decay, (_lag_rate(params.tau_lag1),), days, substeps)
+    return _integrate("single_delay", w, params, days, substeps)
 
 
 def integrate_three_delay(
     w: StepLoad, params: ThreeDelayParams, days: int, substeps: int
 ) -> GridSolution:
     """Integrate the three-delay equation (zero history on [-3, 0])."""
-    _check_side("three_delay", params, "params")
-    rates = tuple(map(_lag_rate, (params.tau_lag1, params.tau_lag2, params.tau_lag3)))
-    return _integrate(w, params.tau_decay, rates, days, substeps)
+    return _integrate("three_delay", w, params, days, substeps)
 
 
 def convergence_probe(

@@ -14,7 +14,7 @@ import pytest
 
 import ffdelay as ff
 from ffdelay.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
-from ffdelay.dataio import format_number, parse_prediction_csv
+from ffdelay.dataio import dumps_params, format_number, parse_prediction_csv
 from ffdelay.models import VARIANT_TABLE
 from helpers import block_load, fixture_params, observation_days, performance, sup_rel_diff
 
@@ -717,6 +717,44 @@ class TestArtifacts:
         assert capsys.readouterr().err.startswith(f"error: cannot write artifacts to {out}: ")
         left = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
         assert left == expected
+
+    # every command and the artifacts it writes, in writing order
+    WRITES = {
+        "fit": ["params.json", "predictions.csv", "fit_chart.svg", "load_chart.svg"],
+        "predict": ["predictions.csv", "prediction_chart.svg"],
+        "simulate": ["trajectory.csv", "state_chart.svg"],
+        "compare": ["comparison.csv"],
+    }
+
+    @pytest.mark.parametrize("command, blocked", [
+        (command, name) for command, names in WRITES.items() for name in names
+    ])
+    def test_a_write_failing_on_any_artifact_keeps_the_earlier_run(
+        self, tmp_path, fast_config, capsys, command, blocked
+    ):
+        params = tmp_path / "params.json"
+        params.write_text(dumps_params(fixture_params()))
+        fit_inputs = ["--load", str(DATA / "load.csv"), "--perf", str(DATA / "performance.csv"),
+                      "--config", str(fast_config)]
+        argv = {
+            "fit": ["fit", *fit_inputs],
+            "predict": ["predict", "--load", str(DATA / "load.csv"), "--params", str(params),
+                        "--horizon", "60"],
+            "simulate": self.SIMULATE,
+            "compare": ["compare", *fit_inputs],
+        }[command]
+        out = tmp_path / "out"
+        out.mkdir()
+        earlier = {name: f"earlier {name}\n" for name in self.WRITES[command] if name != blocked}
+        for name, text in earlier.items():
+            (out / name).write_text(text)
+        (out / blocked).mkdir()  # no rename replaces a directory
+        assert main([*argv, "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: cannot write artifacts to {out}: ")
+        assert not [p for p in out.iterdir() if p.name.endswith((".tmp", ".tmp.old"))]
+        assert sorted(p.name for p in out.iterdir()) == sorted([*earlier, blocked])
+        assert {name: (out / name).read_text() for name in earlier} == earlier
+        assert (out / blocked).is_dir() and not any((out / blocked).iterdir())
 
     def test_failed_rerun_keeps_the_earlier_artifacts(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -211,6 +211,26 @@ def test_parsers_read_a_padded_document_as_its_stripped_form(name, data):
     assert _outcome(parse, messy) == _outcome(parse, stripped)
 
 
+@pytest.mark.parametrize("name", PARSERS)
+def test_parsers_word_and_place_the_shared_faults_alike(name):
+    parse, header, _ = PARSERS[name]
+    head = ",".join(header)
+    def row(day, width=len(header)):
+        return ",".join([str(day)] + ["0"] * (width - 1)) + "\n"
+
+    faults = [  # a too-wide row, a repeated day, a header-only and an empty document
+        (f"{head}\n{row(0)}{row(1, len(header) + 1)}", CsvError,
+         f"line 3: expected {len(header)} fields ({head}), got {len(header) + 1}"),
+        (f"{head}\n{row(0)}{row(1)}\n{row(1)}", DuplicateDayError, "line 5: duplicate day 1"),
+        (f"\n{head}\n \n", CsvError, "no data rows"),
+        (" \n", CsvError, f"empty document, expected header {head!r}"),
+    ]
+    for text, error, message in faults:
+        with pytest.raises(CsvError) as info:
+            parse(text)
+        assert (type(info.value), str(info.value)) == (error, message)
+
+
 class TestParsePerformanceCsv:
     def test_basic(self):
         obs = parse_performance_csv("day,performance\n7,512\n14,498\n")

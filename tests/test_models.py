@@ -20,6 +20,7 @@ from ffdelay.errors import (
 )
 from ffdelay.models import _Record, _field_dict, _field_values
 from helpers import (
+    block_load,
     performance,
     random_kernel,
     random_load,
@@ -262,7 +263,7 @@ class TestDomainTypes:
     # the remaining library checks
     (lambda: format_number(math.inf), ParameterError, "cannot format non-finite value inf"),
     (lambda: parse_prediction_csv("day,load,predicted,observed\n0,0,500,,1\n"), CsvError,
-     "line 2: expected 4 fields, got 5"),
+     "line 2: expected 4 fields (day,load,predicted,observed), got 5"),
     (lambda: ff.ObservationSet(()), ObservationError, "observation set must not be empty"),
     (lambda: ff.ParamBounds(p0=(0.0, math.inf)), ParameterError,
      "bounds for p0 must be finite, got (0.0, inf)"),
@@ -356,6 +357,33 @@ def test_single_side_functions_reject_another_variants_side(function, other):
                f"got {type(SIDE_OF[other]).__name__}$")
     with pytest.raises(ParameterError, match=message):
         call(SIDE_OF[other])
+
+
+# each history-sum route, a side whose state leaves the double range on its load,
+# and the recursion that runs the same side (single-delay at +inf lag: classical)
+UNSTABLE = {
+    "eval_classical": (ff.eval_classical, ff.FirstOrderParams(45.0),
+                       ff.eval_single_delay_recursive, ff.SingleDelayParams(45.0),
+                       ff.LoadSeries((0.0,) + (1e308,) * 9)),
+    "eval_single_delay_convolution": (ff.eval_single_delay_convolution,
+                                      ff.SingleDelayParams(45.0, 0.2),
+                                      ff.eval_single_delay_recursive,
+                                      ff.SingleDelayParams(45.0, 0.2), block_load(1500)),
+    "eval_three_delay_convolution": (ff.eval_three_delay_convolution,
+                                     ff.ThreeDelayParams(45.0, 0.5, 0.5, 0.5),
+                                     ff.eval_three_delay_recursive,
+                                     ff.ThreeDelayParams(45.0, 0.5, 0.5, 0.5), block_load(1500)),
+}
+
+
+@pytest.mark.parametrize("route", UNSTABLE)
+def test_history_sum_routes_refuse_a_state_beyond_the_doubles_as_the_recursions_do(route):
+    # they emitted numpy's RuntimeWarning ("overflow"/"invalid value encountered in dot")
+    history_sum, side, recursion, same_side, w = UNSTABLE[route]
+    with pytest.raises(ParameterError, match="is not finite") as expected:
+        recursion(w, same_side, len(w))
+    with pytest.raises(ParameterError, match=f"^{re.escape(str(expected.value))}$"):
+        history_sum(w, side, len(w))
 
 
 # ---------------------------------------------------------------------------
