@@ -9,11 +9,14 @@ Four subcommands wire the library into the full workflow:
 
 Each ``cmd_*`` is a function of the parsed arguments that returns its artifacts
 (file name -> text) and summary lines, or raises ``_Failure`` with an exit code
-and a message. ``main`` alone parses, runs the command, writes its artifacts,
-prints and returns the code. Exit codes: 0 success, 1 usage error, 2 data error
-(an unreadable or invalid input, or artifacts that cannot be written), 3
-numerical failure or internal error (an unexpected exception; the last line of
-stderr reads ``error: internal error: <Type>: <message>``). All artifacts are
+and a message; ``_exit_on`` turns a library fault into that failure. ``main``
+alone parses, runs the command, writes its artifacts, prints and returns the
+code. Exit codes: 0 success, 1 usage error (such as ``error: argument --horizon:
+expected an integer >= 1, got '0'``), 2 data error (an unreadable or invalid
+input, named in the message as in ``error: perf.csv: line 3: duplicate day 1``,
+or artifacts that cannot be written), 3 numerical failure or internal error (an
+unexpected exception; the last line of stderr reads
+``error: internal error: <Type>: <message>``). All artifacts are
 computed before anything is written. Each is written to a temporary file, and
 only when all are written are they renamed into place; if writing fails, this
 run's temporaries and renamed artifacts are removed and the files they replaced
@@ -48,7 +51,7 @@ from .dataio import (
     render_fit_chart,
     render_load_chart,
 )
-from .errors import FfdelayError, SeriesLengthError
+from .errors import FfdelayError
 from .estimation import _obs_horizon, _sst, compare_variants, fit_variant
 from .models import (
     VARIANTS,
@@ -81,18 +84,27 @@ class _Failure(Exception):
         self.code = code
 
 
+@contextlib.contextmanager
+def _exit_on(code: int, prefix: str = ""):
+    """A library fault (``FfdelayError``) raised in the block ends the command
+    as ``_Failure(code, prefix + message)``; any other exception passes as it is."""
+    try:
+        yield
+    except FfdelayError as exc:
+        raise _Failure(code, f"{prefix}{exc}") from exc
+
+
 def _parse(parse, path: str):
     """``parse`` of the UTF-8 text in file ``path``, less a leading byte-order
-    mark (spreadsheets write one); any fault is a data error."""
+    mark (spreadsheets write one); any fault is a data error naming ``path``."""
     try:
-        return parse(Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff"))
+        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
-        message = f"cannot read {path}: {exc.strerror or exc}"
+        raise _Failure(EXIT_DATA, f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        message = f"{path} is not valid UTF-8: {exc}"
-    except FfdelayError as exc:
-        message = str(exc)
-    raise _Failure(EXIT_DATA, message)
+        raise _Failure(EXIT_DATA, f"{path} is not valid UTF-8: {exc}") from exc
+    with _exit_on(EXIT_DATA, f"{path}: "):
+        return parse(text)
 
 
 def _write(out_dir: str, artifacts: dict[str, str]) -> list[Path]:
@@ -160,12 +172,10 @@ def _load_fit_inputs(
     w = _parse(parse_load_csv, args.load)
     obs = _parse(parse_performance_csv, args.perf)
     config = _parse(load_config, args.config)
-    try:  # the fitter's own rules, so a fit cannot meet them later
+    with _exit_on(EXIT_DATA):  # the fitter's own rules, so a fit cannot meet them later
         horizon = _check_horizon(w, config.horizon or len(w))  # a config horizon is >= 1
         _obs_horizon(horizon, obs)
         _sst(obs)
-    except FfdelayError as exc:
-        raise _Failure(EXIT_DATA, str(exc)) from exc
     fit_config = config.fit
     if args.seed is not None:
         fit_config = FitConfig(**{**_field_dict(fit_config), "seed": args.seed})
@@ -177,10 +187,8 @@ def _load_fit_inputs(
 def cmd_fit(args: argparse.Namespace) -> _Artifacts:
     """Fit the configured variant: params, predictions and charts."""
     w, obs, config, fit_config = _load_fit_inputs(args)
-    try:
+    with _exit_on(EXIT_NUMERIC, "fit failed: "):
         result = fit_variant(w, obs, config.bounds, fit_config, config.variant)
-    except FfdelayError as exc:
-        raise _Failure(EXIT_NUMERIC, f"fit failed: {exc}") from exc
     if result.starts_converged == 0:
         raise _Failure(
             EXIT_NUMERIC, f"no start converged within {fit_config.max_iterations} iterations"
@@ -207,17 +215,13 @@ def cmd_fit(args: argparse.Namespace) -> _Artifacts:
 
 def cmd_predict(args: argparse.Namespace) -> _Artifacts:
     """Forward-run a parameter document over the requested horizon."""
-    if args.horizon < 1:
-        raise _Failure(EXIT_USAGE, f"horizon must be >= 1, got {args.horizon}")
     w = _parse(parse_load_csv, args.load)
     params = _parse(parse_params, args.params)
-    try:
+    with _exit_on(EXIT_DATA):  # params are a checked ModelParams; only the horizon fails
         predicted = predict_performance(
             params.variant, params.p0, params.k1, params.k2,
             params.fitness, params.fatigue, w, args.horizon,
         )
-    except SeriesLengthError as exc:  # params are a checked ModelParams; only the horizon fails
-        raise _Failure(EXIT_DATA, str(exc)) from exc
     _check_finite(predicted, "prediction failed: forecast")  # valid but unstable parameters
 
     table = build_prediction_table(w, predicted)
@@ -259,10 +263,8 @@ def cmd_simulate(args: argparse.Namespace) -> _Artifacts:
             f"variant {variant} {problem}\n"
             f"usage: ffdelay simulate --load <csv> --variant {variant} {flags} --out <dir>",
         )
-    try:
+    with _exit_on(EXIT_USAGE, "invalid parameters: "):
         side = row.side(*(given[f] for f in row.flags))
-    except FfdelayError as exc:
-        raise _Failure(EXIT_USAGE, f"invalid parameters: {exc}") from exc
     w = _parse(parse_load_csv, args.load)
     if variant == "classical":
         side = SingleDelayParams(side.tau_decay)
@@ -271,10 +273,8 @@ def cmd_simulate(args: argparse.Namespace) -> _Artifacts:
         "three_delay": eval_three_delay_recursive,
         "kernel": eval_kernel_recursive,
     }.get(variant, eval_single_delay_recursive)
-    try:
+    with _exit_on(EXIT_NUMERIC, "simulation failed: "):  # valid but unstable parameters
         state = evaluate(w, side, horizon)
-    except FfdelayError as exc:  # valid but unstable parameters
-        raise _Failure(EXIT_NUMERIC, f"simulation failed: {exc}") from exc
 
     pairs = enumerate(zip(w.values, state.values))
     trajectory_csv = "day,load,state\n" + "".join(
@@ -291,10 +291,8 @@ def cmd_simulate(args: argparse.Namespace) -> _Artifacts:
 def cmd_compare(args: argparse.Namespace) -> _Artifacts:
     """Fit all four variants on the same data: a comparison table."""
     w, obs, config, fit_config = _load_fit_inputs(args)
-    try:
+    with _exit_on(EXIT_NUMERIC, "fit failed: "):
         results = compare_variants(w, obs, config.bounds, fit_config)
-    except FfdelayError as exc:
-        raise _Failure(EXIT_NUMERIC, f"fit failed: {exc}") from exc
     if any(r.starts_converged == 0 for r in results):
         stuck = ", ".join(r.variant for r in results if r.starts_converged == 0)
         raise _Failure(EXIT_NUMERIC, f"no start converged for variant(s): {stuck}")
@@ -323,14 +321,14 @@ class _Parser(argparse.ArgumentParser):
         raise _Failure(EXIT_USAGE, message)
 
 
-def _seed_flag(value: str) -> int:
-    try:
-        seed = int(value)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value!r}")
-    return seed
+def _int_flag(least: int):
+    """The argparse type of a flag that takes an integer of at least ``least``."""
+    def read(value: str) -> int:
+        with contextlib.suppress(ValueError):
+            if (number := int(value)) >= least:
+                return number
+        raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {value!r}")
+    return read
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit_flags = argparse.ArgumentParser(add_help=False, parents=[io_flags])  # fit and compare
     fit_flags.add_argument("--perf", required=True, help="performance CSV (day,performance)")
     fit_flags.add_argument("--config", required=True, help="YAML run configuration")
-    fit_flags.add_argument("--seed", type=_seed_flag, default=None, help="override fit.seed")
+    fit_flags.add_argument("--seed", type=_int_flag(0), default=None, help="override fit.seed")
 
     sub.add_parser(
         "fit", parents=[fit_flags], help="fit parameters to observed performance"
@@ -358,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         "predict", parents=[io_flags], help="predict performance from fitted parameters"
     )
     p_pred.add_argument("--params", required=True, help="params JSON from a prior fit")
-    p_pred.add_argument("--horizon", required=True, type=int, help="days to predict")
+    p_pred.add_argument("--horizon", required=True, type=_int_flag(1), help="days to predict")
     p_pred.set_defaults(command=cmd_predict)
 
     p_sim = sub.add_parser(

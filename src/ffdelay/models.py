@@ -44,9 +44,10 @@ equality with the recursion is a tested invariant, not an assumption.
 
 Lag time constants use ``math.inf`` as the exact "no lag term" sentinel
 (1/inf == 0.0), so reductions between variants are exact rather than
-approximate. All functions here are pure and safe to call concurrently.
-numpy is imported only inside ``_convolution``, so simulating a variant never
-loads it.
+approximate. A function here changes neither its arguments nor module state,
+so it is safe to call concurrently; ``kernel_to_three_delay`` also issues a
+``UserWarning`` for a positive kernel gain. numpy is imported only inside
+``_convolution``, so simulating a variant never loads it.
 """
 
 from __future__ import annotations

@@ -142,7 +142,7 @@ class TestFit:
             "--config", str(config), "--out", str(tmp_path / "out"),
         ])
         assert code == EXIT_DATA
-        assert capsys.readouterr().err.startswith("error: invalid YAML: ")
+        assert capsys.readouterr().err.startswith(f"error: {config}: invalid YAML: ")
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_chart_size_is_data_error(self, tmp_path, capsys):
@@ -165,7 +165,8 @@ class TestFit:
         ])
         assert code == EXIT_DATA
         assert capsys.readouterr().err.strip() == (
-            "error: chart: width must be > 95 to leave a plot area inside the margins, got 60.0"
+            f"error: {config}: chart: width must be > 95 to leave a plot area inside the margins,"
+            " got 60.0"
         )
         assert not (tmp_path / "out").exists()
 
@@ -178,7 +179,9 @@ class TestFit:
             "--config", str(config), "--out", str(tmp_path / "out"),
         ])
         assert code == EXIT_DATA
-        assert capsys.readouterr().err.strip() == f"error: chart: title must not contain {point}"
+        assert capsys.readouterr().err.strip() == (
+            f"error: {config}: chart: title must not contain {point}"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_load_that_is_not_utf8_is_data_error(self, tmp_path, fast_config, capsys):
@@ -334,7 +337,7 @@ class TestFit:
         ])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.strip() == "error: argument --seed: expected a non-negative integer, got 'abc'"
+        assert err.strip() == "error: argument --seed: expected an integer >= 0, got 'abc'"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fit", "compare"])
@@ -346,7 +349,7 @@ class TestFit:
         ])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.strip() == "error: argument --seed: expected a non-negative integer, got '-1'"
+        assert err.strip() == "error: argument --seed: expected an integer >= 0, got '-1'"
         assert not out.exists()
 
 
@@ -429,7 +432,7 @@ class TestPredict:
             "--horizon", "60", "--out", str(out),
         ])
         assert code == EXIT_DATA
-        assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert capsys.readouterr().err.strip() == f"error: {params}: {message}"
         assert not out.exists()
 
     def test_one_day_horizon(self, tmp_path):
@@ -487,7 +490,7 @@ class TestPredict:
             "--horizon", "30", "--out", str(tmp_path / "out"),
         ])
         assert code == EXIT_DATA
-        assert capsys.readouterr().err.startswith("error: invalid JSON: ")
+        assert capsys.readouterr().err.startswith(f"error: {params}: invalid JSON: ")
         assert not (tmp_path / "out").exists()
 
     def test_unstable_params_are_numerical_failure(self, tmp_path, capsys):
@@ -690,6 +693,66 @@ def test_missing_command_is_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith("error: the following arguments are required: command\n")
+
+
+# The input files each command reads, by flag, and the other flags it needs
+_INPUT_FLAGS = {
+    "fit": (("--load", "--perf", "--config"), []),
+    "compare": (("--load", "--perf", "--config"), []),
+    "predict": (("--load", "--params"), ["--horizon", "30"]),
+    "simulate": (("--load",), ["--variant", "classical", "--tau1", "40"]),
+}
+_PARAMS_DOC = {
+    "variant": "classical", "p0": 440.0, "k1": 0.1, "k2": 0.3,
+    "fitness": {"tau_decay": 40.0}, "fatigue": {"tau_decay": 9.0},
+}
+# One fault for each kind of input file: its text and the start of its message
+_INPUT_FAULTS = {
+    "--load": ("day,load\n0,0\n1,5\n1,6\n", "line 4: duplicate day 1"),
+    "--perf": ("day,performance\n1,500\n1,510\n", "line 3: duplicate day 1"),
+    "--config": ("variant: [single_delay\n", "invalid YAML: "),
+    "--params": (json.dumps({**_PARAMS_DOC, "k1": 0}), "k1 must be finite and > 0, got 0"),
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, (flags, _) in _INPUT_FLAGS.items() for flag in flags
+])
+def test_every_input_fault_names_its_file(tmp_path, fast_config, capsys, command, flag):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(_PARAMS_DOC))
+    inputs = {"--load": DATA / "load.csv", "--perf": DATA / "performance.csv",
+              "--config": fast_config, "--params": params}
+    text, message = _INPUT_FAULTS[flag]
+    inputs[flag] = tmp_path / ("faulty" + inputs[flag].suffix)
+    inputs[flag].write_text(text)
+    flags, others = _INPUT_FLAGS[command]
+    out = tmp_path / "out"
+    code = main([command, *(x for f in flags for x in (f, str(inputs[f]))), *others,
+                 "--out", str(out)])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"error: {inputs[flag]}: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("load", ["load.csv", "missing.csv"])
+@pytest.mark.parametrize("flag, value, least", [
+    ("--horizon", "0", 1), ("--horizon", "-3", 1), ("--horizon", "1.5", 1),
+    ("--horizon", "abc", 1), ("--seed", "-1", 0), ("--seed", "abc", 0),
+])
+def test_integer_flags_share_one_rule(tmp_path, fast_config, capsys, load, flag, value, least):
+    # checked before any file is read, so a missing load changes nothing
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(_PARAMS_DOC))
+    files = (["predict", "--params", str(params)] if flag == "--horizon" else
+             ["fit", "--perf", str(DATA / "performance.csv"), "--config", str(fast_config)])
+    out = tmp_path / "out"
+    code = main([*files, "--load", str(DATA / load), flag, value, "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: argument {flag}: expected an integer >= {least}, got '{value}'\n"
+    )
+    assert not out.exists()
 
 
 def test_package_metadata_names_this_version_and_entry_point():
