@@ -12,16 +12,22 @@ Prediction CSV    header ``day,load,predicted,observed``; one row per day from
 Run config        YAML mapping with keys ``variant``, ``horizon``,
                   ``bounds.*``, ``fit.*``, ``chart.*``; unknown keys are
                   errors. Every omitted key takes the documented default.
-                  Each section is read field by field into its record
-                  (``ParamBounds``, ``FitConfig``, ``ChartOptions``).
+                  Each section reads as its record (``ParamBounds``,
+                  ``FitConfig``, ``ChartOptions``).
 Params document   JSON mapping with ``variant``, ``p0``, ``k1``, ``k2`` and a
                   parameter mapping per side (``fitness``/``fatigue``) whose
-                  keys are the fields of the variant's side class, read the
-                  same way; it reads back as a ``ModelParams``.
+                  keys are the fields of the variant's side class; it reads
+                  back as a ``ModelParams``, each side as a section.
 
-Sections are read in field order. Within one, the first value of the wrong
-kind (not a number or an integer, or a list of the wrong length) is reported;
-a record's range checks run only after its whole section has been read.
+Both documents are read by one recursive reader, ``_record_from_doc``, and
+their values are checked by one rule set, the records'. The reader checks
+only that a mapping has no unknown and no missing key; it turns a list into
+a tuple and, outside a text field, a string that spells a number into that
+float. So a value's fault reads as its record's message, after
+``<section>: `` in a section. A config's ``variant`` and ``horizon`` are
+checked before its sections, which are read in field order; within one
+section, the record's own check order decides which fault is reported, so
+``fit: {starts: 0, seed: 2.5}`` reports ``fit: starts must be >= 1, got 0``.
 
 The three CSV documents are day tables, which share these rules, checked in
 one place, ``_day_rows``: the first non-blank row is the header, in any case;
@@ -47,8 +53,8 @@ from typing import Iterator, NamedTuple
 
 from .errors import ConfigError, CsvError, DuplicateDayError, ParameterError
 from .models import (
-    _REQUIRED, FitConfig, LoadSeries, ModelParams, ObservationSet, ParamBounds, _as_int,
-    _as_positive, _as_reals, _field_dict, _Record, _shown, variant_row,
+    _REQUIRED, VARIANT_TABLE, FitConfig, LoadSeries, ModelParams, ObservationSet, ParamBounds,
+    _as_int, _as_positive, _as_reals, _field_dict, _Record, _shown, variant_row,
 )
 
 
@@ -297,64 +303,62 @@ class RunConfig(_Record):
             object.__setattr__(self, "horizon", horizon)
 
 
-def _as_float(value, key: str) -> float:
-    """A number of a config or params document: an int, float or numeric string."""
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+def _doc_value(value, text: bool):
+    """A document value as its record takes it: a list as the tuple of its
+    elements' values and, in a field that does not hold ``text``, a string
+    that spells a number as that float (YAML 1.1 reads ``1e12`` as a string,
+    and JSON has no ``inf``). Nothing else is converted or checked."""
+    if isinstance(value, list):
+        return tuple([_doc_value(x, text) for x in value])
+    if isinstance(value, str) and not text:
         try:
             return float(value)
-        except (ValueError, OverflowError):  # OverflowError: an int beyond double range
+        except ValueError:
             pass
-    raise ConfigError(f"{key} must be a number, got {value!r}")
-
-
-def _require_mapping(value, key: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be a mapping, got {type(value).__name__}")
     return value
 
 
-def _reject_unknown(section: dict, allowed, where: str) -> None:
-    unknown = sorted(set(section) - set(allowed))
+def _build(cls: type, values: dict, prefix: str):
+    """``cls(**values)``; the record's fault is a ConfigError, its message after ``prefix``."""
+    try:
+        return cls(**values)
+    except (ParameterError, ConfigError) as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
+def _record_from_doc(cls: type, doc, where: str, sections: dict | None = None,
+                     prefix: str = ""):
+    """The record ``cls`` read from the mapping ``doc``; every fault is a ConfigError.
+
+    ``doc`` holds only fields of ``cls``, and each field that has no default;
+    those faults name ``where``. ``sections`` maps a field to the record class
+    its value reads as, by this same function (by default, each field whose
+    default is a record); sections with defaults are read after the record
+    has checked its own fields. Every other value passes through
+    ``_doc_value``, and the record checks it: its fault is its own message,
+    after ``prefix``, which a section's read sets to ``"<name>: "``.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a mapping, got {type(doc).__name__}")
+    fields = cls._fields
+    unknown = sorted(map(str, set(doc) - set(fields)))  # a YAML key may be a number
     if unknown:
         raise ConfigError(
-            f"unknown key(s) in {where}: {', '.join(map(str, unknown))}; "
-            f"valid keys: {', '.join(allowed)}"
+            f"unknown key(s) in {where}: {', '.join(unknown)}; valid keys: {', '.join(fields)}"
         )
-
-
-def _record_from_doc(cls: type, doc, where: str):
-    """The record ``cls`` read from the mapping ``doc``, field by field in order.
-
-    An omitted key takes the field's default. The default decides how a value
-    reads: a tuple default as a list of that many numbers, a str default as a
-    string, an int default as an integer, a None default as null or a number,
-    and a float default, or none, as a number. Every fault is a ConfigError
-    naming ``where``.
-    """
-    doc = _require_mapping(doc, where)
-    _reject_unknown(doc, cls._fields, where)
-    values = []
-    for name, default in cls._fields.items():
-        key = f"{where}.{name}"
-        value = doc.get(name, default)
-        if value is _REQUIRED:
+    for name, default in fields.items():
+        if default is _REQUIRED and name not in doc:
             raise ConfigError(f"{where} is missing required key {name!r}")
-        if isinstance(default, tuple):
-            if not isinstance(value, (list, tuple)) or len(value) != len(default):
-                raise ConfigError(f"{key} must be a list of {len(default)} numbers, got {value!r}")
-            value = tuple([_as_float(x, f"{key}[{i}]") for i, x in enumerate(value)])
-        elif isinstance(default, str):
-            if not isinstance(value, str):
-                raise ConfigError(f"{key} must be a string, got {value!r}")
-        elif isinstance(default, int):
-            value = _as_int(value, key, ConfigError)
-        elif default is not None or value is not None:
-            value = _as_float(value, key)
-        values.append(value)
-    try:
-        return cls(*values)
-    except (ParameterError, ConfigError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    if sections is None:
+        sections = {name: type(d) for name, d in fields.items() if isinstance(d, _Record)}
+    values = {name: _doc_value(value, isinstance(fields[name], str))
+              for name, value in doc.items() if name not in sections}
+    given = [name for name in sections if name in doc]
+    if any(fields[name] is not _REQUIRED for name in given):
+        _build(cls, values, prefix)  # the record's own fields, at its sections' defaults
+    for name in given:
+        values[name] = _record_from_doc(sections[name], doc[name], name, prefix=f"{name}: ")
+    return _build(cls, values, prefix)
 
 
 def load_config(text: str) -> RunConfig:
@@ -365,21 +369,7 @@ def load_config(text: str) -> RunConfig:
         data = yaml.safe_load(text)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: e.g. an integer of 4,301+ digits
         raise ConfigError(f"invalid YAML: {exc}") from exc
-    if data is None:
-        data = {}
-    data = _require_mapping(data, "configuration")
-    _reject_unknown(data, RunConfig._fields, "configuration")
-    try:
-        # variant and horizon first: they precede the sections in field order
-        head = RunConfig(**{name: data[name] for name in ("variant", "horizon") if name in data})
-        sections = {  # bounds, fit and chart: the fields whose default is a record
-            name: _record_from_doc(type(default), data[name], name)
-            for name, default in RunConfig._fields.items()
-            if name in data and hasattr(default, "_fields")
-        }
-        return RunConfig(head.variant, head.horizon, **sections)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _record_from_doc(RunConfig, {} if data is None else data, "configuration")
 
 
 # ---------------------------------------------------------------------------
@@ -397,28 +387,21 @@ def dumps_params(params: ModelParams) -> str:
 
 
 def parse_params(text: str) -> ModelParams:
-    """Parse a params JSON document (fit output or hand-written)."""
+    """Parse a params JSON document (fit output or hand-written).
+
+    Its sides read as sections of its variant's side class; an unknown
+    variant is ``ModelParams``' fault, reported before any side is read.
+    """
     import json
 
     try:
         data = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer of 4,301+ digits
         raise ConfigError(f"invalid JSON: {exc}") from exc
-    data = _require_mapping(data, "params document")
-    _reject_unknown(data, ModelParams._fields, "params document")
-    try:
-        variant = data["variant"]
-        side_cls = variant_row(variant).side
-        p0 = _as_float(data["p0"], "p0")
-        k1 = _as_float(data["k1"], "k1")
-        k2 = _as_float(data["k2"], "k2")
-        fitness = _record_from_doc(side_cls, data["fitness"], "fitness")
-        fatigue = _record_from_doc(side_cls, data["fatigue"], "fatigue")
-        return ModelParams(variant, p0, k1, k2, fitness, fatigue)
-    except KeyError as exc:
-        raise ConfigError(f"params document is missing required key {exc.args[0]!r}") from exc
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    variant = data.get("variant") if isinstance(data, dict) else None
+    row = VARIANT_TABLE.get(variant) if isinstance(variant, str) else None
+    sides = {} if row is None else {"fitness": row.side, "fatigue": row.side}
+    return _record_from_doc(ModelParams, data, "params document", sides)
 
 
 # ---------------------------------------------------------------------------

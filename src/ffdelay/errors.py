@@ -29,7 +29,8 @@ class MetricError(FfdelayError):
 
 
 class CsvError(FfdelayError):
-    """A CSV document failed to parse; carries the 1-based line number."""
+    """A CSV document failed to parse. ``line`` is the 1-based line number of
+    the fault, or None for a fault of the whole document: empty, or no data rows."""
 
     def __init__(self, message: str, line: int | None = None) -> None:
         self.line = line

@@ -143,9 +143,12 @@ def nelder_mead(
     """Minimize ``objective`` from ``start`` with the standard simplex moves.
 
     Non-finite objective values during the search are treated as +inf; a
-    non-finite value at the start itself is an input error. Terminates when
-    the simplex's value spread drops below ``config.tolerance``, its size
-    below ``config.simplex_tolerance``, or after ``config.max_iterations``.
+    non-finite value at the start itself is an input error. Converges when
+    the simplex's value spread (its worst value less its best) is at most
+    ``config.tolerance`` on two consecutive iterations, or its size (the
+    largest coordinate distance of a vertex from the best one) is at most
+    ``config.simplex_tolerance``; otherwise stops after
+    ``config.max_iterations`` iterations.
 
     Returns (best point, best value, iterations, converged). The best vertex
     is never discarded, so the returned value cannot exceed objective(start);
@@ -280,13 +283,15 @@ class _FitProblem:
 
     Everything fixed for a fit is read once here: the coordinate boxes (p0's
     is left out when ``fix_p0`` is given), the load, the observations and the
-    horizon they need. ``sse`` is the objective every start minimizes.
+    horizon they need. ``sse`` is the objective every start minimizes. A
+    given ``fix_p0`` is taken as a float, as every fitted value is.
     """
 
     def __init__(self, row: Variant, w: LoadSeries, obs: ObservationSet,
                  bounds: ParamBounds, fix_p0: float | None) -> None:
         self.horizon = _obs_horizon(len(w), obs)
-        self.row, self.variant, self.fix_p0 = row, row.name, fix_p0
+        self.row, self.variant = row, row.name
+        self.fix_p0 = None if fix_p0 is None else float(fix_p0)
         self.wv, self.entries = w.values, obs.entries
         self.fitted, self.fixed = row.fitted, row.fixed
         self.coords = [] if fix_p0 is not None else [_Coord(*bounds.p0, log_scale=False)]

@@ -106,9 +106,13 @@ def _as_int(value, name: str, error: type = ParameterError, least: int | None = 
 
 
 def _as_reals(values, name: str, error: type = ParameterError) -> tuple[float, ...]:
-    # _as_real's rule, checked on the set of element types; a string is one value, not a sequence
-    if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
-        raise error(f"{name} must be a sequence of real numbers, got {_shown(values)}")
+    # _as_real's rule, checked on the set of element types; a string is one value, not a
+    # sequence, and a mapping or a set (its keys, in no given order) is none either
+    if not isinstance(values, (tuple, list)):
+        from collections.abc import Mapping, Set
+
+        if isinstance(values, (str, bytes, Mapping, Set)) or not hasattr(values, "__iter__"):
+            raise error(f"{name} must be a sequence of real numbers, got {_shown(values)}")
     values = tuple(values)
     types = set(map(type, values))
     if bool not in types and all(issubclass(t, Real) for t in types):

@@ -126,7 +126,8 @@ class TestFit:
             "--config", str(config), "--out", str(tmp_path / "out"),
         ])
         assert code == EXIT_DATA
-        assert "fit.tolerance must be a number" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "fit: tolerance must be a real number within the double range" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("old, new", [
@@ -166,7 +167,7 @@ class TestFit:
         assert code == EXIT_DATA
         assert capsys.readouterr().err.strip() == (
             f"error: {config}: chart: width must be > 95 to leave a plot area inside the margins,"
-            " got 60.0"
+            " got 60"
         )
         assert not (tmp_path / "out").exists()
 
@@ -476,7 +477,7 @@ class TestPredict:
             "--horizon", "30", "--out", str(tmp_path / "out"),
         ])
         assert code == EXIT_DATA
-        assert "p0 must be a number" in capsys.readouterr().err
+        assert "p0 must be a real number within the double range" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_integer_of_too_many_digits_is_data_error(self, tmp_path, capsys):

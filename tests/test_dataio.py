@@ -295,6 +295,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             load_config("bounds:\n  tau9: [1, 2]\n")
 
+    def test_unknown_keys_of_mixed_types_are_listed(self):
+        # a YAML key may be a number; the unknown keys are listed as text
+        with pytest.raises(ConfigError, match="^unknown key\\(s\\) in fit: 1, foo; valid keys: "):
+            load_config("fit: {foo: 1, 1: 2}\n")
+
     def test_full_config(self):
         text = (
             "variant: kernel\n"
@@ -606,13 +611,38 @@ class TestDocumentReader:
             parse_params(json.dumps(_with_fault(doc, *fault)))
 
     def test_wrong_length_list_and_bad_element_are_named(self):
-        with pytest.raises(ConfigError, match=re.escape("bounds.k1 must be a list of 2 numbers")):
+        message = "bounds: bounds for k1 must be two numbers, got (1,)"
+        with pytest.raises(ConfigError, match=re.escape(message)):
             load_config("bounds:\n  k1: [1]\n")
         side = {"tau_decay": 10.0, "tau5": 0.0}
         doc = {"variant": "kernel", "p0": 500.0, "k1": 0.1, "k2": 0.1, "fitness": side,
                "fatigue": {**side, "weights": [0.5, 0.3, None]}}
-        with pytest.raises(ConfigError, match=re.escape("fatigue.weights[2] must be a number")):
+        message = "fatigue: weights[2] must be a real number, got None"
+        with pytest.raises(ConfigError, match=re.escape(message)):
             parse_params(json.dumps(doc))
+
+
+# One rule set: a wrong section value reads as its record's own error for the
+# value the reader hands over (a list as a tuple), after the section's name
+@pytest.mark.parametrize("read, section, build", [
+    (lambda: load_config("fit: {tolerance: true}\n"), "fit",
+     lambda: ff.FitConfig(tolerance=True)),
+    (lambda: load_config("bounds: {k1: [1]}\n"), "bounds", lambda: ff.ParamBounds(k1=(1,))),
+    (lambda: load_config("bounds: {k1: {0.1: a, 2: b}}\n"), "bounds",
+     lambda: ff.ParamBounds(k1={0.1: "a", 2: "b"})),
+    (lambda: load_config("chart: {width: abc}\n"), "chart", lambda: ChartOptions(width="abc")),
+    (lambda: parse_params(
+        '{"variant": "kernel", "p0": 500, "k1": 0.1, "k2": 0.1, "fatigue": {"tau_decay": 9,'
+        ' "tau5": 0}, "fitness": {"tau_decay": 9, "tau5": 0, "weights": [0.5, null, 0.2]}}'
+    ), "fitness", lambda: ff.KernelParams(9, 0, (0.5, None, 0.2))),
+], ids=["fit.tolerance", "bounds.k1", "mapping-bounds.k1", "chart.width",
+        "fitness.weights"])
+def test_a_section_fault_is_its_records_own_error(read, section, build):
+    with pytest.raises(FfdelayError) as own:
+        build()
+    with pytest.raises(ConfigError) as got:
+        read()
+    assert str(got.value) == f"{section}: {own.value}"
 
 
 # The two golden charts below share everything up to the y label; the title

@@ -333,6 +333,19 @@ class TestFit:
         assert res.p0 == 500.0
         assert res.r2 >= 0.999
 
+    @pytest.mark.parametrize("fix_p0", [480, np.float32(480.5)])
+    def test_fixed_p0_of_any_real_type_fits_as_its_float(self, load_120, clean_observations,
+                                                         fix_p0):
+        # the fitted p0 is a float, so the params document writes it as one
+        fits = [
+            ff.fit_variant(load_120, clean_observations, ff.ParamBounds(),
+                           ff.FitConfig(starts=1, max_iterations=40, fix_p0=p0), "classical")
+            for p0 in (fix_p0, float(fix_p0))
+        ]
+        assert type(fits[0].p0) is float
+        assert fits[0] == fits[1]
+        assert dataio.dumps_params(fits[0]) == dataio.dumps_params(fits[1])
+
     def test_scale_equivariance(self, load_120, clean_observations):
         """Scaling observations and the p0/k1/k2 boxes by c scales the optimal
         SSE by c^2 and leaves the tau argmin untouched.

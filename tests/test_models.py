@@ -162,6 +162,15 @@ class TestDomainTypes:
      "weights[1] must be a real number, got None"),
     (lambda: ff.KernelParams(30.0, -0.1, "0.5"), ParameterError,
      "weights must be a sequence of real numbers, got '0.5'"),
+    # a mapping or a set is no sequence: its keys, in no given order, are not its values
+    (lambda: ff.LoadSeries({0: 0.0, 1: 5.0, 2: 3.0}), ParameterError,
+     "load must be a sequence of real numbers, got {0: 0.0, 1: 5.0, 2: 3.0}"),
+    (lambda: ff.LoadSeries({0.0, 7.0, 3.0}), ParameterError,
+     f"load must be a sequence of real numbers, got {({0.0, 7.0, 3.0})!r}"),
+    (lambda: ff.KernelParams(30.0, -0.1, frozenset((0.5, 0.3, 0.2))), ParameterError,
+     f"weights must be a sequence of real numbers, got {frozenset((0.5, 0.3, 0.2))!r}"),
+    (lambda: ff.ParamBounds(k1={0.5: "a", 2.0: "b"}), ParameterError,
+     "bounds for k1 must be two numbers, got {0.5: 'a', 2.0: 'b'}"),
     (lambda: build_prediction_table(ff.LoadSeries((0.0, 1.0)), ("1",)), ParameterError,
      "predicted[0] must be a real number, got '1'"),
     (lambda: ff.ObservationSet(((1, "500"),)), ObservationError,
@@ -281,7 +290,8 @@ class TestDomainTypes:
     (lambda: ff.SingleDelayParams(5.0, Fraction(1, 2**1100)), ParameterError,
      f"tau_lag1 is too small: its lag rate 1/tau_lag1 overflows, got {Fraction(1, 2**1100)!r}"),
 ], ids=["str-load", "bool-load", "int-load", "str-state", "float-weights", "str-weight",
-        "none-weight", "str-weights", "str-predicted", "str-observation", "bool-observation",
+        "none-weight", "str-weights", "mapping-load", "set-load", "set-weights",
+        "mapping-bound", "str-predicted", "str-observation", "bool-observation",
         "float-day", "float-horizon", "str-horizon", "int-title", "bytes-title",
         "control-title", "surrogate-title",
         "huge-load", "huge-state", "huge-decay", "huge-lag", "huge-three-delay-lag",
