@@ -21,10 +21,11 @@ Params document   JSON mapping with ``variant``, ``p0``, ``k1``, ``k2`` and a
 
 Both documents are read by one recursive reader, ``_record_from_doc``, and
 their values are checked by one rule set, the records'. The reader checks
-only that a mapping has no unknown and no missing key; it turns a list into
-a tuple and, outside a text field, a string that spells a number into that
-float. So a value's fault reads as its record's message, after
-``<section>: `` in a section. A config's ``variant`` and ``horizon`` are
+only that a mapping has no unknown and no missing key, and turns a string
+that spells a number into that float only in a field of real numbers (one
+whose annotation names ``float``), never in an integer or text field. So a
+value's fault reads as its record's message about the document's own value,
+after ``<section>: `` in a section. A config's ``variant`` and ``horizon`` are
 checked before its sections, which are read in field order; within one
 section, the record's own check order decides which fault is reported, so
 ``fit: {starts: 0, seed: 2.5}`` reports ``fit: starts must be >= 1, got 0``.
@@ -303,14 +304,14 @@ class RunConfig(_Record):
             object.__setattr__(self, "horizon", horizon)
 
 
-def _doc_value(value, text: bool):
-    """A document value as its record takes it: a list as the tuple of its
-    elements' values and, in a field that does not hold ``text``, a string
-    that spells a number as that float (YAML 1.1 reads ``1e12`` as a string,
-    and JSON has no ``inf``). Nothing else is converted or checked."""
+def _doc_value(value, numeric: bool):
+    """A document value as its record takes it: in a ``numeric`` field (its
+    annotation names ``float``), a string that spells a number, also in a list,
+    as that float: YAML 1.1 reads ``1e12`` as a string, and JSON has no ``inf``.
+    Nothing else is converted or checked, so a fault shows the document's value."""
     if isinstance(value, list):
-        return tuple([_doc_value(x, text) for x in value])
-    if isinstance(value, str) and not text:
+        return [_doc_value(x, numeric) for x in value]
+    if isinstance(value, str) and numeric:
         try:
             return float(value)
         except ValueError:
@@ -351,7 +352,8 @@ def _record_from_doc(cls: type, doc, where: str, sections: dict | None = None,
             raise ConfigError(f"{where} is missing required key {name!r}")
     if sections is None:
         sections = {name: type(d) for name, d in fields.items() if isinstance(d, _Record)}
-    values = {name: _doc_value(value, isinstance(fields[name], str))
+    hints = {n: a for c in cls.__mro__[::-1] for n, a in vars(c).get("__annotations__", {}).items()}
+    values = {name: _doc_value(value, "float" in hints[name])
               for name, value in doc.items() if name not in sections}
     given = [name for name in sections if name in doc]
     if any(fields[name] is not _REQUIRED for name in given):

@@ -23,14 +23,14 @@ objective, and decodes and embeds search points; each start runs through
 ``_run_start``, the one caller of ``nelder_mead``. The objective runs the
 performance model of :mod:`ffdelay.models`, the same pass as
 ``predict_performance``.
-numpy is imported only where the optimizer runs: in ``nelder_mead``, the Latin
-hypercube and ``fit_variant``.
+The simplex, the objective and the start records hold plain Python floats;
+numpy only draws the start sample, in ``_latin_hypercube``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from .errors import MetricError, ObservationError, ParameterError
 from .models import (
@@ -54,9 +54,6 @@ from .models import (
 from .models import (  # noqa: F401
     kernel_path, predict_performance, single_delay_path, three_delay_path,
 )
-
-if TYPE_CHECKING:  # annotations only; numpy is imported where it runs
-    import numpy as np
 
 #: Logistic argument at which the squash saturates to exactly 0.0/1.0 in
 #: doubles; used to pin a lag coordinate at the top of its box.
@@ -90,9 +87,17 @@ class VariantFit(ModelParams):
 # ---------------------------------------------------------------------------
 
 
+def _total(terms) -> float:
+    """The terms added left to right from 0.0; the built-in sum is compensated from 3.12 on."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 def _sse(p: Sequence[float] | dict[int, float], entries: tuple[tuple[int, float], ...]) -> float:
     try:
-        return sum((p[d] - y) ** 2 for d, y in entries)
+        return _total((p[d] - y) ** 2 for d, y in entries)
     except OverflowError:  # a finite residual whose square exceeds a double
         return math.inf
 
@@ -109,7 +114,7 @@ def _sst(obs: ObservationSet) -> float:
     """R^2's denominator: squares about the mean by ``_sse``'s rule; MetricError if it has none."""
     if len(obs) < 2:
         raise MetricError("need at least 2 observations (R^2 is undefined otherwise)")
-    sst = _sse(dict.fromkeys(obs.days, sum(obs.values) / len(obs)), obs.entries)
+    sst = _sse(dict.fromkeys(obs.days, _total(obs.values) / len(obs)), obs.entries)
     if sst == 0.0:
         raise MetricError("observations have zero variance; R^2 is undefined")
     return sst
@@ -134,14 +139,16 @@ def r_squared(predicted: Sequence[float], obs: ObservationSet) -> float:
 
 
 def nelder_mead(
-    objective: Callable[[np.ndarray], float],
+    objective: Callable[[tuple[float, ...]], float],
     start: Sequence[float],
     config: FitConfig,
-    step: float | Sequence[float] | None = None,
+    step: float | None = None,
     trace: list[float] | None = None,
-) -> tuple[np.ndarray, float, int, bool]:
+) -> tuple[tuple[float, ...], float, int, bool]:
     """Minimize ``objective`` from ``start`` with the standard simplex moves.
 
+    Points are tuples of floats; the first simplex steps each coordinate by
+    ``step``, by default by 5% of its start value and at least by 0.05.
     Non-finite objective values during the search are treated as +inf; a
     non-finite value at the start itself is an input error. Converges when
     the simplex's value spread (its worst value less its best) is at most
@@ -154,14 +161,12 @@ def nelder_mead(
     is never discarded, so the returned value cannot exceed objective(start);
     if ``trace`` is given, the best value per iteration is appended to it.
     """
-    import numpy as np
-
-    x0 = np.asarray(start, dtype=float)
-    n = x0.size
+    x0 = tuple(map(float, start))
+    n = len(x0)
     if n == 0:
         raise ParameterError("start vector must be non-empty")
 
-    def f(x: np.ndarray) -> float:
+    def f(x: tuple[float, ...]) -> float:
         v = float(objective(x))
         return v if math.isfinite(v) else math.inf
 
@@ -169,41 +174,39 @@ def nelder_mead(
     if not math.isfinite(f00):
         raise ParameterError(f"objective is not finite at the start point: {f00!r}")
 
-    if step is None:
-        steps = np.array([0.05 * max(abs(v), 1.0) for v in x0])
-    else:
-        steps = np.broadcast_to(np.asarray(step, dtype=float), (n,)).copy()
+    verts = [x0]
+    for i, v in enumerate(x0):
+        edge = 0.05 * max(abs(v), 1.0) if step is None else step
+        verts.append((*x0[:i], v + edge, *x0[i + 1:]))
+    fvals = [f00] + [f(x) for x in verts[1:]]
 
-    verts = np.tile(x0, (n + 1, 1))
-    for i in range(n):
-        verts[i + 1, i] += steps[i]
-    fvals = np.array([f00] + [f(verts[i + 1]) for i in range(n)])
+    def toward(t: float) -> tuple[float, ...]:  # centroid + t * (centroid - worst)
+        return tuple([c + t * (c - w) for c, w in zip(centroid, verts[-1])])
 
     iterations = 0
     converged = False
     spread_streak = 0
     while iterations < config.max_iterations:
-        order = np.argsort(fvals, kind="stable")
-        verts = verts[order]
-        fvals = fvals[order]
-        spread = fvals[-1] - fvals[0]
-        size = float(np.max(np.abs(verts[1:] - verts[0])))
+        order = sorted(range(n + 1), key=fvals.__getitem__)  # stable: ties keep their order
+        verts = [verts[i] for i in order]
+        fvals = [fvals[i] for i in order]
+        small = all(abs(x - b) <= config.simplex_tolerance
+                    for v in verts[1:] for x, b in zip(v, verts[0]))
         # The spread criterion must hold on two consecutive iterations: a
         # simplex straddling a minimum symmetrically has zero value spread
         # while still step-sized wide, and one more iteration (a contraction)
         # breaks that tie.
-        spread_streak = spread_streak + 1 if spread <= config.tolerance else 0
-        if spread_streak >= 2 or size <= config.simplex_tolerance:
+        spread_streak = spread_streak + 1 if fvals[-1] - fvals[0] <= config.tolerance else 0
+        if spread_streak >= 2 or small:
             converged = True
             break
 
         iterations += 1
-        centroid = verts[:-1].mean(axis=0)
-        worst = verts[-1]
-        reflected = centroid + (centroid - worst)
+        centroid = [_total(column) / n for column in zip(*verts[:-1])]
+        reflected = toward(1.0)
         f_r = f(reflected)
         if f_r < fvals[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
+            expanded = toward(2.0)
             f_e = f(expanded)
             if f_e < f_r:
                 verts[-1], fvals[-1] = expanded, f_e
@@ -211,26 +214,22 @@ def nelder_mead(
                 verts[-1], fvals[-1] = reflected, f_r
         elif f_r < fvals[-2]:
             verts[-1], fvals[-1] = reflected, f_r
-        else:
-            if f_r < fvals[-1]:
-                contracted = centroid + 0.5 * (centroid - worst)
-                f_c = f(contracted)
-                accept = f_c <= f_r
-            else:
-                contracted = centroid - 0.5 * (centroid - worst)
-                f_c = f(contracted)
-                accept = f_c < fvals[-1]
-            if accept:
+        else:  # contract outside, toward the reflection, if it beats the worst; else inside
+            outside = f_r < fvals[-1]
+            contracted = toward(0.5 if outside else -0.5)
+            f_c = f(contracted)
+            if (f_c <= f_r) if outside else (f_c < fvals[-1]):
                 verts[-1], fvals[-1] = contracted, f_c
-            else:
+            else:  # shrink toward the best vertex
+                best = verts[0]
                 for i in range(1, n + 1):
-                    verts[i] = verts[0] + 0.5 * (verts[i] - verts[0])
+                    verts[i] = tuple([b + 0.5 * (x - b) for x, b in zip(verts[i], best)])
                     fvals[i] = f(verts[i])
         if trace is not None:
-            trace.append(float(np.min(fvals)))
+            trace.append(min(fvals))
 
-    best = int(np.argmin(fvals))
-    return verts[best].copy(), float(fvals[best]), iterations, converged
+    i = fvals.index(min(fvals))
+    return verts[i], fvals[i], iterations, converged
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +303,7 @@ class _FitProblem:
 
     def decode(self, z: Sequence[float]) -> tuple:
         """(p0, k1, k2, fitness values, fatigue values) at the search point z."""
-        vals = [c.value(float(zi)) for c, zi in zip(self.coords, z)]
+        vals = [c.value(zi) for c, zi in zip(self.coords, z)]
         if self.fix_p0 is not None:
             vals.insert(0, self.fix_p0)
         at, fixed = self.fatigue_at, self.fixed
@@ -356,21 +355,21 @@ class _FitProblem:
 # ---------------------------------------------------------------------------
 
 
-def _latin_hypercube(rng: np.random.Generator, n_starts: int, dims: int) -> np.ndarray:
+def _latin_hypercube(seed: int, n_starts: int, dims: int) -> list[tuple[float, ...]]:
+    """``n_starts`` points of the unit cube, one in each stratum [k/n, (k+1)/n) of each dimension."""
     import numpy as np
 
-    u = np.empty((n_starts, dims))
-    for i in range(dims):
-        perm = rng.permutation(n_starts)
-        u[:, i] = (perm + rng.random(n_starts)) / n_starts
-    return u
+    rng = np.random.default_rng(seed)
+    columns = [((rng.permutation(n_starts) + rng.random(n_starts)) / n_starts).tolist()
+               for _ in range(dims)]
+    return list(zip(*columns))
 
 
 class _StartRecord(_Record):
     """One start's outcome: its place in the start list, best point and SSE."""
 
     index: int
-    z: np.ndarray
+    z: tuple[float, ...]
     sse: float
     iterations: int
     converged: bool
@@ -410,12 +409,10 @@ def fit_variant(
     whose objective is not finite is skipped, keeps its number and counts as
     not converged; ParameterError when no start is usable.
     """
-    import numpy as np
-
     problem = _FitProblem(variant_row(variant), w, obs, bounds, config.fix_p0)
     n_free = len(problem.coords)
     starts = [z for z in map(problem.embed, extra_starts) if z is not None]
-    u = _latin_hypercube(np.random.default_rng(config.seed), config.starts, n_free)
+    u = _latin_hypercube(config.seed, config.starts, n_free)
     starts += [[_logit(ui) for ui in point] for point in u]
     runs = (_run_start(problem, index, z0, config) for index, z0 in enumerate(starts))
     records = [record for record in runs if record is not None]

@@ -610,8 +610,19 @@ class TestDocumentReader:
         with pytest.raises(ConfigError):
             parse_params(json.dumps(_with_fault(doc, *fault)))
 
+    @pytest.mark.parametrize("read, message", [
+        (lambda: load_config("horizon: '3'\n"), "horizon must be an integer, got '3'"),
+        (lambda: load_config("fit: {seed: '2'}\n"), "fit: seed must be an integer, got '2'"),
+        (lambda: parse_params('{"variant": "1", "p0": 500, "k1": 0.1, "k2": 0.1,'
+                              ' "fitness": {}, "fatigue": {}}'),
+         "unknown variant '1'; valid variants: "),
+    ], ids=["horizon", "fit.seed", "variant"])
+    def test_a_string_in_an_integer_or_text_field_is_shown_as_written(self, read, message):
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
+            read()
+
     def test_wrong_length_list_and_bad_element_are_named(self):
-        message = "bounds: bounds for k1 must be two numbers, got (1,)"
+        message = "bounds: bounds for k1 must be two numbers, got [1]"
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_config("bounds:\n  k1: [1]\n")
         side = {"tau_decay": 10.0, "tau5": 0.0}
@@ -623,11 +634,11 @@ class TestDocumentReader:
 
 
 # One rule set: a wrong section value reads as its record's own error for the
-# value the reader hands over (a list as a tuple), after the section's name
+# value the document holds, after the section's name
 @pytest.mark.parametrize("read, section, build", [
     (lambda: load_config("fit: {tolerance: true}\n"), "fit",
      lambda: ff.FitConfig(tolerance=True)),
-    (lambda: load_config("bounds: {k1: [1]}\n"), "bounds", lambda: ff.ParamBounds(k1=(1,))),
+    (lambda: load_config("bounds: {k1: [1]}\n"), "bounds", lambda: ff.ParamBounds(k1=[1])),
     (lambda: load_config("bounds: {k1: {0.1: a, 2: b}}\n"), "bounds",
      lambda: ff.ParamBounds(k1={0.1: "a", 2: "b"})),
     (lambda: load_config("chart: {width: abc}\n"), "chart", lambda: ChartOptions(width="abc")),

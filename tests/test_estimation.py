@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
-import ast
-import importlib
 import inspect
 import math
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ffdelay as ff
 from ffdelay import dataio, estimation, models
@@ -19,6 +21,7 @@ from ffdelay.estimation import _Coord
 from helpers import EXAMPLE_SIDES, block_load, fixture_params, performance, recovery_bounds
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def tight_nm_config(max_iterations: int = 800) -> ff.FitConfig:
@@ -173,6 +176,10 @@ class TestRSquared:
         # SSE = 1, SST = 2
         assert ff.r_squared([0.0, 1.0, 2.0, 4.0], obs) == pytest.approx(0.5, abs=1e-15)
 
+    def test_sse_adds_left_to_right_on_every_python(self):
+        # the built-in sum, compensated from Python 3.12 on, gives 1.0000000000000002e16
+        assert estimation._sse((1e8, 1.0, 1.0), ((0, 0.0), (1, 0.0), (2, 0.0))) == 1e16
+
     def test_overflowing_sum_of_squares_is_not_an_error(self):
         # SST squares a spread of about 1.7e160 past the double range; SSE is 0
         obs = ff.ObservationSet(((1, 1e160), (2, 3e160)))
@@ -246,6 +253,50 @@ class TestNelderMead:
 
         x, fx, _, converged = ff.nelder_mead(objective, [10.0], tight_nm_config())
         assert abs(x[0] - 3.0) <= 1e-5
+
+    def test_rosenbrock_bits(self):
+        # the simplex's operations and their order are pinned: fits are bit-reproducible
+        seen = []
+
+        def rosenbrock(v):
+            seen.append(v)
+            return 100.0 * (v[1] - v[0] ** 2) ** 2 + (1.0 - v[0]) ** 2
+
+        config = ff.FitConfig(max_iterations=400, tolerance=1e-12, simplex_tolerance=1e-10)
+        x, fx, iters, converged = ff.nelder_mead(rosenbrock, (-1.2, 1.0), config)
+        assert all(type(v) is tuple and set(map(type, v)) == {float} for v in seen + [x])
+        assert tuple(map(float.hex, x)) == ("0x1.fffff71ce7abap-1", "0x1.ffffedc58fdcdp-1")
+        assert (fx.hex(), iters, converged) == ("0x1.8e67193cda37ep-44", 130, True)
+        config = ff.FitConfig(max_iterations=60, tolerance=1e-12, simplex_tolerance=1e-10)
+        _, fx, iters, converged = ff.nelder_mead(rosenbrock, (-1.2, 1.0), config, step=0.02)
+        assert (fx.hex(), iters, converged) == ("0x1.56ea8ad9f0b38p-3", 60, False)
+
+    def test_runs_without_numpy(self):
+        # the simplex and the SSE, in a fresh interpreter where importing numpy fails
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import ffdelay as ff\n"
+            "from ffdelay.estimation import _sse\n"
+            "x, fx, _, converged = ff.nelder_mead(\n"
+            "    lambda v: (v[0] - 3.0) ** 2 + v[1] ** 2, (0.0, 1.0), ff.FitConfig())\n"
+            "print(converged, round(x[0], 3), _sse((1e8, 1.0), ((0, 0.0), (1, 0.0))))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, str(SRC)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "3.0", "1e+16"]
+
+
+@given(st.integers(0, 2**32), st.integers(1, 40), st.integers(1, 8))
+def test_latin_hypercube_puts_one_start_in_each_stratum(seed, n_starts, dims):
+    points = estimation._latin_hypercube(seed, n_starts, dims)
+    assert points == estimation._latin_hypercube(seed, n_starts, dims)
+    assert len(points) == n_starts
+    assert all(type(p) is tuple and set(map(type, p)) == {float} for p in points)
+    for column in zip(*points):
+        assert sorted(int(u * n_starts) for u in column) == list(range(n_starts))
 
 
 class TestFit:
@@ -617,22 +668,10 @@ class TestVariantFits:
         assert kernel.sse <= classical.sse + 1e-9
 
 
-def _type_checking_names(module) -> dict[str, object]:
-    """What ``module`` imports under ``if TYPE_CHECKING:``, bound as a type checker binds it."""
-    names: dict[str, object] = {}
-    for node in ast.parse(inspect.getsource(module)).body:
-        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
-            for stmt in node.body:
-                for alias in stmt.names:
-                    names[alias.asname or alias.name] = importlib.import_module(alias.name)
-    return names
-
-
 @pytest.mark.parametrize("module", [models, estimation], ids=lambda m: m.__name__)
 def test_public_annotations_resolve(module):
     # annotations are strings (postponed evaluation); each must name something
-    # the module binds at run time or imports for type checkers only
-    localns = _type_checking_names(module)
+    # the module binds at run time
     public = [
         obj for name, obj in vars(module).items()
         if not name.startswith("_")
@@ -641,4 +680,4 @@ def test_public_annotations_resolve(module):
     ]
     assert public
     for obj in public:
-        typing.get_type_hints(obj, localns=localns)
+        typing.get_type_hints(obj)
