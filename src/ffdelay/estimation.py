@@ -18,13 +18,13 @@ start index as tie-break, so results are bit-reproducible for a given seed.
 nested seeding. Both read the variant table in :mod:`ffdelay.models`, which
 also holds their input records (``ObservationSet``, ``ParamBounds``,
 ``FitConfig``); this module holds only the fitter. A fit is a driver over one
-private problem object, ``_FitProblem``, which holds the coordinates and the
-objective, and decodes and embeds search points; each start runs through
-``_run_start``, the one caller of ``nelder_mead``. The objective runs the
-performance model of :mod:`ffdelay.models`, the same pass as
-``predict_performance``.
-The simplex, the objective and the start records hold plain Python floats;
-numpy only draws the start sample, in ``_latin_hypercube``.
+private problem object, ``_FitProblem``, which embeds seeds and decodes a
+search point into kernel arguments, a model and residuals; each start runs
+``_run_start``, the one caller of ``nelder_mead``. The objective and R^2 share
+one rule, ``_sum_squares``, and the objective runs the performance pass of
+``predict_performance``. The simplex, the objective and the start records
+hold plain Python floats; numpy only draws the start sample, in
+``_latin_hypercube``.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .models import (
     _performance,
     _Record,
     _shown,
+    _side_args,
     kernel_to_three_delay,
     variant_row,
 )
@@ -95,9 +96,10 @@ def _total(terms) -> float:
     return total
 
 
-def _sse(p: Sequence[float] | dict[int, float], entries: tuple[tuple[int, float], ...]) -> float:
+def _sum_squares(residuals) -> float:
+    """The residuals' squares added by ``_total``; inf when a square exceeds a double."""
     try:
-        return _total((p[d] - y) ** 2 for d, y in entries)
+        return _total(r ** 2 for r in residuals)
     except OverflowError:  # a finite residual whose square exceeds a double
         return math.inf
 
@@ -111,11 +113,11 @@ def _obs_horizon(days: int, obs: ObservationSet) -> int:
 
 
 def _sst(obs: ObservationSet) -> float:
-    """R^2's denominator: squares about the mean by ``_sse``'s rule; MetricError if it has none."""
+    """R^2's denominator: ``_sum_squares`` about the mean; MetricError if it has none."""
     if len(obs) < 2:
         raise MetricError("need at least 2 observations (R^2 is undefined otherwise)")
-    sst = _sse(dict.fromkeys(obs.days, _total(obs.values) / len(obs)), obs.entries)
-    if sst == 0.0:
+    mean = _total(obs.values) / len(obs)
+    if (sst := _sum_squares(mean - y for y in obs.values)) == 0.0:
         raise MetricError("observations have zero variance; R^2 is undefined")
     return sst
 
@@ -130,7 +132,7 @@ def r_squared(predicted: Sequence[float], obs: ObservationSet) -> float:
     observations or an SST of exactly 0.0, as distinct values 0 and 1e-166 give.
     """
     _obs_horizon(len(predicted), obs)
-    return 1.0 - _sse(predicted, obs.entries) / _sst(obs)
+    return 1.0 - _sum_squares(predicted[d] - y for d, y in obs.entries) / _sst(obs)
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +283,10 @@ class _FitProblem:
     """One variant's least-squares problem in its search coordinates.
 
     Everything fixed for a fit is read once here: the coordinate boxes (p0's
-    is left out when ``fix_p0`` is given), the load, the observations and the
-    horizon they need. ``sse`` is the objective every start minimizes. A
-    given ``fix_p0`` is taken as a float, as every fitted value is.
+    is left out when ``fix_p0`` is given, and held as a float), the load, the
+    observations and the horizon they need. A search point z is decoded once:
+    ``decode`` gives kernel arguments, ``params`` the model, ``residuals``
+    p[d] - y by day, and ``sse`` their ``_sum_squares``, the objective.
     """
 
     def __init__(self, row: Variant, w: LoadSeries, obs: ObservationSet,
@@ -299,30 +302,45 @@ class _FitProblem:
             for pname in self.fitted:  # every lag on its side's lag box; tau5 signed, linear
                 box = {"tau_decay": decay_b, "tau5": bounds.tau5}.get(pname, lag_b)
                 self.coords.append(_Coord(*box, log_scale=pname != "tau5"))
-        self.fatigue_at = 3 + len(self.fitted)  # where the fatigue side starts in decode
+        self.fatigue_at = 3 + len(self.fitted)  # where the fatigue side starts in _values
 
-    def decode(self, z: Sequence[float]) -> tuple:
-        """(p0, k1, k2, fitness values, fatigue values) at the search point z."""
+    def _values(self, z: Sequence[float]) -> tuple:
+        """(p0, k1, k2, fitness field values, fatigue field values) at the search point z."""
         vals = [c.value(zi) for c, zi in zip(self.coords, z)]
         if self.fix_p0 is not None:
             vals.insert(0, self.fix_p0)
         at, fixed = self.fatigue_at, self.fixed
         return vals[0], vals[1], vals[2], (*vals[3:at], *fixed), (*vals[at:], *fixed)
 
+    def decode(self, z: Sequence[float]) -> tuple:
+        """(p0, k1, k2, fitness args, fatigue args) at z, each side's ``_side_args``."""
+        p0, k1, k2, fitness, fatigue = self._values(z)
+        return p0, k1, k2, _side_args(self.variant, fitness), _side_args(self.variant, fatigue)
+
+    def params(self, z: Sequence[float]) -> ModelParams:
+        """The model at the search point z."""
+        vals = self._values(z)
+        return ModelParams(self.variant, *vals[:3], *(self.row.side(*side) for side in vals[3:]))
+
+    def residuals(self, z: Sequence[float]) -> list[float]:
+        """p[d] - y at the observed days, in day order, of the model at z."""
+        p = _performance(self.wv, *self.decode(z), self.horizon)
+        return [p[d] - y for d, y in self.entries]
+
     def sse(self, z: Sequence[float]) -> float:
-        """The SSE at the observed days of the model at search point z."""
-        p = _performance(self.variant, self.wv, *self.decode(z), self.horizon)
-        return _sse(p, self.entries)
+        """The objective: ``_sum_squares`` of the residuals at z."""
+        return _sum_squares(self.residuals(z))
 
     def embed(self, seed: ModelParams) -> list[float] | None:
         """The search point of ``seed``, or None when the box cannot hold it.
 
-        ``seed`` is of this variant or of one it contains. A field its side
-        lacks takes its "term off" value: +inf for a lag constant, 0 for the
-        kernel gain. A kernel side embeds into the lag variants through
-        ``kernel_to_three_delay``. A seed with a value that no log box holds
-        (a lag, gain or decay constant <= 0, as a positive kernel gain maps
-        to) has no search point.
+        ``seed`` is of this variant or of one it contains, a kernel side going
+        into a lag variant through ``kernel_to_three_delay``. A fitted field
+        its side lacks is taken "term off" (+inf for a lag, 0 for the kernel
+        gain); a field it has that the fit holds fixed must already be so
+        (+inf, or the default kernel weights), or ParameterError names it. No
+        log box holds a lag, gain or decay constant <= 0 (a positive kernel
+        gain maps to a negative lag): such a seed has no search point.
 
         A +inf value pins a lag coordinate at the saturated top of its log
         box, where the lag constant equals the upper bound hi: the lag rate
@@ -336,13 +354,17 @@ class _FitProblem:
         1/(1/r_j).
         """
         vals = [seed.p0, seed.k1, seed.k2]
-        for side in (seed.fitness, seed.fatigue):
+        for name, side in (("fitness", seed.fitness), ("fatigue", seed.fatigue)):
             if isinstance(side, KernelParams) and self.row.side is not KernelParams:
                 if side.tau5 > 0.0:  # negative lags; dropped here, before the mapping warns
                     return None
                 side = kernel_to_three_delay(side)
-            vals += [getattr(side, pname, 0.0 if pname == "tau5" else math.inf)
-                     for pname in self.fitted]
+            fields = _field_dict(side)
+            for field, value in fields.items():  # a lag the fit lacks is held at +inf
+                if field not in self.fitted and value != self.row.side._fields.get(field, math.inf):
+                    raise ParameterError(f"seed {name} {field} is {_shown(value)}, which a "
+                                         f"{self.variant} fit does not search")
+            vals += [fields.get(f, 0.0 if f == "tau5" else math.inf) for f in self.fitted]
         if self.fix_p0 is not None:
             del vals[0]
         if any(c.log_scale and not v > 0.0 for c, v in zip(self.coords, vals)):
@@ -407,21 +429,20 @@ def fit_variant(
     with no representation in the box is dropped before the starts are
     numbered, so ``best_start_index`` counts only the seeds kept. A start
     whose objective is not finite is skipped, keeps its number and counts as
-    not converged; ParameterError when no start is usable.
+    not converged. ParameterError when no start is usable or a seed sets a
+    field the fit holds fixed to another value.
     """
     problem = _FitProblem(variant_row(variant), w, obs, bounds, config.fix_p0)
     n_free = len(problem.coords)
     starts = [z for z in map(problem.embed, extra_starts) if z is not None]
-    u = _latin_hypercube(config.seed, config.starts, n_free)
-    starts += [[_logit(ui) for ui in point] for point in u]
+    starts += [list(map(_logit, u)) for u in _latin_hypercube(config.seed, config.starts, n_free)]
     runs = (_run_start(problem, index, z0, config) for index, z0 in enumerate(starts))
     records = [record for record in runs if record is not None]
     if not records:
         raise ParameterError("no usable start point: the objective is not finite at any start")
     best = min(records, key=lambda record: record.sse)  # the first of equal SSEs
 
-    p0, k1, k2, fitness, fatigue = problem.decode(best.z)
-    predicted = tuple(_performance(variant, problem.wv, p0, k1, k2, fitness, fatigue, len(w)))
+    predicted = tuple(_performance(problem.wv, *problem.decode(best.z), len(w)))
 
     warnings_out = []
     if len(obs) < n_free:
@@ -435,12 +456,7 @@ def fit_variant(
         warnings_out.append(_WARN_ZERO_VARIANCE)
 
     return VariantFit(
-        variant=variant,
-        p0=p0,
-        k1=k1,
-        k2=k2,
-        fitness=problem.row.side(*fitness),
-        fatigue=problem.row.side(*fatigue),
+        **_field_dict(problem.params(best.z)),
         n_free=n_free,
         sse=best.sse,
         r2=r2,

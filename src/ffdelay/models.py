@@ -32,8 +32,8 @@ state is finite. So a performance kernel and the path kernels of its shape
 agree bit for bit while the states are finite, and reach their first
 non-finite day together; every other kernel does its path kernel's
 floating-point operations in the same order. One private rule,
-``_side_args``, maps a side to its shape's arguments (the rates above) for
-every one of these callers.
+``_side_args``, maps a side to its kernels' arguments (the decay constant and
+rates above); ``_performance`` picks its kernel by those rates, not a variant.
 
 Every variant also has an algebraically equivalent second form, the explicit
 exponentially weighted history sum ("convolution" form)
@@ -665,12 +665,9 @@ def _side_args(variant: str, side: tuple) -> tuple:
     return (side[0], *map(_lag_rate, side[1:]))
 
 
-def _performance(
-    variant: str, wv, p0: float, k1: float, k2: float,
-    fitness: tuple, fatigue: tuple, horizon: int,
-) -> list[float]:
-    """p0 + k1*g - k2*h in one pass; each side holds its class's field values in order."""
-    fitness, fatigue = _side_args(variant, fitness), _side_args(variant, fatigue)
+def _performance(wv, p0: float, k1: float, k2: float, fitness: tuple, fatigue: tuple,
+                 horizon: int) -> list[float]:
+    """p0 + k1*g - k2*h in one pass; each side is its ``_side_args``, of any variant."""
     if not any(fitness[1:] + fatigue[1:]):  # classical, or a lag-free reduction
         fused = no_lag_performance
     elif len(fitness) == 2:
@@ -787,9 +784,8 @@ def predict_performance(
     """
     ModelParams(variant, p0, k1, k2, fitness, fatigue)
     horizon = _check_horizon(w, horizon)
-    return tuple(_performance(
-        variant, w.values, p0, k1, k2, _field_values(fitness), _field_values(fatigue), horizon
-    ))
+    g, h = _side_args(variant, _field_values(fitness)), _side_args(variant, _field_values(fatigue))
+    return tuple(_performance(w.values, p0, k1, k2, g, h, horizon))
 
 
 def kernel_to_three_delay(params: KernelParams) -> ThreeDelayParams:

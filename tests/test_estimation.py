@@ -136,13 +136,9 @@ class TestFitObjective:
             ff.SingleDelayParams(30.0, 12.0), ff.SingleDelayParams(9.0, 6.0),
         ))
         got = problem.sse(z)
-        # independent two-pass reference at the decoded parameters: full
-        # trajectory, then residual pass
-        p0, k1, k2, fitness, fatigue = problem.decode(z)
-        params = ff.ModelParams(
-            "single_delay", p0, k1, k2, row.side(*fitness), row.side(*fatigue)
-        )
-        p = performance(load_120, params, 120)
+        # independent two-pass reference at the model of z: full trajectory,
+        # then residual pass
+        p = performance(load_120, problem.params(z), 120)
         residuals = [p[d] - y for d, y in obs.entries]
         expected = float(np.dot(residuals, residuals))
         assert got == pytest.approx(expected, rel=1e-12)
@@ -162,6 +158,29 @@ class TestFitObjective:
         assert ff.r_squared(performance(w, params, 630), obs) == -math.inf
 
 
+@pytest.mark.parametrize("fix_p0", [None, 480.0])
+@pytest.mark.parametrize("variant", models.VARIANTS)
+@given(data=st.data())
+def test_fit_problem_decodes_a_search_point_into_one_model(variant, fix_p0, data, load_120,
+                                                           clean_observations):
+    # decode hands the kernels the arguments of params(z), each residual is
+    # params(z)'s forecast less its observation, and sse sums their squares
+    row = models.variant_row(variant)
+    problem = estimation._FitProblem(row, load_120, clean_observations, recovery_bounds(), fix_p0)
+    z = data.draw(st.tuples(*[st.floats(-45.0, 45.0)] * len(problem.coords)))
+    params = problem.params(z)
+    assert problem.decode(z) == (
+        params.p0, params.k1, params.k2,
+        *(models._side_args(variant, models._field_values(side))
+          for side in (params.fitness, params.fatigue)),
+    )
+    residuals = problem.residuals(z)
+    p = performance(load_120, params, problem.horizon)
+    want = [p[d] - y for d, y in clean_observations.entries]
+    assert list(map(float.hex, residuals)) == list(map(float.hex, want))
+    assert problem.sse(z).hex() == estimation._sum_squares(residuals).hex()
+
+
 class TestRSquared:
     def test_perfect_fit(self):
         obs = ff.ObservationSet(((1, 1.0), (2, 2.0), (3, 3.0)))
@@ -178,7 +197,7 @@ class TestRSquared:
 
     def test_sse_adds_left_to_right_on_every_python(self):
         # the built-in sum, compensated from Python 3.12 on, gives 1.0000000000000002e16
-        assert estimation._sse((1e8, 1.0, 1.0), ((0, 0.0), (1, 0.0), (2, 0.0))) == 1e16
+        assert estimation._sum_squares((1e8, 1.0, 1.0)) == 1e16
 
     def test_overflowing_sum_of_squares_is_not_an_error(self):
         # SST squares a spread of about 1.7e160 past the double range; SSE is 0
@@ -278,10 +297,10 @@ class TestNelderMead:
             "sys.modules['numpy'] = None\n"
             "sys.path.insert(0, sys.argv[1])\n"
             "import ffdelay as ff\n"
-            "from ffdelay.estimation import _sse\n"
+            "from ffdelay.estimation import _sum_squares\n"
             "x, fx, _, converged = ff.nelder_mead(\n"
             "    lambda v: (v[0] - 3.0) ** 2 + v[1] ** 2, (0.0, 1.0), ff.FitConfig())\n"
-            "print(converged, round(x[0], 3), _sse((1e8, 1.0), ((0, 0.0), (1, 0.0))))\n"
+            "print(converged, round(x[0], 3), _sum_squares((1e8, 1.0)))\n"
         )
         proc = subprocess.run([sys.executable, "-c", script, str(SRC)],
                               capture_output=True, text=True, timeout=60)
@@ -647,6 +666,45 @@ class TestVariantFits:
         config = ff.FitConfig(starts=1, max_iterations=50)
         args = (load_120, clean_observations, ff.ParamBounds(), config, "three_delay")
         assert ff.fit_variant(*args, extra_starts=[seed]) == ff.fit_variant(*args)
+
+    def test_seed_field_the_fit_does_not_search_must_be_its_held_value(
+        self, load_120, clean_observations
+    ):
+        # a field the fitted variant does not search is held at +inf for a lag
+        # it lacks and at the default weights for a kernel side; a seed that
+        # sets it to anything else is refused, not cut down to the fitted fields
+        def embed(variant, seed):
+            row = models.variant_row(variant)
+            args = (load_120, clean_observations, ff.ParamBounds(), None)
+            return estimation._FitProblem(row, *args).embed(seed)
+
+        lags = ff.ModelParams("three_delay", 500.0, 0.1, 0.12,
+                              ff.ThreeDelayParams(45.0, 20.0, 3.0, 4.0),
+                              ff.ThreeDelayParams(15.0, 10.0, 5.0, 6.0))
+        config = ff.FitConfig(starts=1, max_iterations=50)
+        message = "^seed fitness tau_lag2 is 3.0, which a single_delay fit does not search$"
+        with pytest.raises(ParameterError, match=message):
+            ff.fit_variant(load_120, clean_observations, ff.ParamBounds(), config,
+                           "single_delay", extra_starts=[lags])
+        message = "^seed fitness tau_lag1 is 20.0, which a classical fit does not search$"
+        with pytest.raises(ParameterError, match=message):
+            embed("classical", lags)
+        weights = ff.ModelParams("kernel", 500.0, 0.1, 0.12, ff.KernelParams(45.0, -0.1),
+                                 ff.KernelParams(15.0, -0.1, (0.6, 0.3, 0.1)))
+        message = r"^seed fatigue weights is \(0.6, 0.3, 0.1\), which a kernel fit does not search$"
+        with pytest.raises(ParameterError, match=message):
+            embed("kernel", weights)
+        # the held values are accepted, as the seed of the contained variant
+        single = ff.ModelParams("single_delay", 500.0, 0.1, 0.12, ff.SingleDelayParams(45.0, 20.0),
+                                ff.SingleDelayParams(15.0, 10.0))
+        held = ff.ModelParams("three_delay", 500.0, 0.1, 0.12, ff.ThreeDelayParams(45.0, 20.0),
+                              ff.ThreeDelayParams(15.0, 10.0))
+        assert embed("single_delay", held) == embed("single_delay", single)
+        default = ff.ModelParams("kernel", 500.0, 0.1, 0.12, ff.KernelParams(45.0, -0.1),
+                                 ff.KernelParams(15.0, -0.1, (0.5, 0.3, 0.2)))
+        assert embed("kernel", default) is not None
+        # a kernel side seeds three_delay through its lags, whatever its weights
+        assert embed("three_delay", weights) is not None
 
     def test_equal_seeds_pick_the_first(self, load_120, clean_observations):
         config = ff.FitConfig(starts=2, max_iterations=400, seed=3)
