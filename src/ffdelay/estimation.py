@@ -5,9 +5,10 @@ observations is minimized with a derivative-free Nelder-Mead simplex plus a
 seeded multi-start strategy. The search runs in a transformed space: every
 positive-constrained parameter (gains and time constants) lives on a
 log-scaled box and the baseline and the signed kernel gain tau5 on a linear
-box, each reached through a logistic squash, so every candidate the
-optimizer can express is feasible and the returned parameters respect their
-bounds by construction.
+box (``models._LINEAR_BOXES``). Each box is a ``_Coord``, its ends on its
+scale computed once, reached through a logistic squash, so every candidate
+the optimizer can express is feasible and the returned parameters respect
+their bounds by construction.
 
 Multi-start points are a stratified (Latin hypercube) sample of the
 transformed unit box drawn from a seeded generator; starts are evaluated
@@ -43,6 +44,7 @@ from .models import (
     ParamBounds,
     Variant,
     _field_dict,
+    _LINEAR_BOXES,
     _performance,
     _Record,
     _shown,
@@ -251,32 +253,26 @@ def _logit(u: float) -> float:
     return math.log(u / (1.0 - u))
 
 
-class _Coord(_Record):
-    """One search coordinate: a bounded box reached via a logistic squash."""
+class _Coord:
+    """One search coordinate: the box [lo, hi] on its scale, reached via a logistic squash.
 
-    lo: float
-    hi: float
-    log_scale: bool
+    ``of`` maps a value onto the scale (log on a log box, float on a linear
+    one) and ``to`` back; the box ends on it, base and base + width, are fixed.
+    """
+
+    def __init__(self, lo: float, hi: float, log_scale: bool) -> None:
+        self.lo, self.hi, self.log_scale = lo, hi, log_scale
+        self.to, self.of = (math.exp, math.log) if log_scale else (float, float)
+        self.base, self.width = self.of(lo), self.of(hi) - self.of(lo)
 
     def value(self, z: float) -> float:
-        u = _sigmoid(z)
-        if self.log_scale:
-            lo = math.log(self.lo)
-            v = math.exp(lo + u * (math.log(self.hi) - lo))
-        else:
-            v = self.lo + u * (self.hi - self.lo)
         # exp(log(x)) and lo + 1.0 * (hi - lo) can round one ulp past an edge
-        return min(max(v, self.lo), self.hi)
+        return min(max(self.to(self.base + _sigmoid(z) * self.width), self.lo), self.hi)
 
     def z_of(self, value: float) -> float:
         if value == math.inf:  # pins a lag at the saturated top of its box
             return _Z_SATURATED
-        if self.log_scale:
-            lo = math.log(self.lo)
-            u = (math.log(value) - lo) / (math.log(self.hi) - lo)
-        else:
-            u = (value - self.lo) / (self.hi - self.lo)
-        return _logit(u)
+        return _logit((self.of(value) - self.base) / self.width)
 
 
 class _FitProblem:
@@ -296,12 +292,10 @@ class _FitProblem:
         self.fix_p0 = None if fix_p0 is None else float(fix_p0)
         self.wv, self.entries = w.values, obs.entries
         self.fitted, self.fixed = row.fitted, row.fixed
-        self.coords = [] if fix_p0 is not None else [_Coord(*bounds.p0, log_scale=False)]
-        self.coords += [_Coord(*bounds.k1, log_scale=True), _Coord(*bounds.k2, log_scale=True)]
-        for decay_b, lag_b in ((bounds.tau1, bounds.tau2), (bounds.tau3, bounds.tau4)):
-            for pname in self.fitted:  # every lag on its side's lag box; tau5 signed, linear
-                box = {"tau_decay": decay_b, "tau5": bounds.tau5}.get(pname, lag_b)
-                self.coords.append(_Coord(*box, log_scale=pname != "tau5"))
+        boxes = ["k1", "k2"] if fix_p0 is not None else ["p0", "k1", "k2"]
+        for decay, lag in (("tau1", "tau2"), ("tau3", "tau4")):  # every lag on its side's lag box
+            boxes += [{"tau_decay": decay, "tau5": "tau5"}.get(f, lag) for f in self.fitted]
+        self.coords = [_Coord(*getattr(bounds, b), b not in _LINEAR_BOXES) for b in boxes]
         self.fatigue_at = 3 + len(self.fitted)  # where the fatigue side starts in _values
 
     def _values(self, z: Sequence[float]) -> tuple:

@@ -463,7 +463,11 @@ class ObservationSet(_Record):
         return len(self.entries)
 
 
-def _check_bound_pair(name: str, pair, positive: bool) -> tuple[float, float]:
+#: The boxes a fit searches on a linear scale; every other box is positive, on a log scale.
+_LINEAR_BOXES = ("p0", "tau5")
+
+
+def _check_bound_pair(name: str, pair) -> tuple[float, float]:
     try:
         lo, hi = _as_reals(pair, name)
     except (ParameterError, ValueError):  # not two real numbers
@@ -473,7 +477,9 @@ def _check_bound_pair(name: str, pair, positive: bool) -> tuple[float, float]:
         raise ParameterError(f"bounds for {name} must be finite, got {_shown(pair)}")
     if not lo < hi:
         raise ParameterError(f"bounds for {name} must satisfy lower < upper, got {_shown(pair)}")
-    if positive and lo <= 0.0:
+    if math.isinf(hi - lo):  # every search point would decode to the top of the box
+        raise ParameterError(f"bounds for {name} are too far apart, got {_shown(pair)}")
+    if lo <= 0.0 and name not in _LINEAR_BOXES:
         raise ParameterError(f"bounds for {name} must be strictly positive, got {_shown(pair)}")
     return (lo, hi)
 
@@ -499,9 +505,8 @@ class ParamBounds(_Record):
     tau5: tuple[float, float] = (-1.0, 1.0)
 
     def __post_init__(self) -> None:
-        for name in self._fields:  # every box but the baseline's and the signed gain's is positive
-            positive = name not in ("p0", "tau5")
-            object.__setattr__(self, name, _check_bound_pair(name, getattr(self, name), positive))
+        for name in self._fields:
+            object.__setattr__(self, name, _check_bound_pair(name, getattr(self, name)))
 
 
 class FitConfig(_Record):

@@ -171,6 +171,19 @@ class TestFit:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_linear_box_wider_than_a_double_is_data_error(self, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text("fit: {starts: 2}\nbounds: {p0: [-1.7e+308, 1.7e+308]}\n")
+        code = main([
+            "fit", "--load", str(DATA / "load.csv"), "--perf", str(DATA / "performance.csv"),
+            "--config", str(config), "--out", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.strip() == (
+            f"error: {config}: bounds: bounds for p0 are too far apart, got [-1.7e+308, 1.7e+308]"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("title, point", [(r"a\x01b", "U+0001"), (r"a\ud800b", "U+D800")])
     def test_title_an_svg_cannot_carry_is_data_error(self, tmp_path, capsys, title, point):
         config = tmp_path / "config.yaml"

@@ -96,6 +96,8 @@ class TestBoundsAndConfig:
         assert _Coord(5.0, 150.0, log_scale=True).value(-50.0) == 5.0
         assert _Coord(1.0, 10.0, log_scale=True).value(50.0) == 10.0
         assert _Coord(0.3, 0.9, log_scale=False).value(50.0) == 0.9
+        # a linear box nearly as wide as a double allows still decodes inside, not at its top
+        assert _Coord(*ff.ParamBounds(p0=(-8e307, 8e307)).p0, log_scale=False).value(0.0) == 0.0
         for lo, hi in ((5.0, 150.0), (0.5, 500.0), (2.0, 1e6), (1e-4, 10.0)):
             coord = _Coord(lo, hi, log_scale=True)
             assert all(lo <= coord.value(z) <= hi for z in (-1e3, -50.0, -40.0, 40.0, 50.0, 1e3))
@@ -120,6 +122,54 @@ class TestBoundsAndConfig:
                     ff.FitConfig(**{field: value})
         config = ff.FitConfig(tolerance=np.float32(1e-6), fix_p0=np.float64(500.0))
         assert type(config.tolerance) is np.float32 and type(config.fix_p0) is np.float64
+
+
+@st.composite
+def search_boxes(draw) -> tuple[float, float, bool]:
+    """(lo, hi, log_scale): a log box with 0 < lo < hi, or a linear box of finite width."""
+    log_scale = draw(st.booleans())
+    ends = (st.floats(0.0, None, exclude_min=True, allow_infinity=False) if log_scale
+            else st.floats(-8e307, 8e307))
+    lo, hi = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+    return lo, hi, log_scale
+
+
+def _outcome(f, *args) -> str:
+    """f(*args) as hex, or the name of the exception it raises."""
+    try:
+        return f(*args).hex()
+    except ArithmeticError as exc:  # ends that share one log, or exp past the largest double
+        return type(exc).__name__
+
+
+def _branching_value(lo: float, hi: float, log_scale: bool, z: float) -> float:
+    u = estimation._sigmoid(z)
+    if log_scale:
+        v = math.exp(math.log(lo) + u * (math.log(hi) - math.log(lo)))
+    else:
+        v = lo + u * (hi - lo)
+    return min(max(v, lo), hi)
+
+
+def _branching_z_of(lo: float, hi: float, log_scale: bool, v: float) -> float:
+    if log_scale:
+        u = (math.log(v) - math.log(lo)) / (math.log(hi) - math.log(lo))
+    else:
+        u = (v - lo) / (hi - lo)
+    return estimation._logit(u)
+
+
+@given(box=search_boxes(), z=st.floats(-45.0, 45.0), data=st.data())
+def test_coordinate_maps_its_box_as_the_branching_arithmetic_did(box, z, data):
+    # _Coord keeps the box ends on its scale; the arithmetic of a log branch and
+    # a linear branch that took the log of each end at every call is its spec
+    lo, hi, log_scale = box
+    coord = _Coord(lo, hi, log_scale=log_scale)
+    value = _outcome(coord.value, z)
+    assert value == _outcome(_branching_value, lo, hi, log_scale, z)
+    assert value == "OverflowError" or lo <= float.fromhex(value) <= hi
+    v = data.draw(st.floats(lo, hi))
+    assert _outcome(coord.z_of, v) == _outcome(_branching_z_of, lo, hi, log_scale, v)
 
 
 class TestFitObjective:

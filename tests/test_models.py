@@ -276,6 +276,11 @@ class TestDomainTypes:
     (lambda: ff.ObservationSet(()), ObservationError, "observation set must not be empty"),
     (lambda: ff.ParamBounds(p0=(0.0, math.inf)), ParameterError,
      "bounds for p0 must be finite, got (0.0, inf)"),
+    # a linear box whose width hi - lo is beyond a double
+    (lambda: ff.ParamBounds(p0=(-1.7e308, 1.7e308)), ParameterError,
+     "bounds for p0 are too far apart, got (-1.7e+308, 1.7e+308)"),
+    (lambda: ff.ParamBounds(tau5=(-1e308, 1e308)), ParameterError,
+     "bounds for tau5 are too far apart, got (-1e+308, 1e+308)"),
     (lambda: ff.r_squared([1.0, 2.0], ff.ObservationSet(((0, 1.0), (5, 2.0)))),
      ObservationError, "observation day 5 is outside the horizon 2"),
     (lambda: ff.nelder_mead(lambda x: 0.0, [], ff.FitConfig()), ParameterError,
@@ -305,7 +310,8 @@ class TestDomainTypes:
         "huge-digits-oracle-days", "huge-digits-table-day", "huge-digits-observed-day",
         "huge-digits-load", "huge-digits-fraction", "int-step-load", "empty-grid-solution",
         "non-finite-number", "five-field-prediction-row", "empty-observations",
-        "infinite-bound", "observation-beyond-prediction", "empty-start", "two-weights",
+        "infinite-bound", "too-wide-p0-bound", "too-wide-tau5-bound",
+        "observation-beyond-prediction", "empty-start", "two-weights",
         "overflowing-lag-rate", "overflowing-negative-lag-rate", "lag-fraction-rounding-to-zero"])
 def test_each_record_rejects_a_wrong_value_with_its_own_error(make, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
