@@ -5,8 +5,8 @@ observations is minimized with a derivative-free Nelder-Mead simplex plus a
 seeded multi-start strategy. The search runs in a transformed space: every
 positive-constrained parameter (gains and time constants) lives on a
 log-scaled box and the baseline and the signed kernel gain tau5 on a linear
-box (``models._LINEAR_BOXES``). Each box is a ``_Coord``, its ends on its
-scale computed once, reached through a logistic squash, so every candidate
+box, by the one rule ``models._box_scale``. Each box is a ``_Coord``, its ends
+on its scale computed once, reached through a logistic squash, so every candidate
 the optimizer can express is feasible and the returned parameters respect
 their bounds by construction.
 
@@ -43,8 +43,8 @@ from .models import (
     ObservationSet,
     ParamBounds,
     Variant,
+    _box_scale,
     _field_dict,
-    _LINEAR_BOXES,
     _performance,
     _Record,
     _shown,
@@ -256,18 +256,20 @@ def _logit(u: float) -> float:
 class _Coord:
     """One search coordinate: the box [lo, hi] on its scale, reached via a logistic squash.
 
-    ``of`` maps a value onto the scale (log on a log box, float on a linear
-    one) and ``to`` back; the box ends on it, base and base + width, are fixed.
+    ``scale`` is the box's (to, of) from ``models._box_scale``: ``of`` maps a
+    value onto the scale (log or float) and ``to`` back; the box ends on it,
+    base and base + width, are fixed.
     """
 
-    def __init__(self, lo: float, hi: float, log_scale: bool) -> None:
-        self.lo, self.hi, self.log_scale = lo, hi, log_scale
-        self.to, self.of = (math.exp, math.log) if log_scale else (float, float)
+    def __init__(self, lo: float, hi: float, scale: tuple) -> None:
+        self.lo, self.hi, (self.to, self.of) = lo, hi, scale
         self.base, self.width = self.of(lo), self.of(hi) - self.of(lo)
 
     def value(self, z: float) -> float:
-        # exp(log(x)) and lo + 1.0 * (hi - lo) can round one ulp past an edge
-        return min(max(self.to(self.base + _sigmoid(z) * self.width), self.lo), self.hi)
+        try:  # exp(log(x)) and lo + 1.0 * (hi - lo) can round one ulp past an edge
+            return min(max(self.to(self.base + _sigmoid(z) * self.width), self.lo), self.hi)
+        except OverflowError:  # exp one ulp past log(hi), with hi near the largest double
+            return self.hi
 
     def z_of(self, value: float) -> float:
         if value == math.inf:  # pins a lag at the saturated top of its box
@@ -295,7 +297,7 @@ class _FitProblem:
         boxes = ["k1", "k2"] if fix_p0 is not None else ["p0", "k1", "k2"]
         for decay, lag in (("tau1", "tau2"), ("tau3", "tau4")):  # every lag on its side's lag box
             boxes += [{"tau_decay": decay, "tau5": "tau5"}.get(f, lag) for f in self.fitted]
-        self.coords = [_Coord(*getattr(bounds, b), b not in _LINEAR_BOXES) for b in boxes]
+        self.coords = [_Coord(*getattr(bounds, b), _box_scale(b)) for b in boxes]
         self.fatigue_at = 3 + len(self.fitted)  # where the fatigue side starts in _values
 
     def _values(self, z: Sequence[float]) -> tuple:
@@ -361,7 +363,7 @@ class _FitProblem:
             vals += [fields.get(f, 0.0 if f == "tau5" else math.inf) for f in self.fitted]
         if self.fix_p0 is not None:
             del vals[0]
-        if any(c.log_scale and not v > 0.0 for c, v in zip(self.coords, vals)):
+        if any(c.of is math.log and not v > 0.0 for c, v in zip(self.coords, vals)):
             return None
         return [c.z_of(v) for c, v in zip(self.coords, vals)]
 

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from numbers import Real
 
 from .errors import ObservationError, ParameterError, SeriesLengthError
@@ -463,8 +463,9 @@ class ObservationSet(_Record):
         return len(self.entries)
 
 
-#: The boxes a fit searches on a linear scale; every other box is positive, on a log scale.
-_LINEAR_BOXES = ("p0", "tau5")
+def _box_scale(name: str) -> tuple:
+    """The maps (to, of) from and onto the scale a fit searches box ``name`` on."""
+    return (float, float) if name in ("p0", "tau5") else (math.exp, math.log)
 
 
 def _check_bound_pair(name: str, pair) -> tuple[float, float]:
@@ -479,8 +480,11 @@ def _check_bound_pair(name: str, pair) -> tuple[float, float]:
         raise ParameterError(f"bounds for {name} must satisfy lower < upper, got {_shown(pair)}")
     if math.isinf(hi - lo):  # every search point would decode to the top of the box
         raise ParameterError(f"bounds for {name} are too far apart, got {_shown(pair)}")
-    if lo <= 0.0 and name not in _LINEAR_BOXES:
+    _, of = _box_scale(name)
+    if lo <= 0.0 and of is math.log:
         raise ParameterError(f"bounds for {name} must be strictly positive, got {_shown(pair)}")
+    if not of(hi) - of(lo) > 0.0:  # ends that share one log: nothing between them to search
+        raise ParameterError(f"bounds for {name} have no width on a log scale, got {_shown(pair)}")
     return (lo, hi)
 
 
@@ -492,7 +496,8 @@ class ParamBounds(_Record):
     signed kernel gain. Lag upper bounds default very high so that a fitted
     delay term can shrink to numerical irrelevance, letting the richer
     variants come within a lag rate of 1/hi of the classical model inside
-    the box; the exact reduction (rate 0) lies outside any finite box.
+    the box; the exact reduction (rate 0) lies outside any finite box. A box
+    needs a positive, finite width on the scale ``_box_scale`` gives it.
     """
 
     p0: tuple[float, float] = (0.0, 5000.0)
@@ -541,22 +546,21 @@ class FitConfig(_Record):
 # ---------------------------------------------------------------------------
 
 
-# Loop shape: per-day indexing dominated these kernels' cost, so they stream w
-# through islice and append; the arithmetic stays as written for the oracle's
-# m=1 bit-identity. The three-lag performance kernel advances four days per
-# pass: each new state overwrites the oldest, so g(k) .. g(k-3) take turns
-# in four variables and none is copied per day. Callers check
-# horizon <= len(w) (islice would not).
+# Loop shape: they iterate w[:horizon - 1] (a slice runs faster than islice) and
+# call list.append as a method, which CPython 3.11+ specialises and an alias
+# skips; the arithmetic stays as written for the oracle's m=1 bit-identity. The
+# three-lag performance kernel advances four days per pass: each new state
+# overwrites the oldest, so g(k) .. g(k-3) take turns in four variables and
+# none is copied per day. Callers check horizon <= len(w) (a slice would not).
 
 
 def single_delay_path(w, tau_decay: float, lag_rate1: float, horizon: int) -> list[float]:
     a = math.exp(-1.0 / tau_decay)
     g = [0.0]
-    append = g.append
     gk = g1 = 0.0  # g(k), g(k-1)
-    for wk in islice(w, horizon - 1):
+    for wk in w[:horizon - 1]:
         g1, gk = gk, (wk + gk - lag_rate1 * g1) * a
-        append(gk)
+        g.append(gk)
     return g
 
 
@@ -565,14 +569,11 @@ def three_delay_path(
 ) -> list[float]:
     a = math.exp(-1.0 / tau_decay)
     g = [0.0]
-    append = g.append
     gk = g1 = g2 = g3 = 0.0  # g(k), g(k-1), g(k-2), g(k-3)
-    for wk in islice(w, horizon - 1):
+    for wk in w[:horizon - 1]:
         nxt = (wk + gk - lag_rate1 * g1 - lag_rate2 * g2 - lag_rate3 * g3) * a
-        append(nxt)
-        g3 = g2
-        g2 = g1
-        g1 = gk
+        g.append(nxt)
+        g3, g2, g1 = g2, g1, gk
         gk = nxt
     return g
 
@@ -593,12 +594,11 @@ def no_lag_performance(
     a = math.exp(-1.0 / fitness[0])
     b = math.exp(-1.0 / fatigue[0])
     p = [p0 + (k1 * 0.0 - k2 * 0.0)]
-    append = p.append
     g = h = 0.0
-    for wk in islice(w, horizon - 1):
+    for wk in w[:horizon - 1]:
         g = (wk + g) * a
         h = (wk + h) * b
-        append(p0 + (k1 * g - k2 * h))
+        p.append(p0 + (k1 * g - k2 * h))
     return p
 
 
@@ -610,12 +610,11 @@ def single_delay_performance(
     a = math.exp(-1.0 / tau_g)
     b = math.exp(-1.0 / tau_h)
     p = [p0 + (k1 * 0.0 - k2 * 0.0)]
-    append = p.append
     g = g1 = h = h1 = 0.0  # g(k), g(k-1), h(k), h(k-1)
-    for wk in islice(w, horizon - 1):
+    for wk in w[:horizon - 1]:
         g1, g = g, (wk + g - rate_g * g1) * a
         h1, h = h, (wk + h - rate_h * h1) * b
-        append(p0 + (k1 * g - k2 * h))
+        p.append(p0 + (k1 * g - k2 * h))
     return p
 
 
@@ -627,24 +626,23 @@ def three_delay_performance(
     a = math.exp(-1.0 / tau_g)
     b = math.exp(-1.0 / tau_h)
     p = [p0 + (k1 * 0.0 - k2 * 0.0)]
-    append = p.append
     # g0..g3 hold g(k)..g(k-3) again after each pass; zero-load days pad the
     # last pass and the days they add are cut off
     g0 = g1 = g2 = g3 = h0 = h1 = h2 = h3 = 0.0
-    days = chain(islice(w, horizon - 1), repeat(0.0, 3))
+    days = chain(w[:horizon - 1], repeat(0.0, 3))
     for w0, w1, w2, w3 in zip(days, days, days, days):
         g3 = (w0 + g0 - r1g * g1 - r2g * g2 - r3g * g3) * a
         h3 = (w0 + h0 - r1h * h1 - r2h * h2 - r3h * h3) * b
-        append(p0 + (k1 * g3 - k2 * h3))
+        p.append(p0 + (k1 * g3 - k2 * h3))
         g2 = (w1 + g3 - r1g * g0 - r2g * g1 - r3g * g2) * a
         h2 = (w1 + h3 - r1h * h0 - r2h * h1 - r3h * h2) * b
-        append(p0 + (k1 * g2 - k2 * h2))
+        p.append(p0 + (k1 * g2 - k2 * h2))
         g1 = (w2 + g2 - r1g * g3 - r2g * g0 - r3g * g1) * a
         h1 = (w2 + h2 - r1h * h3 - r2h * h0 - r3h * h1) * b
-        append(p0 + (k1 * g1 - k2 * h1))
+        p.append(p0 + (k1 * g1 - k2 * h1))
         g0 = (w3 + g1 - r1g * g2 - r2g * g3 - r3g * g0) * a
         h0 = (w3 + h1 - r1h * h2 - r2h * h3 - r3h * h0) * b
-        append(p0 + (k1 * g0 - k2 * h0))
+        p.append(p0 + (k1 * g0 - k2 * h0))
     del p[horizon:]
     return p
 

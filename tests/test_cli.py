@@ -933,6 +933,20 @@ class TestArtifacts:
 
 
 class TestCompare:
+    def test_log_box_with_no_width_on_its_scale_is_data_error(self, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text("fit: {starts: 1}\nbounds: {tau1: [1.0e+300, 1.0000000000000002e+300]}\n")
+        code = main([
+            "compare", "--load", str(DATA / "load.csv"), "--perf", str(DATA / "performance.csv"),
+            "--config", str(config), "--out", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.strip() == (
+            f"error: {config}: bounds: bounds for tau1 have no width on a log scale,"
+            " got [1e+300, 1.0000000000000002e+300]"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_deterministic_and_nested_quality(self, tmp_path, capsys):
         # data generated by a single-delay model: the single-delay row must do
         # at least as well as the classical row

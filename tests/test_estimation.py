@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ffdelay as ff
@@ -22,6 +22,8 @@ from helpers import EXAMPLE_SIDES, block_load, fixture_params, performance, reco
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
+# the (to, of) maps of a search box's scale, as models._box_scale gives them
+LOG, LINEAR = (math.exp, math.log), (float, float)
 
 
 def tight_nm_config(max_iterations: int = 800) -> ff.FitConfig:
@@ -93,13 +95,13 @@ class TestBoundsAndConfig:
     def test_decoded_coordinate_stays_inside_its_box(self):
         # exp(log(5.0)) is 4.999999999999999, exp(log(1.0) + log(10.0)) is
         # 10.000000000000002, and 0.3 + 1.0 * (0.9 - 0.3) is 0.9000000000000001
-        assert _Coord(5.0, 150.0, log_scale=True).value(-50.0) == 5.0
-        assert _Coord(1.0, 10.0, log_scale=True).value(50.0) == 10.0
-        assert _Coord(0.3, 0.9, log_scale=False).value(50.0) == 0.9
+        assert _Coord(5.0, 150.0, LOG).value(-50.0) == 5.0
+        assert _Coord(1.0, 10.0, LOG).value(50.0) == 10.0
+        assert _Coord(0.3, 0.9, LINEAR).value(50.0) == 0.9
         # a linear box nearly as wide as a double allows still decodes inside, not at its top
-        assert _Coord(*ff.ParamBounds(p0=(-8e307, 8e307)).p0, log_scale=False).value(0.0) == 0.0
+        assert _Coord(*ff.ParamBounds(p0=(-8e307, 8e307)).p0, LINEAR).value(0.0) == 0.0
         for lo, hi in ((5.0, 150.0), (0.5, 500.0), (2.0, 1e6), (1e-4, 10.0)):
-            coord = _Coord(lo, hi, log_scale=True)
+            coord = _Coord(lo, hi, LOG)
             assert all(lo <= coord.value(z) <= hi for z in (-1e3, -50.0, -40.0, 40.0, 50.0, 1e3))
 
     def test_config_domain(self):
@@ -163,13 +165,53 @@ def _branching_z_of(lo: float, hi: float, log_scale: bool, v: float) -> float:
 def test_coordinate_maps_its_box_as_the_branching_arithmetic_did(box, z, data):
     # _Coord keeps the box ends on its scale; the arithmetic of a log branch and
     # a linear branch that took the log of each end at every call is its spec
+    # bit for bit, save that where the branching exp overflowed the value is hi
     lo, hi, log_scale = box
-    coord = _Coord(lo, hi, log_scale=log_scale)
+    coord = _Coord(lo, hi, LOG if log_scale else LINEAR)
     value = _outcome(coord.value, z)
-    assert value == _outcome(_branching_value, lo, hi, log_scale, z)
-    assert value == "OverflowError" or lo <= float.fromhex(value) <= hi
+    spec = _outcome(_branching_value, lo, hi, log_scale, z)
+    assert value == (hi.hex() if spec == "OverflowError" else spec)
+    assert lo <= float.fromhex(value) <= hi
     v = data.draw(st.floats(lo, hi))
     assert _outcome(coord.z_of, v) == _outcome(_branching_z_of, lo, hi, log_scale, v)
+
+
+def test_coordinate_whose_exp_overflows_decodes_to_the_top_of_its_box():
+    # base + u * width rounds one ulp past log(hi), and exp of that overflows
+    lo, hi = 1.1993921554110276e-149, 1.7976931348623157e308
+    assert _outcome(_branching_value, lo, hi, True, 45.0) == "OverflowError"
+    assert _Coord(lo, hi, LOG).value(45.0) == hi
+
+
+@st.composite
+def accepted_boxes(draw) -> tuple[str, float, float]:
+    """(name, lo, hi): ends anywhere a double reaches, at the largest double, or one ulp apart."""
+    name = draw(st.sampled_from(("p0", "tau5", "k1", "tau1", "tau2")))
+    if name in ("p0", "tau5"):
+        ends = st.floats(-1.7e308, 1.7e308)
+    else:
+        ends = st.floats(0.0, None, exclude_min=True, allow_infinity=False)
+    lo = draw(ends)
+    top = st.just(-sys.float_info.max if lo < 0.0 else sys.float_info.max)
+    hi = draw(st.one_of(ends, top, st.just(math.nextafter(lo, math.inf))))
+    return name, min(lo, hi), max(lo, hi)
+
+
+@example(box=("tau1", 1e300, 1.0000000000000002e300), z=0.0)  # ends that share one log
+@example(box=("tau2", 1.1993921554110276e-149, sys.float_info.max), z=45.0)  # exp overflows
+@given(box=accepted_boxes(), z=st.floats(-45.0, 45.0))
+def test_every_box_param_bounds_accepts_decodes_inside_it(box, z):
+    name, lo, hi = box
+    try:
+        lo, hi = getattr(ff.ParamBounds(**{name: (lo, hi)}), name)
+    except ParameterError:
+        return
+    coord = _Coord(lo, hi, models._box_scale(name))
+    for zi in (z, -45.0, 45.0):
+        value = coord.value(zi)
+        assert type(value) is float and lo <= value <= hi
+    for v in (lo, hi, coord.value(z)):
+        assert math.isfinite(coord.z_of(v))
 
 
 class TestFitObjective:

@@ -281,6 +281,9 @@ class TestDomainTypes:
      "bounds for p0 are too far apart, got (-1.7e+308, 1.7e+308)"),
     (lambda: ff.ParamBounds(tau5=(-1e308, 1e308)), ParameterError,
      "bounds for tau5 are too far apart, got (-1e+308, 1e+308)"),
+    # a log box whose ends share one log
+    (lambda: ff.ParamBounds(tau1=(1e300, 1.0000000000000002e300)), ParameterError,
+     "bounds for tau1 have no width on a log scale, got (1e+300, 1.0000000000000002e+300)"),
     (lambda: ff.r_squared([1.0, 2.0], ff.ObservationSet(((0, 1.0), (5, 2.0)))),
      ObservationError, "observation day 5 is outside the horizon 2"),
     (lambda: ff.nelder_mead(lambda x: 0.0, [], ff.FitConfig()), ParameterError,
@@ -310,7 +313,7 @@ class TestDomainTypes:
         "huge-digits-oracle-days", "huge-digits-table-day", "huge-digits-observed-day",
         "huge-digits-load", "huge-digits-fraction", "int-step-load", "empty-grid-solution",
         "non-finite-number", "five-field-prediction-row", "empty-observations",
-        "infinite-bound", "too-wide-p0-bound", "too-wide-tau5-bound",
+        "infinite-bound", "too-wide-p0-bound", "too-wide-tau5-bound", "zero-log-width-tau1-bound",
         "observation-beyond-prediction", "empty-start", "two-weights",
         "overflowing-lag-rate", "overflowing-negative-lag-rate", "lag-fraction-rounding-to-zero"])
 def test_each_record_rejects_a_wrong_value_with_its_own_error(make, error, message):
